@@ -11,7 +11,7 @@ from .costing import CostLedger, OverheadModel
 from .errors import SeqalError
 from .metrics import PerfCostCurve, average_precision, car, correlations, iou, mean_ap, par
 from .pool import BoundingBox, Frame, PoolState, Sequence, SequenceMeta, load_pool, write_pool
-from .runner import RoundRecord, RunConfig, aggregate, run_experiment, run_singular
+from .runner import RoundRecord, RunConfig, aggregate, run_experiment
 from .surrogate import ScoreTrace, SurrogateState
 from .synth import CostCoeffs, GenConfig, generate_pool
 
@@ -46,7 +46,6 @@ __all__ = [
     "mean_ap",
     "par",
     "run_experiment",
-    "run_singular",
     "select",
     "write_pool",
     "__version__",

@@ -5,8 +5,11 @@ consume detector outputs (per-sequence scores reduced from frame scores, or
 a feature table for coreset); conformal kinds consult pool statistics only
 and must be called without scores. Every criterion is expressed so that
 higher is better and selection is a single argmax; ties always break toward
-the lexicographically smallest sequence id, making selection invariant to
-enumeration order.
+the smallest id, making selection invariant to enumeration order.
+
+The random, argmax and GauSS rules (``choose``) work over any sorted,
+comparable ids: sequence ids here, (sequence id, frame id) pairs when the
+runner acquires single frames.
 
 Randomness (the random baseline and the GauSS component draw) comes from a
 PCG64 generator seeded with the caller's rng_seed, so a fixed seed fixes the
@@ -89,14 +92,6 @@ class StrategySpec:
             raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.parity_phase not in (PARITY_MAX_FIRST, PARITY_MIN_FIRST):
             raise DomainError(f"unknown parity_phase {self.parity_phase!r}")
-
-
-def is_conformal(kind: str) -> bool:
-    return kind in CONFORMAL_KINDS
-
-
-def requires_scores(kind: str) -> bool:
-    return kind in SCORE_KINDS or kind == KIND_CORESET
 
 
 def sequence_score(frame_values) -> float:
@@ -249,9 +244,47 @@ def fit_gmm2(values, max_iter: int = 200, tol: float = 1e-10) -> GmmFit:
     )
 
 
-def _top_by_score(ids: list[str], scores: dict[str, float], b: int) -> list[str]:
-    ranked = sorted(ids, key=lambda sid: (-scores[sid], sid))
-    return ranked[:b]
+def _top_by_score(ids: list, scores: dict, b: int) -> list:
+    return sorted(ids, key=lambda i: (-scores[i], i))[:b]
+
+
+def _draw(ids: list, b: int, rng_seed: int | list[int]) -> list:
+    """Seeded uniform draw of b ids without replacement."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(rng_seed)))
+    return [ids[i] for i in rng.choice(len(ids), size=b, replace=False)]
+
+
+def _gauss_switch_select(ids: list, scores: dict, b: int, rng_seed: int) -> list:
+    """Sample from the higher-mean component of a 2-GMM over switch scores.
+
+    Membership is posterior responsibility above 0.5. Degenerate fits and
+    undersized components fall back to plain score ordering (the FALSE rule).
+    """
+    values = np.array([scores[i] for i in ids], dtype=float)
+    if len(ids) < 2 or float(np.ptp(values)) == 0.0:
+        return _top_by_score(ids, scores, b)
+    fit = fit_gmm2(values)
+    if fit.degenerate:
+        return _top_by_score(ids, scores, b)
+    resp = fit.responsibilities(values)
+    members = [i for i, r in zip(ids, resp[:, 1]) if r > RESPONSIBILITY_CUTOFF]
+    if len(members) < b:
+        return _top_by_score(ids, scores, b)
+    return _draw(members, b, rng_seed)
+
+
+def choose(
+    kind: str, ids: list, scores: dict | None, b: int, rng_seed: int | list[int]
+) -> list:
+    """Pick b of the sorted ids by the kind's rule: a seeded uniform draw for
+    random, the GauSS draw for gauss_switch, otherwise the b highest scores
+    with ties to the smallest id. rng_seed is the SeedSequence entropy of
+    the draws."""
+    if kind == KIND_RANDOM:
+        return _draw(ids, b, rng_seed)
+    if kind == KIND_GAUSS_SWITCH:
+        return _gauss_switch_select(ids, scores, b, rng_seed)
+    return _top_by_score(ids, scores, b)
 
 
 def _criterion_scores(
@@ -349,54 +382,17 @@ def select(
         if scores is not None:
             raise ValueError(f"{kind} does not consult scores; pass scores=None")
 
-    if kind == KIND_RANDOM:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(rng_seed)))
-        picks = rng.choice(np.array(unlabeled, dtype=object), size=b, replace=False)
-        return [str(s) for s in picks]
-
     if kind in CONFORMAL_KINDS:
         crit = _criterion_scores(kind, pool, unlabeled, round_index, strategy.parity_phase)
         return _top_by_score(unlabeled, crit, b)
 
-    if scores is None:
-        raise MissingScoresError(f"{kind} requires scores")
+    if kind != KIND_RANDOM:
+        if scores is None:
+            raise MissingScoresError(f"{kind} requires scores")
+        if kind == KIND_CORESET:
+            return _coreset_greedy(unlabeled, list(pool.labeled), scores, b)
+        missing = [s for s in unlabeled if s not in scores]
+        if missing:
+            raise MissingScoresError(f"no scores for sequences {missing[:4]}")
 
-    if kind == KIND_CORESET:
-        return _coreset_greedy(unlabeled, list(pool.labeled), scores, b)
-
-    missing = [s for s in unlabeled if s not in scores]
-    if missing:
-        raise MissingScoresError(f"no scores for sequences {missing[:4]}")
-
-    if kind in (KIND_ENTROPY, KIND_LEAST_CONFIDENCE, KIND_MARGIN, KIND_FALSE_SWITCH):
-        return _top_by_score(unlabeled, scores, b)
-
-    if kind == KIND_GAUSS_SWITCH:
-        return _gauss_switch_select(unlabeled, scores, b, rng_seed)
-
-    raise DomainError(f"unknown strategy kind {kind!r}")
-
-
-def _gauss_switch_select(
-    unlabeled: list[str], scores: dict[str, float], b: int, rng_seed: int
-) -> list[str]:
-    """Sample from the higher-mean component of a 2-GMM over switch scores.
-
-    Membership is posterior responsibility above 0.5. Degenerate fits and
-    undersized components fall back to plain score ordering (the FALSE rule).
-    """
-    values = np.array([scores[s] for s in unlabeled], dtype=float)
-    if len(unlabeled) < 2 or float(np.ptp(values)) == 0.0:
-        return _top_by_score(unlabeled, scores, b)
-    fit = fit_gmm2(values)
-    if fit.degenerate:
-        return _top_by_score(unlabeled, scores, b)
-    resp = fit.responsibilities(values)
-    members = [
-        sid for sid, r in zip(unlabeled, resp[:, 1]) if r > RESPONSIBILITY_CUTOFF
-    ]
-    if len(members) < b:
-        return _top_by_score(unlabeled, scores, b)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(rng_seed)))
-    picks = rng.choice(np.array(members, dtype=object), size=b, replace=False)
-    return [str(s) for s in picks]
+    return choose(kind, unlabeled, scores, b, rng_seed)

@@ -134,19 +134,12 @@ def theoretical_cost_bounds(
     return lower, upper
 
 
-def overhead_inferential(
-    model: OverheadModel, unlabeled_frames_per_round: list[int]
-) -> list[float]:
-    """Cumulative detector GFLOPS given the unlabeled frame count charged at
-    each round (seed round first)."""
-    out = []
-    total = 0.0
-    for frames in unlabeled_frames_per_round:
-        if frames < 0:
-            raise DomainError(f"negative frame count {frames}")
-        total += model.detector_gflops_per_frame * frames
-        out.append(total)
-    return out
+def overhead_inferential(model: OverheadModel, unlabeled_frames: int) -> float:
+    """One round's detector GFLOPS: the refreshed detector scores every frame
+    still unlabeled."""
+    if unlabeled_frames < 0:
+        raise DomainError(f"negative frame count {unlabeled_frames}")
+    return model.detector_gflops_per_frame * unlabeled_frames
 
 
 def overhead_conformal(model: OverheadModel, total_train_frames: int) -> float:
@@ -154,37 +147,6 @@ def overhead_conformal(model: OverheadModel, total_train_frames: int) -> float:
     if total_train_frames < 0:
         raise DomainError(f"negative frame count {total_train_frames}")
     return model.flow_gflops_per_pair * total_train_frames
-
-
-def overhead_bounds(
-    model: OverheadModel, sequence_lengths: list[int], n_rounds: int
-) -> tuple[list[float], list[float]]:
-    """Cumulative detector-overhead envelopes under extreme removal orders.
-
-    Each round charges the frames still in the pool, then removes the next
-    sequence. The first list removes shortest-first (the pool stays large,
-    so this is the envelope that overhead plots as its upper curve); the
-    second removes longest-first. Totals are path-dependent, so the two
-    final entries generally differ.
-    """
-    if n_rounds < 1:
-        raise DomainError(f"n_rounds must be >= 1, got {n_rounds}")
-    if n_rounds > len(sequence_lengths):
-        raise PoolExhaustedError(
-            f"cannot simulate {n_rounds} rounds with {len(sequence_lengths)} sequences"
-        )
-
-    def _simulate(order: list[int]) -> list[float]:
-        remaining = sum(order)
-        out, total = [], 0.0
-        for k in range(n_rounds):
-            total += model.detector_gflops_per_frame * remaining
-            out.append(total)
-            remaining -= order[k]
-        return out
-
-    ascending = sorted(sequence_lengths)
-    return _simulate(ascending), _simulate(ascending[::-1])
 
 
 @dataclass

@@ -3,8 +3,9 @@
 Stands in for dense optical flow: per-frame motion is the exact integer sum
 of absolute pixel differences between consecutive rasters, and the box
 estimate counts 8-connected components of the thresholded difference image
-whose area clears a minimum. Results are cached onto the sequence so the
-computation runs once per sequence per experiment.
+whose area clears a minimum. Results are cached onto the sequence, keyed by
+threshold and min_area, so the computation runs once per sequence per
+parameter pair.
 """
 
 from __future__ import annotations
@@ -107,30 +108,28 @@ def compute_flow_stats(
     """Compute (or fetch cached) motion statistics for a whole sequence.
 
     Requires a raster on every frame. The result is attached to the sequence;
-    a second call returns the cached values without recomputing, which the
-    computation counter makes observable.
+    a second call with the same threshold and min_area returns the cached
+    values without recomputing, which the computation counter makes
+    observable.
     """
     _check_params(threshold, min_area)
-    if seq.motion_scores is not None and seq.box_estimates is not None:
-        return FlowStats(seq.motion_scores, seq.box_estimates, threshold, min_area)
-
-    missing = [f.frame_id for f in seq.frames if f.raster is None]
-    if missing:
-        raise MissingRasterError(
-            f"sequence {seq.sequence_id!r} lacks rasters for frames {missing[:5]}"
-        )
-
-    motions = [0]
-    estimates = [0]
-    for prev, curr in zip(seq.frames, seq.frames[1:]):
-        motions.append(motion_score(prev.raster, curr.raster))
-        estimates.append(estimate_boxes(prev.raster, curr.raster, threshold, min_area))
-
-    seq.motion_scores = motions
-    seq.box_estimates = estimates
-    global _computations
-    _computations += 1
-    return FlowStats(motions, estimates, threshold, min_area)
+    key = (threshold, min_area)
+    if key not in seq.flow_cache:
+        missing = [f.frame_id for f in seq.frames if f.raster is None]
+        if missing:
+            raise MissingRasterError(
+                f"sequence {seq.sequence_id!r} lacks rasters for frames {missing[:5]}"
+            )
+        motions = [0]
+        estimates = [0]
+        for prev, curr in zip(seq.frames, seq.frames[1:]):
+            motions.append(motion_score(prev.raster, curr.raster))
+            estimates.append(estimate_boxes(prev.raster, curr.raster, threshold, min_area))
+        seq.flow_cache[key] = (motions, estimates)
+        global _computations
+        _computations += 1
+    seq.motion_scores, seq.box_estimates = seq.flow_cache[key]
+    return FlowStats(seq.motion_scores, seq.box_estimates, threshold, min_area)
 
 
 def write_flow_cache(stats: FlowStats, sequence_id: str, out_dir: Path | str) -> Path:

@@ -168,13 +168,17 @@ class Sequence:
     """A contiguous video sequence with metadata and optional motion stats.
 
     motion_scores / box_estimates are filled by the flow proxy (one entry per
-    frame, index 0 always zero motion) and start out as None.
+    frame, index 0 always zero motion) and start out as None. flow_cache
+    keeps every pair the proxy computed, keyed by (threshold, min_area).
     """
 
     meta: SequenceMeta
     frames: list[Frame]
     motion_scores: list[int] | None = None
     box_estimates: list[int] | None = None
+    flow_cache: dict[tuple[int, int], tuple[list[int], list[int]]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def sequence_id(self) -> str:
@@ -272,14 +276,6 @@ class PoolState:
     def reset_acquisition(self) -> None:
         self.labeled = []
         self.unlabeled = set(self.train_ids)
-
-    def check_partition(self) -> None:
-        train = set(self.train_ids)
-        lab = set(self.labeled)
-        if len(lab) != len(self.labeled):
-            raise ValueError("labeled list holds duplicates")
-        if lab | self.unlabeled != train or lab & self.unlabeled:
-            raise ValueError("labeled/unlabeled do not partition the train split")
 
 
 @dataclass

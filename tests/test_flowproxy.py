@@ -128,6 +128,21 @@ def test_compute_flow_stats_caches_on_sequence():
     assert seq.motion_scores is not None
 
 
+def test_compute_flow_stats_cache_keyed_by_parameters():
+    fp.reset_computation_counter()
+    seq = make_sequence("s", n_frames=6, raster_size=(16, 16))
+    loose = compute_flow_stats(seq, 10, 25)
+    assert sum(loose.box_estimates) > 0
+    strict = compute_flow_stats(seq, 200, 1)
+    fresh = compute_flow_stats(make_sequence("s", n_frames=6, raster_size=(16, 16)), 200, 1)
+    assert strict == fresh
+    assert seq.box_estimates == fresh.box_estimates
+    assert compute_flow_stats(seq, 10, 25) == loose
+    assert seq.box_estimates == loose.box_estimates
+    # one computation per sequence per parameter pair
+    assert fp.computations() == 3
+
+
 def test_compute_flow_stats_missing_raster():
     seq = make_sequence("s", n_frames=3)
     with pytest.raises(MissingRasterError):

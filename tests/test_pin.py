@@ -1,0 +1,84 @@
+"""Behaviour pin: the bytes every output CSV holds on small fixed configs.
+
+Each config runs two seeds for six rounds on a generated 20-sequence pool
+of 20-30 frame sequences and compares the SHA-256 of every CSV it writes
+with ``pin_digests.json``. A change that means to alter output rewrites
+the digests in the same commit and says why in CHANGES.md:
+
+    PYTHONPATH=src python tests/test_pin.py --write
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from seqal.acquisition import StrategySpec
+from seqal.runner import RunConfig, run_experiment
+from seqal.synth import GenConfig, generate_pool
+
+DIGESTS = Path(__file__).with_name("pin_digests.json")
+POOL = GenConfig(rng_seed=3, n_sequences=20, frame_len_range=(20, 30), raster_size=(32, 32))
+
+# name -> (RunConfig keywords, live run whose trace is replayed or None)
+CONFIGS = {
+    "seq_entropy_eval": (dict(strategy=StrategySpec("entropy"), evaluate=True), None),
+    "seq_gauss_switch": (dict(strategy=StrategySpec("gauss_switch", batch_size=2)), None),
+    "seq_min_max_motion": (dict(strategy=StrategySpec("min_max_motion")), None),
+    "seq_coreset": (dict(strategy=StrategySpec("coreset")), None),
+    "sing_entropy_eval": (
+        dict(strategy=StrategySpec("entropy"), mode="singular", interpolation_rate=5, evaluate=True),
+        None,
+    ),
+    "sing_gauss_switch": (
+        dict(strategy=StrategySpec("gauss_switch"), mode="singular", interpolation_rate=2),
+        None,
+    ),
+    "sing_random": (
+        dict(strategy=StrategySpec("random"), mode="singular", interpolation_rate=3),
+        None,
+    ),
+    "sing_gauss_replay": (
+        dict(strategy=StrategySpec("gauss_switch"), mode="singular", interpolation_rate=2),
+        "sing_gauss_switch",
+    ),
+}
+
+
+def run_config(name: str, root: Path) -> dict[str, str]:
+    """Run one pinned config into a directory of its name under root; returns
+    the SHA-256 of each CSV it wrote."""
+    kw, replay_from = CONFIGS[name]
+    if replay_from is not None:
+        src = root / replay_from
+        if not (src / "trace.csv").is_file():
+            run_config(replay_from, root)
+        kw = dict(kw, trace_path=str(src / "trace.csv"), trace_metrics_path=str(src / "trace_metrics.csv"))
+    base = dict(pool_source=POOL, seed_sequences=2, rounds=6, seeds=(0, 1), evaluate=False)
+    cfg = RunConfig(**{**base, **kw})
+    out = root / name
+    run_experiment(cfg, pool=generate_pool(POOL), out_dir=out)
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.glob("*.csv"))
+    }
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_output_bytes_pinned(name, tmp_path):
+    expected = json.loads(DIGESTS.read_text())[name]
+    assert run_config(name, tmp_path) == expected
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(__doc__)
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = {name: run_config(name, Path(tmp)) for name in sorted(CONFIGS)}
+    DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {DIGESTS}")

@@ -16,7 +16,6 @@ from seqal.runner import (
     aggregate,
     filter_small_boxes,
     run_experiment,
-    run_singular,
 )
 from seqal.synth import GenConfig
 
@@ -268,6 +267,16 @@ def test_filter_small_boxes_threshold_boundary():
     assert filter_small_boxes(pool, 50, 640) == 0
 
 
+def test_run_leaves_caller_boxes_alone():
+    pool = runner_pool()
+    boxes = {sid: [list(f.boxes) for f in seq.frames] for sid, seq in pool.sequences.items()}
+    run_experiment(tiny_cfg(min_box_pixels=200), pool=pool)
+    assert {sid: [f.boxes for f in seq.frames] for sid, seq in pool.sequences.items()} == boxes
+    # a later run with a smaller filter sees the original boxes
+    cfg = tiny_cfg(seeds=(0,), rounds=2, evaluate=True)
+    assert run_experiment(cfg, pool=pool) == run_experiment(cfg, pool=runner_pool())
+
+
 # --- singular mode -------------------------------------------------------
 
 
@@ -342,8 +351,6 @@ def test_singular_score_kind_charges_detector():
 
 
 def test_singular_rejects_wrong_mode_and_kind():
-    with pytest.raises(ModeError):
-        run_singular(tiny_cfg(), pool=singular_pool())
     with pytest.raises(ModeError):
         run_experiment(singular_cfg(kind="min_motion"), pool=singular_pool())
     with pytest.raises(ModeError):

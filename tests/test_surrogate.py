@@ -9,8 +9,8 @@ from seqal.errors import FeatureError, TraceError
 from seqal.pool import Season, Split
 from seqal.surrogate import (
     ScoreTrace,
+    SurrogateState,
     frame_scores,
-    make_state,
     pool_feature_table,
     predict_test,
     quality,
@@ -23,6 +23,19 @@ from seqal.surrogate import (
 )
 
 from conftest import make_pool, make_sequence
+
+
+def make_state(pool, round_index, kappa, noise_seed, features, sigma, weights=None):
+    labeled = list(pool.labeled)
+    return SurrogateState(
+        round_index=round_index,
+        labeled_features=[features[s] for s in labeled],
+        kappa=kappa,
+        noise_seed=noise_seed,
+        sigma=sigma,
+        features=features,
+        labeled_weights=None if weights is None else [weights[s] for s in labeled],
+    )
 
 
 def build_state(pool, labeled_ids, kappa=0.35, noise_seed=7, round_index=1):
