@@ -19,6 +19,7 @@ from pathlib import Path
 
 from . import config as config_mod
 from . import flowproxy, metrics, runner
+from .config import convert, float_list, int_list
 from .costing import OverheadModel, theoretical_cost_bounds
 from .errors import (
     ConfigError,
@@ -55,36 +56,11 @@ def _cmd_gen(args: argparse.Namespace) -> None:
     write_pool(pool, args.out)
 
 
-def _parse_seeds(raw: str | None) -> tuple[int, ...] | None:
-    if raw is None:
-        return None
-    try:
-        seeds = tuple(int(p.strip()) for p in raw.split(",") if p.strip())
-    except ValueError:
-        raise ConfigError(f"bad --seed list: {raw!r}")
-    if not seeds:
-        raise ConfigError("empty --seed list")
-    return seeds
-
-
 def _cmd_run(args: argparse.Namespace) -> None:
     parser = config_mod.read_config(args.config)
-    cfg = config_mod.run_config(
-        parser,
-        strategy_override=args.strategy,
-        seeds_override=_parse_seeds(args.seed),
-    )
+    seeds = None if args.seed is None else convert(args.seed, int_list, "--seed")
+    cfg = config_mod.run_config(parser, args.strategy, seeds)
     runner.run_experiment(cfg, out_dir=args.out)
-
-
-def _float_list(raw: str, flag: str) -> list[float]:
-    try:
-        values = [float(p.strip()) for p in raw.split(",") if p.strip()]
-    except ValueError:
-        raise ConfigError(f"bad {flag} list: {raw!r}")
-    if not values:
-        raise ConfigError(f"empty {flag} list")
-    return values
 
 
 def _read_curves(run_dir: Path) -> dict[int, metrics.PerfCostCurve]:
@@ -111,8 +87,8 @@ def _cmd_metrics(args: argparse.Namespace) -> None:
     out_dir = Path(args.out) if args.out else run_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     curves = _read_curves(run_dir)
-    car_budgets = _float_list(args.car_budgets, "--car-budgets")
-    par_budgets = _float_list(args.par_budgets, "--par-budgets")
+    car_budgets = convert(args.car_budgets, float_list, "--car-budgets")
+    par_budgets = convert(args.par_budgets, float_list, "--par-budgets")
     with open(out_dir / "car_sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["seed", "budget_hours", "car"])

@@ -2,70 +2,114 @@
 
 One file drives both pool generation and experiment runs, split into the
 sections [pool], [strategy], [surrogate], [costing], [eval] and [run].
-Every key is optional except the pool source; unknown sections or keys are
-rejected so typos fail loudly instead of silently running defaults.
+KEYS maps each [section] key to the dataclass field it fills and the cast
+that reads it. Only keys the file sets are passed, so a key left out takes
+its dataclass default. Every key is optional except the pool source;
+unknown sections or keys are rejected so typos fail loudly instead of
+silently running defaults.
 """
 
 from __future__ import annotations
 
 import configparser
+from collections import defaultdict
+from dataclasses import fields
 from pathlib import Path
 
 from .acquisition import StrategySpec
 from .costing import OverheadModel
-from .errors import ConfigError
-from .metrics import MAP5095_THRESHOLDS
-from .runner import (
-    DEFAULT_MIN_BOX_PIXELS,
-    DEFAULT_REFERENCE_RESOLUTION,
-    DEFAULT_SEEDS,
-    RunConfig,
-)
+from .errors import ConfigError, DomainError
+from .runner import RunConfig
 from .synth import CostCoeffs, GenConfig
 
 SOURCE_SYNTH = "synth"
 
-_SECTION_KEYS = {
+
+def _list(raw: str, cast) -> tuple:
+    values = tuple(cast(part.strip()) for part in raw.split(",") if part.strip())
+    if not values:
+        raise ValueError(f"empty list {raw!r}")
+    return values
+
+
+def int_list(raw: str) -> tuple[int, ...]:
+    """A non-empty comma-separated list of ints."""
+    return _list(raw, int)
+
+
+def float_list(raw: str) -> tuple[float, ...]:
+    """A non-empty comma-separated list of floats."""
+    return _list(raw, float)
+
+
+def _bool(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}")
+
+
+def convert(raw: str, cast, name: str):
+    """raw through cast; a failed cast is a ConfigError naming the value."""
+    try:
+        return cast(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"bad value for {name}: {raw!r}")
+
+
+# [section] key -> (dataclass, field, cast). A (field, index) pair fills one
+# half of a tuple field; the other half keeps its default.
+KEYS = {
     "pool": {
-        "source",
-        "rng_seed",
-        "n_sequences",
-        "frame_len_min",
-        "frame_len_max",
-        "raster_width",
-        "raster_height",
-        "objects_min",
-        "objects_max",
-        "speed_min",
-        "speed_max",
-        "occlusion_rate",
-        "alpha_boxes",
-        "beta_motion",
-        "gamma_occlusion",
-        "delta_length",
-        "cost_noise_sd",
+        # 'synth' generates a pool; anything else is a pool directory
+        "source": (RunConfig, "pool_source", str),
+        "rng_seed": (GenConfig, "rng_seed", int),
+        "n_sequences": (GenConfig, "n_sequences", int),
+        "frame_len_min": (GenConfig, ("frame_len_range", 0), int),
+        "frame_len_max": (GenConfig, ("frame_len_range", 1), int),
+        "raster_width": (GenConfig, ("raster_size", 0), int),
+        "raster_height": (GenConfig, ("raster_size", 1), int),
+        "objects_min": (GenConfig, ("objects_per_seq_range", 0), int),
+        "objects_max": (GenConfig, ("objects_per_seq_range", 1), int),
+        "speed_min": (GenConfig, ("speed_range", 0), float),
+        "speed_max": (GenConfig, ("speed_range", 1), float),
+        "occlusion_rate": (GenConfig, "occlusion_rate", float),
+        "alpha_boxes": (CostCoeffs, "alpha_boxes", float),
+        "beta_motion": (CostCoeffs, "beta_motion", float),
+        "gamma_occlusion": (CostCoeffs, "gamma_occlusion", float),
+        "delta_length": (CostCoeffs, "delta_length", float),
+        "cost_noise_sd": (CostCoeffs, "noise_sd", float),
     },
-    "strategy": {"kind", "batch_size", "parity_phase"},
-    "surrogate": {"kappa", "noise_seed", "trace", "trace_metrics"},
+    "strategy": {
+        "kind": (StrategySpec, "kind", str),
+        "batch_size": (StrategySpec, "batch_size", int),
+        "parity_phase": (StrategySpec, "parity_phase", str),
+    },
+    "surrogate": {
+        "kappa": (RunConfig, "kappa", float),
+        "noise_seed": (RunConfig, "noise_seed", int),
+        "trace": (RunConfig, "trace_path", str),
+        "trace_metrics": (RunConfig, "trace_metrics_path", str),
+    },
     "costing": {
-        "detector_gflops_per_frame",
-        "flow_gflops_per_pair",
-        "interpolation_rate",
+        "detector_gflops_per_frame": (OverheadModel, "detector_gflops_per_frame", float),
+        "flow_gflops_per_pair": (OverheadModel, "flow_gflops_per_pair", float),
+        "interpolation_rate": (RunConfig, "interpolation_rate", int),
     },
     "eval": {
-        "evaluate",
-        "min_box_pixels",
-        "reference_resolution",
-        "iou_thresholds",
+        "evaluate": (RunConfig, "evaluate", _bool),
+        "min_box_pixels": (RunConfig, "min_box_pixels", int),
+        "reference_resolution": (RunConfig, "reference_resolution", int),
+        "iou_thresholds": (RunConfig, "iou_thresholds", float_list),
     },
     "run": {
-        "mode",
-        "seed_sequences",
-        "rounds",
-        "seeds",
-        "frames_per_round",
-        "flow_threshold",
-        "flow_min_area",
+        "mode": (RunConfig, "mode", str),
+        "seed_sequences": (RunConfig, "seed_sequences", int),
+        "rounds": (RunConfig, "rounds", int),
+        "seeds": (RunConfig, "seeds", int_list),
+        "frames_per_round": (RunConfig, "frames_per_round", int),
+        "flow_threshold": (RunConfig, "flow_threshold", int),
+        "flow_min_area": (RunConfig, "flow_min_area", int),
     },
 }
 
@@ -80,41 +124,12 @@ def read_config(path: Path | str) -> configparser.ConfigParser:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}")
     for section in parser.sections():
-        if section not in _SECTION_KEYS:
+        if section not in KEYS:
             raise ConfigError(f"unknown section [{section}]")
         for key in parser[section]:
-            if key not in _SECTION_KEYS[section]:
+            if key not in KEYS[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
     return parser
-
-
-def _get(parser, section: str, key: str, cast, fallback):
-    if not parser.has_option(section, key):
-        return fallback
-    raw = parser.get(section, key)
-    try:
-        return cast(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"bad value for [{section}] {key}: {raw!r}")
-
-
-def _get_bool(parser, section: str, key: str, fallback: bool) -> bool:
-    if not parser.has_option(section, key):
-        return fallback
-    try:
-        return parser.getboolean(section, key)
-    except ValueError:
-        raise ConfigError(
-            f"bad value for [{section}] {key}: {parser.get(section, key)!r}"
-        )
-
-
-def _int_list(raw: str) -> tuple[int, ...]:
-    return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
-
-
-def _float_list(raw: str) -> tuple[float, ...]:
-    return tuple(float(part.strip()) for part in raw.split(",") if part.strip())
 
 
 def require_section(parser, section: str) -> None:
@@ -122,59 +137,49 @@ def require_section(parser, section: str) -> None:
         raise ConfigError(f"config is missing the [{section}] section")
 
 
-def gen_config(parser: configparser.ConfigParser) -> GenConfig:
-    """Synthetic-pool settings from [pool]; the source must be 'synth'."""
-    require_section(parser, "pool")
-    source = parser.get("pool", "source", fallback=SOURCE_SYNTH)
-    if source != SOURCE_SYNTH:
-        raise ConfigError(
-            f"[pool] source must be {SOURCE_SYNTH!r} to generate, got {source!r}"
-        )
-    sec = "pool"
-    defaults = GenConfig()
-    coeff_defaults = CostCoeffs()
-    coeffs = CostCoeffs(
-        alpha_boxes=_get(parser, sec, "alpha_boxes", float, coeff_defaults.alpha_boxes),
-        beta_motion=_get(parser, sec, "beta_motion", float, coeff_defaults.beta_motion),
-        gamma_occlusion=_get(
-            parser, sec, "gamma_occlusion", float, coeff_defaults.gamma_occlusion
-        ),
-        delta_length=_get(
-            parser, sec, "delta_length", float, coeff_defaults.delta_length
-        ),
-        noise_sd=_get(parser, sec, "cost_noise_sd", float, coeff_defaults.noise_sd),
-    )
-    return GenConfig(
-        rng_seed=_get(parser, sec, "rng_seed", int, defaults.rng_seed),
-        n_sequences=_get(parser, sec, "n_sequences", int, defaults.n_sequences),
-        frame_len_range=(
-            _get(parser, sec, "frame_len_min", int, defaults.frame_len_range[0]),
-            _get(parser, sec, "frame_len_max", int, defaults.frame_len_range[1]),
-        ),
-        raster_size=(
-            _get(parser, sec, "raster_width", int, defaults.raster_size[0]),
-            _get(parser, sec, "raster_height", int, defaults.raster_size[1]),
-        ),
-        objects_per_seq_range=(
-            _get(parser, sec, "objects_min", int, defaults.objects_per_seq_range[0]),
-            _get(parser, sec, "objects_max", int, defaults.objects_per_seq_range[1]),
-        ),
-        speed_range=(
-            _get(parser, sec, "speed_min", float, defaults.speed_range[0]),
-            _get(parser, sec, "speed_max", float, defaults.speed_range[1]),
-        ),
-        occlusion_rate=_get(
-            parser, sec, "occlusion_rate", float, defaults.occlusion_rate
-        ),
-        cost_coeffs=coeffs,
-    )
+def _default(cls, name: str):
+    return next(f.default for f in fields(cls) if f.name == name)
+
+
+def _values(parser, sections, skip=()) -> dict[type, dict]:
+    """Keyword arguments per dataclass from the keys the file sets in
+    sections; keys listed in skip as (section, key) are not read."""
+    kwargs: dict[type, dict] = defaultdict(dict)
+    for section in sections:
+        if not parser.has_section(section):
+            continue
+        for key, raw in parser[section].items():
+            if (section, key) in skip:
+                continue
+            cls, name, cast = KEYS[section][key]
+            value = convert(raw, cast, f"[{section}] {key}")
+            if isinstance(name, tuple):
+                name, index = name
+                pair = list(kwargs[cls].get(name, _default(cls, name)))
+                pair[index] = value
+                value = tuple(pair)
+            kwargs[cls][name] = value
+    return kwargs
 
 
 def pool_source(parser: configparser.ConfigParser) -> GenConfig | str:
+    """A GenConfig from [pool] when the source is 'synth', else the pool
+    directory path; a directory's generator keys are not read."""
     require_section(parser, "pool")
     source = parser.get("pool", "source", fallback=SOURCE_SYNTH)
-    if source == SOURCE_SYNTH:
-        return gen_config(parser)
+    if source != SOURCE_SYNTH:
+        return source
+    values = _values(parser, ["pool"])
+    return GenConfig(**values[GenConfig], cost_coeffs=CostCoeffs(**values[CostCoeffs]))
+
+
+def gen_config(parser: configparser.ConfigParser) -> GenConfig:
+    """Synthetic-pool settings from [pool]; the source must be 'synth'."""
+    source = pool_source(parser)
+    if not isinstance(source, GenConfig):
+        raise ConfigError(
+            f"[pool] source must be {SOURCE_SYNTH!r} to generate, got {source!r}"
+        )
     return source
 
 
@@ -183,83 +188,24 @@ def run_config(
     strategy_override: str | None = None,
     seeds_override: tuple[int, ...] | None = None,
 ) -> RunConfig:
-    """Assemble a RunConfig; command-line overrides beat file values."""
+    """Assemble a RunConfig; command-line overrides beat file values, and
+    with a seed override the file's seeds are not read."""
     require_section(parser, "strategy")
-    kind = strategy_override or parser.get("strategy", "kind", fallback=None)
-    if kind is None:
+    skip = {("run", "seeds")} if seeds_override is not None else set()
+    values = _values(parser, [s for s in KEYS if s != "pool"], skip)
+    if strategy_override:
+        values[StrategySpec]["kind"] = strategy_override
+    if seeds_override is not None:
+        values[RunConfig]["seeds"] = tuple(seeds_override)
+    if "kind" not in values[StrategySpec]:
         raise ConfigError("config is missing [strategy] kind")
-    try:
-        strategy = StrategySpec(
-            kind=kind,
-            batch_size=_get(parser, "strategy", "batch_size", int, 1),
-            parity_phase=parser.get("strategy", "parity_phase", fallback="max_first"),
-        )
-    except Exception as exc:
-        raise ConfigError(f"bad [strategy] settings: {exc}")
-
-    noise_seed = _get(parser, "surrogate", "noise_seed", int, None) if parser.has_section("surrogate") else None
-    trace = parser.get("surrogate", "trace", fallback=None) if parser.has_section("surrogate") else None
-    trace_metrics = (
-        parser.get("surrogate", "trace_metrics", fallback=None)
-        if parser.has_section("surrogate")
-        else None
-    )
-
-    seeds = seeds_override
-    if seeds is None:
-        seeds = _get(parser, "run", "seeds", _int_list, DEFAULT_SEEDS) if parser.has_section("run") else DEFAULT_SEEDS
-
-    overhead_defaults = OverheadModel()
-    thresholds = MAP5095_THRESHOLDS
-    if parser.has_option("eval", "iou_thresholds"):
-        thresholds = _get(parser, "eval", "iou_thresholds", _float_list, thresholds)
-
+    source = pool_source(parser)
     try:
         return RunConfig(
-            pool_source=pool_source(parser),
-            strategy=strategy,
-            mode=_get(parser, "run", "mode", str, "sequential"),
-            interpolation_rate=_get(parser, "costing", "interpolation_rate", int, 1),
-            frames_per_round=_get(parser, "run", "frames_per_round", int, 25),
-            seed_sequences=_get(parser, "run", "seed_sequences", int, 2),
-            rounds=_get(parser, "run", "rounds", int, 11),
-            seeds=tuple(seeds),
-            kappa=_get(parser, "surrogate", "kappa", float, 0.35),
-            noise_seed=noise_seed,
-            trace_path=trace,
-            trace_metrics_path=trace_metrics,
-            overhead=OverheadModel(
-                detector_gflops_per_frame=_get(
-                    parser,
-                    "costing",
-                    "detector_gflops_per_frame",
-                    float,
-                    overhead_defaults.detector_gflops_per_frame,
-                ),
-                flow_gflops_per_pair=_get(
-                    parser,
-                    "costing",
-                    "flow_gflops_per_pair",
-                    float,
-                    overhead_defaults.flow_gflops_per_pair,
-                ),
-            ),
-            min_box_pixels=_get(
-                parser, "eval", "min_box_pixels", int, DEFAULT_MIN_BOX_PIXELS
-            ),
-            reference_resolution=_get(
-                parser,
-                "eval",
-                "reference_resolution",
-                int,
-                DEFAULT_REFERENCE_RESOLUTION,
-            ),
-            iou_thresholds=tuple(thresholds),
-            evaluate=_get_bool(parser, "eval", "evaluate", True),
-            flow_threshold=_get(parser, "run", "flow_threshold", int, 10),
-            flow_min_area=_get(parser, "run", "flow_min_area", int, 25),
+            pool_source=source,
+            strategy=StrategySpec(**values[StrategySpec]),
+            overhead=OverheadModel(**values[OverheadModel]),
+            **values[RunConfig],
         )
-    except ConfigError:
-        raise
-    except Exception as exc:
+    except DomainError as exc:
         raise ConfigError(f"bad run settings: {exc}")

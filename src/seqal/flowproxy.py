@@ -33,11 +33,6 @@ def computations() -> int:
     return _computations
 
 
-def reset_computation_counter() -> None:
-    global _computations
-    _computations = 0
-
-
 @dataclass
 class FlowStats:
     """Per-frame motion statistics for one sequence.
@@ -143,14 +138,3 @@ def write_flow_cache(stats: FlowStats, sequence_id: str, out_dir: Path | str) ->
         for fid, (m, b) in enumerate(zip(stats.motion_scores, stats.box_estimates)):
             writer.writerow([fid, m, b])
     return path
-
-
-def read_flow_cache(path: Path | str) -> tuple[list[int], list[int]]:
-    motions: list[int] = []
-    estimates: list[int] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            motions.append(int(row["motion"]))
-            estimates.append(int(row["box_est"]))
-    return motions, estimates

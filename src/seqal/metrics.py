@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainError, EmptyCurveError, EmptyTestError, ShapeError
 from .pool import BoundingBox
 
-MAP5095_THRESHOLDS = tuple(0.5 + 0.05 * i for i in range(10))
+MAP5095_THRESHOLDS = (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
 
 Prediction = tuple[BoundingBox, float]
 
@@ -114,10 +114,13 @@ def average_precision(
     return _ap_pooled(entries, {0: list(truths)}, iou_thresh)
 
 
-def _check_thresholds(iou_thresholds: Sequence[float]) -> None:
+def check_thresholds(iou_thresholds: Sequence[float]) -> None:
+    """A non-empty list of thresholds on the 0.50..0.95 grid, step 0.05."""
+    if not iou_thresholds:
+        raise DomainError("need at least one iou threshold")
     for t in iou_thresholds:
         steps = (t - 0.5) / 0.05
-        if not (abs(steps - round(steps)) < 1e-9 and -1e-9 <= steps <= 9 + 1e-9):
+        if not (-1e-9 <= steps <= 9 + 1e-9 and abs(steps - round(steps)) < 1e-9):
             raise DomainError(f"iou threshold {t} outside the 0.50..0.95 grid")
 
 
@@ -137,9 +140,7 @@ def mean_ap(
         raise ShapeError(
             f"{len(predictions)} prediction frames vs {len(truths)} truth frames"
         )
-    if not iou_thresholds:
-        raise DomainError("need at least one iou threshold")
-    _check_thresholds(iou_thresholds)
+    check_thresholds(iou_thresholds)
     if not truths:
         raise EmptyTestError("no test frames")
 

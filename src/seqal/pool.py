@@ -546,49 +546,3 @@ def write_pool(pool: PoolState, root_dir: Path | str) -> None:
                     meta.split.value,
                 ]
             )
-
-
-def _boxes_match(a: list[BoundingBox], b: list[BoundingBox], tol: float) -> bool:
-    if len(a) != len(b):
-        return False
-    for x, y in zip(a, b):
-        if x.class_id != y.class_id or x.occluded is not y.occluded:
-            return False
-        if max(
-            abs(x.cx - y.cx), abs(x.cy - y.cy), abs(x.w - y.w), abs(x.h - y.h)
-        ) > tol:
-            return False
-    return True
-
-
-def pools_match(a: PoolState, b: PoolState, coord_tol: float = 1e-6) -> bool:
-    """Structural equality of two pools up to coordinate/cost tolerance.
-
-    Compares sequence data only; acquisition state and cached motion
-    statistics are ignored (neither survives a write/load round trip).
-    """
-    if sorted(a.sequences) != sorted(b.sequences):
-        return False
-    for sid, sa in a.sequences.items():
-        sb = b.sequences[sid]
-        ma, mb = sa.meta, sb.meta
-        if (
-            abs(ma.cost_hours - mb.cost_hours) > coord_tol
-            or ma.scene_id != mb.scene_id
-            or ma.season is not mb.season
-            or ma.time_of_day is not mb.time_of_day
-            or ma.split is not mb.split
-        ):
-            return False
-        if sa.n_frames != sb.n_frames:
-            return False
-        for fa, fb in zip(sa.frames, sb.frames):
-            if fa.frame_id != fb.frame_id:
-                return False
-            if not _boxes_match(fa.boxes, fb.boxes, coord_tol):
-                return False
-            if (fa.raster is None) != (fb.raster is None):
-                return False
-            if fa.raster is not None and not np.array_equal(fa.raster, fb.raster):
-                return False
-    return True

@@ -104,6 +104,7 @@ class RunConfig:
             )
         if self.min_box_pixels < 0 or self.reference_resolution < 1:
             raise DomainError("bad box filter settings")
+        metrics.check_thresholds(self.iou_thresholds)
         if (self.trace_path is None) != (self.trace_metrics_path is None):
             raise DomainError(
                 "replay needs both trace_path and trace_metrics_path"
@@ -172,23 +173,23 @@ def _select_rng_seed(seed: int, round_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _coreset_features(pool: PoolState) -> dict[str, np.ndarray]:
+def _coreset_features(
+    pool: PoolState, features: dict[str, np.ndarray]
+) -> dict[str, np.ndarray]:
     """Per-sequence (mean center shift, mean box count, length), standardized
-    over the train split. Read straight off the annotations, like the
-    surrogate's features, so score-driven runs stay off the flow machinery.
+    over the train split. The two statistics are columns of the surrogate's
+    feature table, read off the annotations, so score-driven runs stay off
+    the flow machinery.
     """
     ids = pool.train_ids
-    raw = {}
-    for sid in ids:
-        seq = pool.sequences[sid]
-        raw[sid] = np.array(
-            [seq.mean_center_shift(), seq.mean_box_count(), float(seq.n_frames)]
-        )
-    mat = np.stack([raw[s] for s in ids])
+    mat = np.array(
+        [[features[s][1], features[s][0], pool.sequences[s].n_frames] for s in ids],
+        dtype=float,
+    )
     mean = mat.mean(axis=0)
     sd = mat.std(axis=0)
     sd[sd == 0.0] = 1.0
-    return {sid: (vec - mean) / sd for sid, vec in raw.items()}
+    return {sid: (row - mean) / sd for sid, row in zip(ids, mat)}
 
 
 class _Scorer:
@@ -199,8 +200,8 @@ class _Scorer:
         cfg: RunConfig,
         pool: PoolState,
         seed: int,
-        features: dict[str, np.ndarray],
-        sigma: float,
+        features: dict[str, np.ndarray] | None,
+        sigma: float | None,
         trace_in: ScoreTrace | None,
         trace_out: ScoreTrace,
     ):
@@ -338,8 +339,14 @@ def run_experiment(
         )
     pool = _run_pool(pool)
     filter_small_boxes(pool, cfg.min_box_pixels, cfg.reference_resolution)
-    features, sigma = surrogate.pool_feature_table(pool)
-    coreset_feats = _coreset_features(pool) if kind == KIND_CORESET else None
+    # Only live scoring, live evaluation and coreset read the feature table.
+    features, sigma, coreset_feats = None, None, None
+    if kind == KIND_CORESET or (
+        not cfg.replay and (kind in SCORE_KINDS or cfg.evaluate)
+    ):
+        features, sigma = surrogate.pool_feature_table(pool)
+    if kind == KIND_CORESET:
+        coreset_feats = _coreset_features(pool, features)
     replay_traces = _load_replay(cfg)
     rate = cfg.interpolation_rate
 

@@ -36,18 +36,6 @@ CONF_CEIL = 0.99
 
 _SIGMA_FLOOR = 1e-9
 
-_score_calls = 0
-
-
-def score_calls() -> int:
-    """How many times frame_scores has run (instrumentation for invariants)."""
-    return _score_calls
-
-
-def reset_score_counter() -> None:
-    global _score_calls
-    _score_calls = 0
-
 
 def sequence_feature(seq: Sequence, train_scenes: list[int]) -> np.ndarray:
     """Feature vector: (mean box count, mean center shift, scene one-hot, season).
@@ -149,8 +137,6 @@ def frame_scores(state: SurrogateState, seq: Sequence) -> tuple[np.ndarray, np.n
     predicted count is the true count scaled by q with an integer wobble in
     {-1, 0, 1}, floored at zero.
     """
-    global _score_calls
-    _score_calls += 1
     q = target_quality(state, seq)
     n = seq.n_frames
     objectness = np.empty(n)

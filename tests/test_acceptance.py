@@ -33,7 +33,7 @@ from seqal.pool import BoundingBox, PoolState, load_pool, write_pool
 from seqal.runner import RunConfig, run_experiment
 from seqal.synth import GenConfig, generate_pool
 
-from conftest import make_meta, make_sequence
+from conftest import make_meta, make_sequence, pools_match
 
 
 def verdict(num: int, problems: list) -> None:
@@ -569,8 +569,6 @@ def test_criterion_10_correlation_exactness(default_pool):
 
 
 def test_criterion_11_persistence_round_trip(tmp_path):
-    from seqal.pool import pools_match
-
     rnd = random.Random(1111)
     problems = []
     for i in range(100):

@@ -199,6 +199,15 @@ def test_run_lone_trace_path_is_config_error(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
 
 
+@pytest.mark.parametrize("evaluate", [True, False])
+@pytest.mark.parametrize("grid", ["0.62", "", "0.5,0.6,1.0"])
+def test_run_bad_iou_thresholds_fail_before_any_work(tmp_path, evaluate, grid):
+    cfg = write_ini(tmp_path, run_ini_text(evaluate) + f"iou_thresholds = {grid}\n")
+    out = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_run_missing_pool_directory(tmp_path):
     # a directory with no manifest fails manifest validation
     cfg = write_ini(

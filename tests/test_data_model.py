@@ -22,13 +22,12 @@ from seqal.pool import (
     load_pool,
     parse_label_file,
     parse_label_name,
-    pools_match,
     read_pgm,
     write_pgm,
     write_pool,
 )
 
-from conftest import make_meta, make_pool, make_sequence
+from conftest import make_meta, make_pool, make_sequence, pools_match
 
 
 # --- names ---------------------------------------------------------------

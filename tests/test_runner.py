@@ -19,7 +19,7 @@ from seqal.runner import (
 )
 from seqal.synth import GenConfig
 
-from conftest import make_pool, make_sequence
+from conftest import count_calls, make_pool, make_sequence
 
 
 def tiny_cfg(kind="entropy", **kw):
@@ -61,6 +61,13 @@ def test_run_config_validation():
         tiny_cfg(trace_path="only-one-of-two.csv")
     assert not tiny_cfg().replay
     assert tiny_cfg(trace_path="a", trace_metrics_path="b").replay
+
+
+def test_run_config_checks_iou_grid():
+    for bad in ((), (0.62,), (0.5, 1.0), (float("nan"),)):
+        with pytest.raises(DomainError):
+            tiny_cfg(iou_thresholds=bad)
+    assert tiny_cfg(iou_thresholds=(0.5, 0.85)).iou_thresholds == (0.5, 0.85)
 
 
 # --- record structure ----------------------------------------------------
@@ -142,27 +149,47 @@ def test_free_kinds_pay_nothing():
         assert all(r.cum_overhead_gflops == 0.0 for r in records)
 
 
-def test_conformal_run_never_calls_surrogate_scoring():
-    sg.reset_score_counter()
+def test_conformal_run_never_calls_surrogate_scoring(monkeypatch):
+    calls = count_calls(monkeypatch, sg, "frame_scores")
     run_experiment(tiny_cfg(kind="min_boxes"), pool=runner_pool(raster_size=(16, 16)))
-    assert sg.score_calls() == 0
+    assert calls == []
 
 
 def test_inferential_run_never_touches_flow():
-    fp.reset_computation_counter()
+    before = fp.computations()
     run_experiment(tiny_cfg(kind="entropy"), pool=runner_pool(raster_size=(16, 16)))
     run_experiment(tiny_cfg(kind="coreset"), pool=runner_pool(raster_size=(16, 16)))
-    assert fp.computations() == 0
+    assert fp.computations() == before
 
 
 def test_flow_stats_computed_once_per_sequence():
-    fp.reset_computation_counter()
+    before = fp.computations()
     pool = runner_pool(raster_size=(16, 16))
     run_experiment(tiny_cfg(kind="min_motion"), pool=pool)
-    assert fp.computations() == len(pool.train_ids)
+    assert fp.computations() - before == len(pool.train_ids)
     # a second strategy over the same pool reuses every cached result
     run_experiment(tiny_cfg(kind="min_boxes"), pool=pool)
-    assert fp.computations() == len(pool.train_ids)
+    assert fp.computations() - before == len(pool.train_ids)
+
+
+def test_feature_table_built_only_when_read(monkeypatch, tmp_path):
+    calls = count_calls(monkeypatch, sg, "pool_feature_table")
+    run_experiment(tiny_cfg(kind="random"), pool=runner_pool())
+    run_experiment(tiny_cfg(kind="min_motion"), pool=runner_pool(raster_size=(16, 16)))
+    assert calls == []
+    run_experiment(tiny_cfg(kind="random", evaluate=True), pool=runner_pool())
+    run_experiment(tiny_cfg(kind="coreset"), pool=runner_pool())
+    live = tiny_cfg(kind="entropy", evaluate=True)
+    run_experiment(live, pool=runner_pool(), out_dir=tmp_path)
+    assert len(calls) == 3
+    replay = tiny_cfg(
+        kind="entropy",
+        evaluate=True,
+        trace_path=str(tmp_path / "trace.csv"),
+        trace_metrics_path=str(tmp_path / "trace_metrics.csv"),
+    )
+    run_experiment(replay, pool=runner_pool())
+    assert len(calls) == 3
 
 
 # --- evaluation ----------------------------------------------------------

@@ -22,7 +22,7 @@ from seqal.surrogate import (
     write_traces,
 )
 
-from conftest import make_pool, make_sequence
+from conftest import count_calls, make_pool, make_sequence
 
 
 def make_state(pool, round_index, kappa, noise_seed, features, sigma, weights=None):
@@ -140,10 +140,8 @@ def test_target_quality_unknown_sequence(six_pool):
 def test_frame_scores_deterministic_and_counted(six_pool):
     state = build_state(six_pool, six_pool.train_ids[:2])
     seq = six_pool.sequences[six_pool.train_ids[3]]
-    sg.reset_score_counter()
     o1, c1 = frame_scores(state, seq)
     o2, c2 = frame_scores(state, seq)
-    assert sg.score_calls() == 2
     assert np.array_equal(o1, o2) and np.array_equal(c1, c2)
     assert o1.shape == (seq.n_frames,)
 
@@ -174,12 +172,12 @@ def test_frame_scores_vary_with_round_and_seed(six_pool):
 # --- test-split prediction -----------------------------------------------
 
 
-def test_predict_test_does_not_touch_score_counter(six_pool):
+def test_predict_test_does_not_touch_score_counter(six_pool, monkeypatch):
     state = build_state(six_pool, six_pool.train_ids[:2])
     seq = six_pool.sequences[six_pool.test_ids[0]]
-    sg.reset_score_counter()
+    calls = count_calls(monkeypatch, sg, "frame_scores")
     predict_test(state, seq)
-    assert sg.score_calls() == 0
+    assert calls == []
 
 
 def test_predict_test_deterministic(six_pool):

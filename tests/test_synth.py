@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from seqal.errors import GenError
-from seqal.pool import Occlusion, Split, pools_match
+from seqal.pool import Occlusion, Split
 from seqal.synth import (
     BACKGROUND_LEVEL,
     COST_FLOOR_HOURS,
@@ -17,6 +17,8 @@ from seqal.synth import (
     generate_pool,
     split_sizes,
 )
+
+from conftest import pools_match
 
 
 def small_cfg(**kw):
