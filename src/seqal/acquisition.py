@@ -1,15 +1,15 @@
 """Sequence acquisition strategies.
 
-Twelve strategy kinds share one selection entry point. Inferential kinds
-consume detector outputs (per-sequence scores reduced from frame scores, or
-a feature table for coreset); conformal kinds consult pool statistics only
-and must be called without scores. Every criterion is expressed so that
+Twelve strategy kinds share one selection entry point, ``select``. Its
+scores come from a score source: inferential kinds consume detector outputs
+(per-sequence scores reduced from frame scores, per-frame scores, or a
+feature table for coreset); conformal kinds rank by pool statistics through
+``catalog_scores``; random reads none. Every criterion is expressed so that
 higher is better and selection is a single argmax; ties always break toward
 the smallest id, making selection invariant to enumeration order.
 
-The random, argmax and GauSS rules (``choose``) work over any sorted,
-comparable ids: sequence ids here, (sequence id, frame id) pairs when the
-runner acquires single frames.
+``select`` works over any comparable candidate ids: sequence ids, or
+(sequence id, frame id) pairs when the runner acquires single frames.
 
 Randomness (the random baseline and the GauSS component draw) comes from a
 PCG64 generator seeded with the caller's rng_seed, so a fixed seed fixes the
@@ -30,6 +30,7 @@ from .errors import (
     PoolExhaustedError,
     ShapeError,
 )
+from .flowproxy import FlowStats
 from .pool import PoolState
 
 KIND_RANDOM = "random"
@@ -273,24 +274,17 @@ def _gauss_switch_select(ids: list, scores: dict, b: int, rng_seed: int) -> list
     return _draw(members, b, rng_seed)
 
 
-def choose(
-    kind: str, ids: list, scores: dict | None, b: int, rng_seed: int | list[int]
-) -> list:
-    """Pick b of the sorted ids by the kind's rule: a seeded uniform draw for
-    random, the GauSS draw for gauss_switch, otherwise the b highest scores
-    with ties to the smallest id. rng_seed is the SeedSequence entropy of
-    the draws."""
-    if kind == KIND_RANDOM:
-        return _draw(ids, b, rng_seed)
-    if kind == KIND_GAUSS_SWITCH:
-        return _gauss_switch_select(ids, scores, b, rng_seed)
-    return _top_by_score(ids, scores, b)
-
-
-def _criterion_scores(
-    kind: str, pool: PoolState, ids: list[str], round_index: int, parity_phase: str
+def catalog_scores(
+    strategy: StrategySpec,
+    pool: PoolState,
+    ids: list[str],
+    flow: dict[str, FlowStats],
+    round_index: int,
 ) -> dict[str, float]:
-    """Numeric criterion for conformal kinds, signed so that argmax selects."""
+    """Per-sequence criterion of a pool-statistic kind, signed so that the
+    highest score is the pick. flow maps each id to its flow statistics; only
+    the motion and box kinds read it."""
+    kind = strategy.kind
     out: dict[str, float] = {}
     for sid in ids:
         seq = pool.sequences[sid]
@@ -299,11 +293,7 @@ def _criterion_scores(
         elif kind == KIND_MOST_FRAME:
             out[sid] = float(seq.n_frames)
         elif kind in (KIND_MIN_MOTION, KIND_MIN_MAX_MOTION):
-            if seq.motion_scores is None:
-                raise MissingScoresError(
-                    f"sequence {sid!r} has no motion statistics; run the flow proxy first"
-                )
-            total = float(sum(seq.motion_scores))
+            total = float(sum(flow[sid].motion_scores))
             if kind == KIND_MIN_MOTION:
                 out[sid] = -total
             else:
@@ -311,14 +301,10 @@ def _criterion_scores(
                 # maximum, with round 1 the first acquisition round. The
                 # min_first phase swaps the two cases.
                 even = round_index % 2 == 0
-                use_min = even if parity_phase == PARITY_MAX_FIRST else not even
+                use_min = even if strategy.parity_phase == PARITY_MAX_FIRST else not even
                 out[sid] = -total if use_min else total
         elif kind == KIND_MIN_BOXES:
-            if seq.box_estimates is None:
-                raise MissingScoresError(
-                    f"sequence {sid!r} has no box estimates; run the flow proxy first"
-                )
-            out[sid] = -float(sum(seq.box_estimates))
+            out[sid] = -float(sum(flow[sid].box_estimates))
         else:
             raise DomainError(f"not a conformal kind: {kind!r}")
     return out
@@ -357,42 +343,34 @@ def _coreset_greedy(
 
 
 def select(
-    strategy: StrategySpec,
-    pool: PoolState,
-    scores: dict | None = None,
-    round_index: int = 1,
-    rng_seed: int = 0,
-) -> list[str]:
-    """Pick the next batch of sequence ids from the unlabeled pool.
+    kind: str,
+    ids: list,
+    scores: dict | None,
+    b: int,
+    rng_seed: int | list[int],
+    centers=(),
+) -> list:
+    """Pick b of the candidate ids, in order of selection preference.
 
-    ``scores`` carries per-sequence reduced model scores for the uncertainty
-    and switch kinds, or per-sequence feature vectors for coreset; conformal
-    kinds and random must be called with scores=None. The returned list is
-    ordered by selection preference and has exactly batch_size entries.
+    The candidates are sorted first, so their order does not matter. random
+    draws uniformly and reads no scores; coreset reads feature vectors
+    (``scores``) and grows a k-center set from ``centers``, the ids already
+    labeled; gauss_switch takes the GauSS draw; every other kind takes the b
+    highest scores with ties to the smallest id. rng_seed is the
+    SeedSequence entropy of the draws.
     """
-    unlabeled = sorted(pool.unlabeled)
-    b = strategy.batch_size
-    if len(unlabeled) < b:
-        raise PoolExhaustedError(
-            f"need {b} sequences, only {len(unlabeled)} unlabeled"
-        )
-    kind = strategy.kind
-
-    if kind in CONFORMAL_KINDS or kind == KIND_RANDOM:
-        if scores is not None:
-            raise ValueError(f"{kind} does not consult scores; pass scores=None")
-
-    if kind in CONFORMAL_KINDS:
-        crit = _criterion_scores(kind, pool, unlabeled, round_index, strategy.parity_phase)
-        return _top_by_score(unlabeled, crit, b)
-
-    if kind != KIND_RANDOM:
-        if scores is None:
-            raise MissingScoresError(f"{kind} requires scores")
-        if kind == KIND_CORESET:
-            return _coreset_greedy(unlabeled, list(pool.labeled), scores, b)
-        missing = [s for s in unlabeled if s not in scores]
-        if missing:
-            raise MissingScoresError(f"no scores for sequences {missing[:4]}")
-
-    return choose(kind, unlabeled, scores, b, rng_seed)
+    ids = sorted(ids)
+    if len(ids) < b:
+        raise PoolExhaustedError(f"need {b} candidates, only {len(ids)} remain")
+    if kind == KIND_RANDOM:
+        return _draw(ids, b, rng_seed)
+    if scores is None:
+        raise MissingScoresError(f"{kind} requires scores")
+    if kind == KIND_CORESET:
+        return _coreset_greedy(ids, list(centers), scores, b)
+    missing = [i for i in ids if i not in scores]
+    if missing:
+        raise MissingScoresError(f"no scores for candidates {missing[:4]}")
+    if kind == KIND_GAUSS_SWITCH:
+        return _gauss_switch_select(ids, scores, b, rng_seed)
+    return _top_by_score(ids, scores, b)

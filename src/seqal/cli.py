@@ -123,8 +123,7 @@ def _cmd_bounds(args: argparse.Namespace) -> None:
 def _cmd_analyze(args: argparse.Namespace) -> None:
     pool = load_pool(args.pool)
     ids = sorted(pool.sequences)
-    for sid in ids:
-        flowproxy.compute_flow_stats(pool.sequences[sid])
+    flow = {sid: flowproxy.compute_flow_stats(pool.sequences[sid]) for sid in ids}
     costs = [pool.sequences[s].meta.cost_hours for s in ids]
 
     def column(getter) -> list[float]:
@@ -135,10 +134,10 @@ def _cmd_analyze(args: argparse.Namespace) -> None:
         "cost_vs_total_boxes": column(lambda q: q.total_boxes()),
         "cost_vs_occluded": column(lambda q: q.occluded_boxes()),
         "cost_vs_mean_motion": column(
-            lambda q: sum(q.motion_scores) / q.n_frames
+            lambda q: sum(flow[q.sequence_id].motion_scores) / q.n_frames
         ),
         "cost_vs_mean_box_estimate": column(
-            lambda q: sum(q.box_estimates) / q.n_frames
+            lambda q: sum(flow[q.sequence_id].box_estimates) / q.n_frames
         ),
         "cost_vs_season": column(lambda q: int(q.meta.season)),
         "cost_vs_time_of_day": column(lambda q: int(q.meta.time_of_day)),

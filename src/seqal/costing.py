@@ -183,14 +183,6 @@ class CostLedger:
         self.entries.append(entry)
         return entry
 
-    @property
-    def total_cost_hours(self) -> float:
-        return self.entries[-1].cumulative_cost_hours if self.entries else 0.0
-
-    @property
-    def total_overhead_gflops(self) -> float:
-        return self.entries[-1].cumulative_overhead_gflops if self.entries else 0.0
-
 
 LEDGER_COLUMNS = (
     "seed",

@@ -63,7 +63,8 @@ def motion_score(prev, curr) -> int:
     return int(np.abs(b - a).sum())
 
 
-def _check_params(threshold: int, min_area: int) -> None:
+def check_params(threshold: int, min_area: int) -> None:
+    """Raise DomainError unless threshold is in [0, 255] and min_area >= 1."""
     if not 0 <= threshold <= 255:
         raise DomainError(f"threshold {threshold} outside [0, 255]")
     if min_area < 1:
@@ -86,7 +87,7 @@ def estimate_boxes(
     Binarizes |curr - prev| at the threshold and counts 8-connected
     components with at least min_area pixels.
     """
-    _check_params(threshold, min_area)
+    check_params(threshold, min_area)
     mask = difference_mask(prev, curr, threshold)
     labels, count = ndimage.label(mask, structure=_EIGHT_CONNECTED)
     if count == 0:
@@ -102,12 +103,11 @@ def compute_flow_stats(
 ) -> FlowStats:
     """Compute (or fetch cached) motion statistics for a whole sequence.
 
-    Requires a raster on every frame. The result is attached to the sequence;
-    a second call with the same threshold and min_area returns the cached
-    values without recomputing, which the computation counter makes
-    observable.
+    Requires a raster on every frame. The values are cached on the sequence;
+    a second call with the same threshold and min_area returns them without
+    recomputing, which the computation counter makes observable.
     """
-    _check_params(threshold, min_area)
+    check_params(threshold, min_area)
     key = (threshold, min_area)
     if key not in seq.flow_cache:
         missing = [f.frame_id for f in seq.frames if f.raster is None]
@@ -123,8 +123,8 @@ def compute_flow_stats(
         seq.flow_cache[key] = (motions, estimates)
         global _computations
         _computations += 1
-    seq.motion_scores, seq.box_estimates = seq.flow_cache[key]
-    return FlowStats(seq.motion_scores, seq.box_estimates, threshold, min_area)
+    motions, estimates = seq.flow_cache[key]
+    return FlowStats(motions, estimates, threshold, min_area)
 
 
 def write_flow_cache(stats: FlowStats, sequence_id: str, out_dir: Path | str) -> Path:

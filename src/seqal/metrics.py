@@ -204,12 +204,6 @@ class PerfCostCurve:
         return cls(points=collapsed)
 
     @property
-    def max_cost(self) -> float:
-        if not self.points:
-            raise EmptyCurveError("curve has no points")
-        return self.points[-1][0]
-
-    @property
     def max_map(self) -> float:
         if not self.points:
             raise EmptyCurveError("curve has no points")

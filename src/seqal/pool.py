@@ -25,7 +25,6 @@ from .errors import (
 )
 
 CLASS_NAMES = ("pedestrian", "bicycle", "car", "cart")
-KNOWN_CLASS_IDS = frozenset(range(len(CLASS_NAMES)))
 
 COORD_FORMAT = "%.6f"
 FRAME_ID_DIGITS = 6
@@ -78,7 +77,7 @@ class BoundingBox:
 
     Invariants: cx, cy in [0,1]; 0 < w, h <= 1; the box extent stays inside
     the unit square; class_id is a non-negative integer (0-3 are the known
-    superclasses, others survive parsing unless strict mode rejects them).
+    superclasses, others survive parsing).
     """
 
     class_id: int
@@ -165,17 +164,14 @@ class SequenceMeta:
 
 @dataclass
 class Sequence:
-    """A contiguous video sequence with metadata and optional motion stats.
+    """A contiguous video sequence with metadata.
 
-    motion_scores / box_estimates are filled by the flow proxy (one entry per
-    frame, index 0 always zero motion) and start out as None. flow_cache
-    keeps every pair the proxy computed, keyed by (threshold, min_area).
+    flow_cache keeps every (motion, box estimate) pair of per-frame lists the
+    flow proxy computed, keyed by (threshold, min_area).
     """
 
     meta: SequenceMeta
     frames: list[Frame]
-    motion_scores: list[int] | None = None
-    box_estimates: list[int] | None = None
     flow_cache: dict[tuple[int, int], tuple[list[int], list[int]]] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -217,16 +213,9 @@ class Sequence:
 
 @dataclass
 class PoolState:
-    """All sequences of a pool plus the acquisition partition of the train split.
-
-    ``labeled`` is append-only in acquisition order; ``unlabeled`` holds the
-    remaining train sequence ids. Validation and test sequences never enter
-    either side.
-    """
+    """All sequences of a pool, by id."""
 
     sequences: dict[str, Sequence]
-    labeled: list[str] = field(default_factory=list)
-    unlabeled: set[str] = field(default_factory=set)
 
     @classmethod
     def from_sequences(cls, sequences: list[Sequence]) -> "PoolState":
@@ -243,9 +232,7 @@ class PoolState:
                     f"sequence {sid!r} frame ids are not consecutive from 0"
                 )
             table[sid] = seq
-        pool = cls(sequences=table)
-        pool.reset_acquisition()
-        return pool
+        return cls(sequences=table)
 
     def split_ids(self, split: Split) -> list[str]:
         return sorted(s for s, q in self.sequences.items() if q.meta.split is split)
@@ -255,27 +242,11 @@ class PoolState:
         return self.split_ids(Split.TRAIN)
 
     @property
-    def validation_ids(self) -> list[str]:
-        return self.split_ids(Split.VALIDATION)
-
-    @property
     def test_ids(self) -> list[str]:
         return self.split_ids(Split.TEST)
 
     def total_train_frames(self) -> int:
         return sum(self.sequences[s].n_frames for s in self.train_ids)
-
-    def acquire(self, ids: list[str]) -> None:
-        """Move ids from unlabeled to labeled, preserving the given order."""
-        for sid in ids:
-            if sid not in self.unlabeled:
-                raise KeyError(f"{sid!r} is not in the unlabeled pool")
-            self.unlabeled.remove(sid)
-            self.labeled.append(sid)
-
-    def reset_acquisition(self) -> None:
-        self.labeled = []
-        self.unlabeled = set(self.train_ids)
 
 
 @dataclass
@@ -308,15 +279,13 @@ def parse_label_name(path_name: str) -> tuple[str, int]:
     return sid, int(frame_part)
 
 
-def parse_label_file(
-    path_name: str, contents: str, strict_classes: bool = False
-) -> LabelFile:
+def parse_label_file(path_name: str, contents: str) -> LabelFile:
     """Parse one annotation file.
 
     Each non-empty line is ``class cx cy w h`` with an optional integer
     occlusion flag as a sixth field. Coordinates outside the unit square are
     clamped and the line number recorded in the result. Unknown class ids are
-    kept unless ``strict_classes`` is set.
+    kept.
     """
     sid, frame_id = parse_label_name(path_name)
     boxes: list[BoundingBox] = []
@@ -348,8 +317,6 @@ def parse_label_file(
                 ) from None
         if class_id < 0:
             raise LineFormatError(f"negative class id {class_id}", lineno)
-        if strict_classes and class_id not in KNOWN_CLASS_IDS:
-            raise LineFormatError(f"unknown class id {class_id}", lineno)
         if w <= 0 or h <= 0:
             raise LineFormatError(f"non-positive box extent ({w}, {h})", lineno)
         box, changed = clamp_box(class_id, cx, cy, w, h, occ)
@@ -440,11 +407,7 @@ def _parse_manifest(manifest_path: Path) -> dict[str, SequenceMeta]:
     return rows
 
 
-def load_pool(
-    root_dir: Path | str,
-    manifest: Path | str | None = None,
-    strict_classes: bool = False,
-) -> PoolState:
+def load_pool(root_dir: Path | str) -> PoolState:
     """Load a pool directory into memory.
 
     Validates that every label file's sequence has a manifest row on the
@@ -452,8 +415,7 @@ def load_pool(
     positive. Rasters are attached when a matching PGM exists.
     """
     root = Path(root_dir)
-    manifest_path = Path(manifest) if manifest is not None else root / "manifest.csv"
-    metas = _parse_manifest(manifest_path)
+    metas = _parse_manifest(root / "manifest.csv")
 
     labels_root = root / "labels"
     if not labels_root.is_dir():
@@ -465,9 +427,7 @@ def load_pool(
         if not split_dir.is_dir():
             continue
         for label_path in sorted(split_dir.glob("*.txt")):
-            parsed = parse_label_file(
-                label_path.name, label_path.read_text(), strict_classes
-            )
+            parsed = parse_label_file(label_path.name, label_path.read_text())
             meta = metas.get(parsed.sequence_id)
             if meta is None:
                 raise ManifestError(

@@ -15,10 +15,11 @@ after its own acquisition. Flow-statistics strategies instead pay one
 up-front charge on the seed record and nothing after.
 
 The acquisition unit depends on the mode; both modes share one round loop
-and one selection rule (acquisition.choose):
+that makes one acquisition.select call per record, the seed draw included.
+A run's only record of what is labeled is its per-seed map from sequence id
+to labeled frame ids, in the order sequences were first touched.
 
-- sequential: the unit is a sequence id at full annotation cost, picked by
-  acquisition.select.
+- sequential: the unit is a sequence id at full annotation cost.
 - singular: the unit is a (sequence id, frame id) pair; only every
   interpolation_rate-th frame (a keyframe) carries a charge of
   cost_hours / ceil(N / rate), interpolated frames are free. Seed draws
@@ -38,6 +39,7 @@ import numpy as np
 
 from . import acquisition, costing, flowproxy, metrics, surrogate
 from .acquisition import (
+    CONFORMAL_KINDS,
     FRAME_TRANSFORMS,
     KIND_CORESET,
     KIND_RANDOM,
@@ -104,7 +106,10 @@ class RunConfig:
             )
         if self.min_box_pixels < 0 or self.reference_resolution < 1:
             raise DomainError("bad box filter settings")
+        if not (math.isfinite(self.kappa) and self.kappa >= 0):
+            raise DomainError(f"kappa must be finite and >= 0, got {self.kappa}")
         metrics.check_thresholds(self.iou_thresholds)
+        flowproxy.check_params(self.flow_threshold, self.flow_min_area)
         if (self.trace_path is None) != (self.trace_metrics_path is None):
             raise DomainError(
                 "replay needs both trace_path and trace_metrics_path"
@@ -161,11 +166,6 @@ def filter_small_boxes(
             frames.append(frame)
         seq.frames = frames
     return dropped
-
-
-def _seed_pick(pool: PoolState, seed: int, k: int) -> list[str]:
-    """Uniform seeded draw of the initial labeled sequences."""
-    return acquisition.choose(KIND_RANDOM, sorted(pool.unlabeled), None, k, [seed, 1])
 
 
 def _select_rng_seed(seed: int, round_index: int) -> int:
@@ -287,8 +287,7 @@ def _load_replay(cfg: RunConfig) -> dict[int, ScoreTrace] | None:
 
 def _run_pool(pool: PoolState) -> PoolState:
     """Run-local copy of the pool: new sequence objects over the caller's
-    frames, so the box filter and acquisition leave the caller's pool as it
-    was."""
+    frames, so the box filter leaves the caller's pool as it was."""
     return PoolState(
         sequences={sid: replace(seq) for sid, seq in pool.sequences.items()}
     )
@@ -301,9 +300,9 @@ def run_experiment(
 ) -> list[RoundRecord]:
     """Run one strategy over all configured seeds; returns every RoundRecord.
 
-    A prebuilt pool skips regeneration. The run filters boxes and acquires
-    on a run-local copy, so the caller's pool comes back as it was; only the
-    flow stats a run computes stay cached on the caller's sequences. With
+    A prebuilt pool skips regeneration. The run filters boxes on a run-local
+    copy, so the caller's pool comes back as it was; only the flow stats a
+    run computes stay cached on the caller's sequences. With
     out_dir set, the CSV outputs land there; a failing run still flushes the
     ledger rows accumulated so far.
     """
@@ -319,21 +318,25 @@ def run_experiment(
         pool = build_pool(cfg.pool_source)
     train_ids = pool.train_ids
     need = cfg.seed_sequences
+    batch = cfg.frames_per_round if singular else cfg.strategy.batch_size
     if not singular:
-        need += cfg.rounds * cfg.strategy.batch_size
+        need += cfg.rounds * batch
     if need > len(train_ids):
         raise PoolExhaustedError(
             f"budget needs {need} sequences, train split has {len(train_ids)}"
         )
 
     oclass = costing.overhead_class(kind)
+    flow = {}
     if oclass == costing.OVERHEAD_CONFORMAL:
         # Flow stats read rasters only, so they are cached on the caller's
         # sequences for later runs over the same pool.
-        for sid in train_ids:
-            flowproxy.compute_flow_stats(
+        flow = {
+            sid: flowproxy.compute_flow_stats(
                 pool.sequences[sid], cfg.flow_threshold, cfg.flow_min_area
             )
+            for sid in train_ids
+        }
         front_charge = costing.overhead_conformal(
             cfg.overhead, pool.total_train_frames()
         )
@@ -349,13 +352,13 @@ def run_experiment(
         coreset_feats = _coreset_features(pool, features)
     replay_traces = _load_replay(cfg)
     rate = cfg.interpolation_rate
+    n_frames = {sid: pool.sequences[sid].n_frames for sid in train_ids}
 
     records: list[RoundRecord] = []
     ledgers: dict[int, CostLedger] = {}
     traces_out: dict[int, ScoreTrace] = {}
     try:
         for seed in cfg.seeds:
-            pool.reset_acquisition()
             ledger = ledgers[seed] = CostLedger()
             trace_out = traces_out[seed] = ScoreTrace()
             scorer = _Scorer(
@@ -367,6 +370,8 @@ def run_experiment(
                 replay_traces[seed] if replay_traces else None,
                 trace_out,
             )
+            # The run's record of acquisition: labeled frames per sequence,
+            # in the order the sequences were first touched.
             labeled_frames: dict[str, set[int]] = {}
             prev_counts: dict[str, np.ndarray] = {}
 
@@ -375,12 +380,38 @@ def run_experiment(
                 acquisition order, or each touched sequence weighted by its
                 labeled fraction."""
                 if not singular:
-                    return pool.labeled, None
+                    return list(labeled_frames), None
                 ids = sorted(labeled_frames)
-                fracs = [
-                    len(labeled_frames[s]) / pool.sequences[s].n_frames for s in ids
-                ]
+                fracs = [len(labeled_frames[s]) / n_frames[s] for s in ids]
                 return ids, fracs
+
+            def round_scores(rnd: int, open_ids: list[str]) -> dict | None:
+                """The strategy's scores for this round's candidates."""
+                if kind == KIND_CORESET:
+                    return coreset_feats
+                if kind in CONFORMAL_KINDS:
+                    return acquisition.catalog_scores(
+                        cfg.strategy, pool, open_ids, flow, rnd
+                    )
+                if kind not in SCORE_KINDS:
+                    return None
+                scores = {}
+                tables = scorer.round_scores(rnd, open_ids, *surrogate_view())
+                for sid, (objectness, counts) in tables.items():
+                    if kind in SWITCH_KINDS:
+                        per_frame = acquisition.score_switch(
+                            prev_counts.get(sid), counts
+                        )
+                        prev_counts[sid] = counts
+                    else:
+                        transform = FRAME_TRANSFORMS[kind]
+                        per_frame = [transform(float(p)) for p in objectness]
+                    if singular:
+                        for fid, value in enumerate(per_frame):
+                            scores[(sid, fid)] = float(value)
+                    else:
+                        scores[sid] = acquisition.sequence_score(per_frame)
+                return scores
 
             def acquire(units: list) -> tuple[list[str], float]:
                 """Label whole sequences (ids) or single frames ((id, frame)
@@ -388,22 +419,19 @@ def run_experiment(
                 names, cost = [], 0.0
                 for unit in units:
                     if isinstance(unit, str):
-                        seq = pool.sequences[unit]
-                        pool.acquire([unit])
-                        labeled_frames[unit] = set(range(seq.n_frames))
-                        cost += costing.sequence_cost(seq.meta)
+                        labeled_frames[unit] = set(range(n_frames[unit]))
+                        cost += costing.sequence_cost(pool.sequences[unit].meta)
                         names.append(unit)
                         continue
                     sid, fid = unit
-                    seq = pool.sequences[sid]
                     labeled_frames.setdefault(sid, set()).add(fid)
                     if costing.is_keyframe(fid, rate):
                         cost += costing.sequence_cost(
-                            seq.meta,
+                            pool.sequences[sid].meta,
                             MODE_SINGULAR,
                             rate,
                             frames_taken=1,
-                            n_frames=seq.n_frames,
+                            n_frames=n_frames[sid],
                         )
                     names.append(f"{sid}:{fid}")
                 return names, cost
@@ -413,7 +441,7 @@ def run_experiment(
                     over = front_charge if round_index == 0 else 0.0
                 elif oclass == costing.OVERHEAD_INFERENTIAL:
                     unlabeled = sum(
-                        pool.sequences[s].n_frames - len(labeled_frames.get(s, ()))
+                        n_frames[s] - len(labeled_frames.get(s, ()))
                         for s in train_ids
                     )
                     over = costing.overhead_inferential(cfg.overhead, unlabeled)
@@ -434,59 +462,29 @@ def run_experiment(
                     )
                 )
 
-            emit(0, *acquire(_seed_pick(pool, seed, cfg.seed_sequences)))
-
-            for rnd in range(1, cfg.rounds + 1):
+            for rnd in range(cfg.rounds + 1):
                 open_ids = [
-                    s
-                    for s in train_ids
-                    if len(labeled_frames.get(s, ())) < pool.sequences[s].n_frames
+                    s for s in train_ids if len(labeled_frames.get(s, ())) < n_frames[s]
                 ]
-                if singular:
-                    units = [
-                        (s, f)
-                        for s in open_ids
-                        for f in range(pool.sequences[s].n_frames)
-                        if f not in labeled_frames.get(s, ())
-                    ]
-                    if len(units) < cfg.frames_per_round:
-                        raise PoolExhaustedError(
-                            f"round {rnd} needs {cfg.frames_per_round} frames, "
-                            f"{len(units)} remain"
-                        )
-                scores = None
-                if kind in SCORE_KINDS:
-                    tables = scorer.round_scores(rnd, open_ids, *surrogate_view())
-                    scores = {}
-                    for sid, (objectness, counts) in tables.items():
-                        if kind in SWITCH_KINDS:
-                            per_frame = acquisition.score_switch(
-                                prev_counts.get(sid), counts
-                            )
-                            prev_counts[sid] = counts
-                        else:
-                            transform = FRAME_TRANSFORMS[kind]
-                            per_frame = [transform(float(p)) for p in objectness]
-                        if singular:
-                            for fid, value in enumerate(per_frame):
-                                scores[(sid, fid)] = float(value)
-                        else:
-                            scores[sid] = acquisition.sequence_score(per_frame)
-                elif kind == KIND_CORESET:
-                    scores = coreset_feats
-                rng_seed = _select_rng_seed(seed, rnd)
-                if singular:
-                    picked = acquisition.choose(
-                        kind, units, scores, cfg.frames_per_round, rng_seed
-                    )
+                if rnd == 0:
+                    # The seed draw: whole sequences, uniformly.
+                    rule, units, scores = KIND_RANDOM, open_ids, None
+                    b, rng_seed = cfg.seed_sequences, [seed, 1]
                 else:
-                    picked = acquisition.select(
-                        cfg.strategy,
-                        pool,
-                        scores=scores,
-                        round_index=rnd,
-                        rng_seed=rng_seed,
-                    )
+                    rule, b = kind, batch
+                    units = open_ids
+                    if singular:
+                        units = [
+                            (s, f)
+                            for s in open_ids
+                            for f in range(n_frames[s])
+                            if f not in labeled_frames.get(s, ())
+                        ]
+                    scores = round_scores(rnd, open_ids)
+                    rng_seed = _select_rng_seed(seed, rnd)
+                picked = acquisition.select(
+                    rule, units, scores, b, rng_seed, centers=list(labeled_frames)
+                )
                 emit(rnd, *acquire(picked))
     except BaseException:
         if out_dir is not None:

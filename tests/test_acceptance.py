@@ -18,6 +18,7 @@ import pytest
 from seqal.acquisition import (
     ALL_KINDS,
     StrategySpec,
+    catalog_scores,
     fit_gmm2,
     select,
 )
@@ -28,6 +29,7 @@ from seqal.costing import (
     sequence_cost,
     theoretical_cost_bounds,
 )
+from seqal.flowproxy import FlowStats
 from seqal.metrics import PerfCostCurve, average_precision, car, correlations, par
 from seqal.pool import BoundingBox, PoolState, load_pool, write_pool
 from seqal.runner import RunConfig, run_experiment
@@ -457,19 +459,12 @@ def test_criterion_09_selection_matches_enumeration():
     }
     boxes = {sid: [rnd.randint(0, 5) for _ in range(lengths[sid])] for sid in ids}
 
-    def fresh_pool():
-        seqs = []
-        for sid in ids:
-            seq = make_sequence(sid, n_frames=lengths[sid])
-            seq.motion_scores = motion[sid]
-            seq.box_estimates = boxes[sid]
-            seqs.append(seq)
-        pool = PoolState.from_sequences(seqs)
-        pool.acquire(["p2"])  # labeled sequences must never be re-selected
-        return pool
-
-    pool = fresh_pool()
-    unlabeled = sorted(pool.unlabeled)
+    pool = PoolState.from_sequences(
+        [make_sequence(sid, n_frames=lengths[sid]) for sid in ids]
+    )
+    flow = {sid: FlowStats(motion[sid], boxes[sid], 10, 25) for sid in ids}
+    # The runner offers only what is not labeled yet; p2 is labeled.
+    unlabeled = [sid for sid in ids if sid != "p2"]
     problems = []
 
     def check(kind, got, want, note=""):
@@ -482,8 +477,12 @@ def test_criterion_09_selection_matches_enumeration():
             scores = {sid: rnd.random() for sid in ids}
             for b in (1, 2, 3):
                 want = sorted(unlabeled, key=lambda s: (-scores[s], s))[:b]
-                got = select(StrategySpec(kind, batch_size=b), pool, scores)
+                got = select(kind, unlabeled, scores, b, 0)
                 check(kind, got, want, f" trial {trial} b={b}")
+
+    def catalog_pick(spec, round_index=1):
+        scores = catalog_scores(spec, pool, unlabeled, flow, round_index)
+        return select(spec.kind, unlabeled, scores, spec.batch_size, 0)
 
     # catalog-driven kinds against direct criterion enumeration
     rank_cases = {
@@ -495,7 +494,7 @@ def test_criterion_09_selection_matches_enumeration():
     for kind, key in rank_cases.items():
         for b in (1, 2, 3):
             want = sorted(unlabeled, key=key)[:b]
-            got = select(StrategySpec(kind, batch_size=b), pool)
+            got = catalog_pick(StrategySpec(kind, batch_size=b))
             check(kind, got, want, f" b={b}")
 
     # alternating-parity kind over consecutive rounds, both phases
@@ -507,18 +506,17 @@ def test_criterion_09_selection_matches_enumeration():
                 lambda s: (-sum(motion[s]), s)
             )
             want = sorted(unlabeled, key=key)[:2]
-            got = select(
+            got = catalog_pick(
                 StrategySpec("min_max_motion", batch_size=2, parity_phase=phase),
-                pool,
-                round_index=round_index,
+                round_index,
             )
             check("min_max_motion", got, want, f" {phase} round {round_index}")
 
     # coreset against the greedy k-center definition
     for trial in range(10):
         features = {sid: np.array([rnd.random() for _ in range(3)]) for sid in ids}
-        want = kcenter_ref(unlabeled, list(pool.labeled), features, 2)
-        got = select(StrategySpec("coreset", batch_size=2), pool, features)
+        want = kcenter_ref(unlabeled, ["p2"], features, 2)
+        got = select("coreset", unlabeled, features, 2, 0, centers=["p2"])
         check("coreset", got, want, f" trial {trial}")
 
     # switch-mixture kind against its documented sampling recipe
@@ -531,16 +529,60 @@ def test_criterion_09_selection_matches_enumeration():
     members = [sid for sid, r in zip(unlabeled, resp[:, 1]) if r > 0.5]
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(7)))
     want = [str(s) for s in rng.choice(np.array(members, dtype=object), size=2, replace=False)]
-    got = select(StrategySpec("gauss_switch", batch_size=2), pool, gauss_scores, rng_seed=7)
+    got = select("gauss_switch", unlabeled, gauss_scores, 2, 7)
     check("gauss_switch", got, want)
 
     # random: deterministic draw over the sorted unlabeled ids
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(3)))
     want = [str(s) for s in rng.choice(np.array(unlabeled, dtype=object), size=2, replace=False)]
-    got = select(StrategySpec("random", batch_size=2), pool, rng_seed=3)
+    got = select("random", unlabeled, None, 2, 3)
     check("random", got, want)
     if "p2" in got:
         problems.append("random selected a labeled sequence")
+
+    # Frame candidates, as singular rounds offer them: the (sequence, frame)
+    # pairs not labeled yet, here all of p2 and frames 0 and 3 of p0.
+    taken = {("p0", 0), ("p0", 3)} | {("p2", f) for f in range(lengths["p2"])}
+    units = [
+        (sid, f) for sid in ids for f in range(lengths[sid]) if (sid, f) not in taken
+    ]
+    shuffled = list(units)
+    rnd.shuffle(shuffled)
+
+    # top score over pairs; coarse scores force ties onto the smaller pair
+    for kind in ("entropy", "least_confidence", "margin", "false_switch"):
+        for trial in range(10):
+            scores = {
+                (sid, f): rnd.randint(0, 3) / 4
+                for sid in ids
+                for f in range(lengths[sid])
+            }
+            for b in (1, 5, 12):
+                want = sorted(units, key=lambda u: (-scores[u], u))[:b]
+                got = select(kind, shuffled, scores, b, 0)
+                check(kind, got, want, f" frames trial {trial} b={b}")
+
+    # GauSS over pairs: sample from the high component of the mixture
+    frame_scores = {u: (5.0 if rnd.random() < 0.3 else 0.0) + rnd.random() for u in units}
+    values = np.array([frame_scores[u] for u in units])
+    fit = fit_gmm2(values)
+    members = [u for u, r in zip(units, fit.responsibilities(values)[:, 1]) if r > 0.5]
+    for seed in range(5):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        want = [members[i] for i in rng.choice(len(members), size=4, replace=False)]
+        got = select("gauss_switch", shuffled, frame_scores, 4, seed)
+        check("gauss_switch", got, want, f" frames seed {seed}")
+    flat = {u: 0.5 for u in units}
+    check("gauss_switch", select("gauss_switch", shuffled, flat, 3, 0), units[:3], " flat frames")
+
+    # random over pairs: a seeded draw over the sorted pairs
+    for seed in range(5):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 2])))
+        want = [units[i] for i in rng.choice(len(units), size=6, replace=False)]
+        got = select("random", shuffled, None, 6, [seed, 2])
+        check("random", got, want, f" frames seed {seed}")
+        if taken & set(got):
+            problems.append("random selected a labeled frame")
 
     verdict(9, problems)
 
@@ -624,8 +666,8 @@ def test_criterion_12_mixture_fit_and_fallback():
     if not flat.degenerate:
         problems.append("constant input not flagged degenerate")
     pool = PoolState.from_sequences([make_sequence(f"p{i}") for i in range(6)])
-    constant = {sid: 0.7 for sid in pool.unlabeled}
-    got = select(StrategySpec("gauss_switch", batch_size=2), pool, constant, rng_seed=0)
+    constant = {sid: 0.7 for sid in pool.train_ids}
+    got = select("gauss_switch", pool.train_ids, constant, 2, 0)
     if got != ["p0", "p1"]:
         problems.append(f"constant scores fell back to {got}, expected ['p0', 'p1']")
     verdict(12, problems)

@@ -12,6 +12,7 @@ from seqal.acquisition import (
     GmmFit,
     StrategySpec,
     _coreset_greedy,
+    catalog_scores,
     fit_gmm2,
     score_entropy,
     score_least_confidence,
@@ -27,22 +28,32 @@ from seqal.errors import (
     PoolExhaustedError,
     ShapeError,
 )
+from seqal.flowproxy import FlowStats
 from seqal.pool import PoolState
 
 from conftest import make_sequence
 
 
-def pool_of(lengths, motion=None, boxes=None):
-    """Train-only pool with given per-id frame counts and optional stats."""
-    seqs = []
-    for sid, n in lengths.items():
-        seq = make_sequence(sid, n_frames=n)
-        if motion is not None:
-            seq.motion_scores = motion[sid]
-        if boxes is not None:
-            seq.box_estimates = boxes[sid]
-        seqs.append(seq)
-    return PoolState.from_sequences(seqs)
+def pool_of(lengths):
+    """Train-only pool with given per-id frame counts."""
+    return PoolState.from_sequences(
+        [make_sequence(sid, n_frames=n) for sid, n in lengths.items()]
+    )
+
+
+def flow_of(motion, boxes=None):
+    """Flow statistics per id from per-frame motion (and box) lists."""
+    return {
+        sid: FlowStats(m, m if boxes is None else boxes[sid], 10, 25)
+        for sid, m in motion.items()
+    }
+
+
+def rank(spec, pool, flow=None, round_index=1):
+    """A pool-statistic pick over the whole train split."""
+    ids = pool.train_ids
+    scores = catalog_scores(spec, pool, ids, flow or {}, round_index)
+    return select(spec.kind, ids, scores, spec.batch_size, 0)
 
 
 def kcenter_oracle(unlabeled, centers, features, b):
@@ -199,146 +210,122 @@ def test_gmm_likelihood_not_decreasing():
 
 
 def test_select_top_score_with_lexicographic_ties():
-    pool = pool_of({"a": 3, "b": 3, "c": 3})
     scores = {"a": 1.0, "b": 1.0, "c": 0.5}
-    assert select(StrategySpec("entropy"), pool, scores) == ["a"]
-    assert select(StrategySpec("entropy", batch_size=2), pool, scores) == ["a", "b"]
+    assert select("entropy", ["a", "b", "c"], scores, 1, 0) == ["a"]
+    assert select("entropy", ["a", "b", "c"], scores, 2, 0) == ["a", "b"]
+    # frame candidates tie toward the smaller (sequence, frame) pair
+    units = [("b", 0), ("a", 1), ("a", 0), ("b", 1)]
+    pair_scores = {("a", 0): 0.5, ("a", 1): 0.9, ("b", 0): 0.9, ("b", 1): 0.5}
+    assert select("entropy", units, pair_scores, 3, 0) == [("a", 1), ("b", 0), ("a", 0)]
 
 
 def test_select_scale_invariance():
-    pool = pool_of({"a": 3, "b": 3, "c": 3, "d": 3})
+    ids = ["a", "b", "c", "d"]
     scores = {"a": 0.3, "b": 0.9, "c": 0.1, "d": 0.6}
-    base = select(StrategySpec("margin", batch_size=3), pool, scores)
+    base = select("margin", ids, scores, 3, 0)
     scaled = {k: 17.0 * v for k, v in scores.items()}
-    assert select(StrategySpec("margin", batch_size=3), pool, scaled) == base
+    assert select("margin", ids, scaled, 3, 0) == base
     assert base == ["b", "d", "a"]
 
 
 def test_select_insertion_order_invariance():
     scores = {"a": 0.2, "b": 0.8, "c": 0.5}
     seqs = [make_sequence(s, n_frames=3) for s in ("a", "b", "c")]
-    forward = PoolState.from_sequences(seqs)
-    backward = PoolState.from_sequences(list(reversed(seqs)))
-    spec = StrategySpec("least_confidence", batch_size=2)
-    assert select(spec, forward, scores) == select(spec, backward, scores)
+    forward = list(PoolState.from_sequences(seqs).sequences)
+    backward = list(PoolState.from_sequences(list(reversed(seqs))).sequences)
+    assert forward != backward
+    assert select("least_confidence", forward, scores, 2, 0) == select(
+        "least_confidence", backward, scores, 2, 0
+    )
 
 
 def test_select_requires_scores_for_model_kinds():
-    pool = pool_of({"a": 3, "b": 3})
-    for kind in sorted(SCORE_KINDS):
+    for kind in sorted(SCORE_KINDS | {"coreset"}):
         with pytest.raises(MissingScoresError):
-            select(StrategySpec(kind), pool, None)
+            select(kind, ["a", "b"], None, 1, 0)
 
 
 def test_select_missing_score_entry():
-    pool = pool_of({"a": 3, "b": 3})
     with pytest.raises(MissingScoresError):
-        select(StrategySpec("entropy"), pool, {"a": 0.5})
+        select("entropy", ["a", "b"], {"a": 0.5}, 1, 0)
 
 
 def test_select_pool_exhausted():
-    pool = pool_of({"a": 3})
     with pytest.raises(PoolExhaustedError):
-        select(StrategySpec("entropy", batch_size=2), pool, {"a": 0.5})
-
-
-def test_select_ignores_labeled_sequences():
-    pool = pool_of({"a": 3, "b": 3, "c": 3})
-    pool.acquire(["b"])
-    scores = {"a": 0.1, "b": 9.9, "c": 0.2}
-    assert select(StrategySpec("entropy"), pool, scores) == ["c"]
+        select("entropy", ["a"], {"a": 0.5}, 2, 0)
+    with pytest.raises(PoolExhaustedError):
+        select("random", [("a", 0)], None, 2, 0)
 
 
 # --- select: random ------------------------------------------------------
 
 
 def test_random_deterministic_per_seed():
-    pool = pool_of({s: 3 for s in "abcdefgh"})
-    spec = StrategySpec("random", batch_size=3)
-    a = select(spec, pool, rng_seed=11)
-    b = select(spec, pool, rng_seed=11)
+    ids = list("abcdefgh")
+    a = select("random", ids, None, 3, 11)
+    b = select("random", ids, None, 3, 11)
     assert a == b
     assert set(a) <= set("abcdefgh") and len(set(a)) == 3
-    draws = {tuple(select(spec, pool, rng_seed=s)) for s in range(12)}
+    draws = {tuple(select("random", ids, None, 3, s)) for s in range(12)}
     assert len(draws) > 1
 
 
-def test_random_rejects_scores():
-    pool = pool_of({"a": 3, "b": 3})
-    with pytest.raises(ValueError):
-        select(StrategySpec("random"), pool, {"a": 0.5, "b": 0.5})
-
-
-# --- select: conformal criteria ------------------------------------------
+# --- catalog scores: conformal criteria ----------------------------------
 
 
 def test_least_frame_picks_shortest():
     pool = pool_of({"a": 5, "b": 3, "c": 9})
-    assert select(StrategySpec("least_frame"), pool) == ["b"]
-    assert select(StrategySpec("most_frame"), pool) == ["c"]
-
-
-def test_conformal_rejects_scores():
-    pool = pool_of({"a": 5, "b": 3})
-    for kind in sorted(CONFORMAL_KINDS):
-        with pytest.raises(ValueError):
-            select(StrategySpec(kind), pool, {"a": 1.0, "b": 2.0})
+    assert rank(StrategySpec("least_frame"), pool) == ["b"]
+    assert rank(StrategySpec("most_frame"), pool) == ["c"]
 
 
 def test_min_motion_picks_least_total_motion():
-    pool = pool_of(
-        {"a": 2, "b": 2, "c": 2},
-        motion={"a": [0, 5], "b": [0, 1], "c": [0, 9]},
-    )
-    assert select(StrategySpec("min_motion"), pool) == ["b"]
-
-
-def test_min_motion_requires_flow_stats():
-    pool = pool_of({"a": 2, "b": 2})
-    with pytest.raises(MissingScoresError):
-        select(StrategySpec("min_motion"), pool)
-    with pytest.raises(MissingScoresError):
-        select(StrategySpec("min_boxes"), pool)
+    pool = pool_of({"a": 2, "b": 2, "c": 2})
+    flow = flow_of({"a": [0, 5], "b": [0, 1], "c": [0, 9]})
+    assert rank(StrategySpec("min_motion"), pool, flow) == ["b"]
 
 
 def test_min_boxes_picks_fewest_estimates():
-    pool = pool_of(
-        {"a": 2, "b": 2},
-        motion={"a": [0, 0], "b": [0, 0]},
-        boxes={"a": [0, 4], "b": [0, 2]},
-    )
-    assert select(StrategySpec("min_boxes"), pool) == ["b"]
+    pool = pool_of({"a": 2, "b": 2})
+    flow = flow_of({"a": [0, 0], "b": [0, 0]}, boxes={"a": [0, 4], "b": [0, 2]})
+    assert rank(StrategySpec("min_boxes"), pool, flow) == ["b"]
 
 
 def test_min_max_motion_alternates_by_round():
-    pool = pool_of({"a": 2, "b": 2}, motion={"a": [0, 10], "b": [0, 2]})
+    pool = pool_of({"a": 2, "b": 2})
+    flow = flow_of({"a": [0, 10], "b": [0, 2]})
     spec = StrategySpec("min_max_motion")
     # round 1 (odd) takes the max side under max_first, round 2 the min side
-    assert select(spec, pool, round_index=1) == ["a"]
-    assert select(spec, pool, round_index=2) == ["b"]
-    assert select(spec, pool, round_index=3) == ["a"]
+    assert rank(spec, pool, flow, round_index=1) == ["a"]
+    assert rank(spec, pool, flow, round_index=2) == ["b"]
+    assert rank(spec, pool, flow, round_index=3) == ["a"]
 
 
 def test_min_max_motion_min_first_swaps_phase():
-    pool = pool_of({"a": 2, "b": 2}, motion={"a": [0, 10], "b": [0, 2]})
+    pool = pool_of({"a": 2, "b": 2})
+    flow = flow_of({"a": [0, 10], "b": [0, 2]})
     spec = StrategySpec("min_max_motion", parity_phase="min_first")
-    assert select(spec, pool, round_index=1) == ["b"]
-    assert select(spec, pool, round_index=2) == ["a"]
+    assert rank(spec, pool, flow, round_index=1) == ["b"]
+    assert rank(spec, pool, flow, round_index=2) == ["a"]
 
 
 def test_conformal_tie_breaks_lexicographically():
     pool = pool_of({"d": 4, "b": 4, "c": 4})
-    assert select(StrategySpec("least_frame"), pool) == ["b"]
+    assert rank(StrategySpec("least_frame"), pool) == ["b"]
+
+
+def test_catalog_scores_rejects_model_kinds():
+    pool = pool_of({"a": 2})
+    with pytest.raises(DomainError):
+        catalog_scores(StrategySpec("entropy"), pool, ["a"], {}, 1)
 
 
 # --- select: coreset -----------------------------------------------------
 
 
 def test_coreset_hand_case():
-    pool = pool_of({"a": 2, "b": 2, "c": 2})
-    pool.acquire(["a"])
     features = {"a": np.array([0.0]), "b": np.array([10.0]), "c": np.array([4.0])}
-    picked = select(StrategySpec("coreset", batch_size=2), pool, features)
+    picked = select("coreset", ["b", "c"], features, 2, 0, centers=["a"])
     assert picked == ["b", "c"]
 
 
@@ -358,9 +345,8 @@ def test_coreset_empty_centers_starts_lexicographic():
 
 
 def test_coreset_missing_feature():
-    pool = pool_of({"a": 2, "b": 2})
     with pytest.raises(MissingScoresError):
-        select(StrategySpec("coreset"), pool, {"a": np.array([0.0])})
+        select("coreset", ["a", "b"], {"a": np.array([0.0])}, 1, 0)
 
 
 # --- select: gauss_switch ------------------------------------------------
@@ -369,9 +355,7 @@ def test_coreset_missing_feature():
 def test_gauss_switch_samples_high_component():
     ids = [f"s{i}" for i in range(8)]
     scores = dict(zip(ids, [0.1, 0.12, 0.11, 0.09, 5.0, 5.2, 5.1, 4.9]))
-    pool = pool_of({s: 2 for s in ids})
-    spec = StrategySpec("gauss_switch", batch_size=2)
-    picked = select(spec, pool, scores, rng_seed=4)
+    picked = select("gauss_switch", ids, scores, 2, 4)
     high = {"s4", "s5", "s6", "s7"}
     assert set(picked) <= high
     # reproduce the documented draw: membership then a seeded choice
@@ -387,20 +371,17 @@ def test_gauss_switch_samples_high_component():
 
 def test_gauss_switch_constant_scores_fall_back_to_order():
     ids = ["a", "b", "c"]
-    pool = pool_of({s: 2 for s in ids})
     scores = {s: 3.0 for s in ids}
-    assert select(StrategySpec("gauss_switch", batch_size=2), pool, scores) == ["a", "b"]
+    assert select("gauss_switch", ids, scores, 2, 0) == ["a", "b"]
 
 
 def test_gauss_switch_small_component_falls_back():
     # one outlier: the high component holds a single member, batch needs two
     ids = ["a", "b", "c", "d", "e"]
-    pool = pool_of({s: 2 for s in ids})
     scores = {"a": 0.1, "b": 0.11, "c": 0.09, "d": 0.1, "e": 50.0}
-    picked = select(StrategySpec("gauss_switch", batch_size=2), pool, scores)
+    picked = select("gauss_switch", ids, scores, 2, 0)
     assert picked == ["e", "b"]  # plain score order
 
 
 def test_gauss_switch_single_candidate():
-    pool = pool_of({"a": 2})
-    assert select(StrategySpec("gauss_switch"), pool, {"a": 1.0}) == ["a"]
+    assert select("gauss_switch", ["a"], {"a": 1.0}, 1, 0) == ["a"]

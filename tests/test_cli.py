@@ -11,10 +11,11 @@ from pathlib import Path
 
 import pytest
 
+import seqal.runner
 from seqal.cli import main
-from seqal.pool import load_pool, write_pool
+from seqal.pool import Split, load_pool, write_pool
 
-from conftest import make_pool
+from conftest import count_calls, make_pool
 
 GEN_INI = """\
 [pool]
@@ -72,7 +73,7 @@ def test_gen_writes_loadable_pool(tmp_path):
     pool = load_pool(out)
     assert len(pool.sequences) == 10
     assert len(pool.train_ids) == 7
-    assert len(pool.validation_ids) == 2
+    assert len(pool.split_ids(Split.VALIDATION)) == 2
     assert len(pool.test_ids) == 1
     # rasters come along for the ride so flow stats work downstream
     assert all(
@@ -206,6 +207,27 @@ def test_run_bad_iou_thresholds_fail_before_any_work(tmp_path, evaluate, grid):
     out = tmp_path / "run"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kappa", ["-5", "nan", "inf"])
+def test_run_bad_kappa_is_config_error(tmp_path, kappa):
+    cfg = write_ini(tmp_path, run_ini_text() + f"\n[surrogate]\nkappa = {kappa}\n")
+    out = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["entropy", "min_motion"])
+@pytest.mark.parametrize(
+    "setting", ["flow_threshold = 300", "flow_threshold = -1", "flow_min_area = 0"]
+)
+def test_run_bad_flow_parameters_fail_before_any_work(tmp_path, monkeypatch, kind, setting):
+    generated = count_calls(monkeypatch, seqal.runner, "generate_pool")
+    text = run_ini_text().replace("kind = entropy", f"kind = {kind}")
+    cfg = write_ini(tmp_path, text.replace("rounds = 2\n", f"rounds = 2\n{setting}\n"))
+    out = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert generated == [] and not out.exists()
 
 
 def test_run_missing_pool_directory(tmp_path):

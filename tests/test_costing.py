@@ -209,8 +209,7 @@ def test_ledger_accumulates():
     e = ledger.charge(1, ["b", "c"], 3.5, 0.0)
     assert e.cumulative_cost_hours == pytest.approx(5.5)
     assert e.cumulative_overhead_gflops == pytest.approx(100.0)
-    assert ledger.total_cost_hours == pytest.approx(5.5)
-    assert ledger.total_overhead_gflops == pytest.approx(100.0)
+    assert ledger.entries[-1] is e
 
 
 def test_ledger_rejects_negative_charges():
@@ -223,8 +222,10 @@ def test_ledger_rejects_negative_charges():
 
 def test_empty_ledger_totals():
     ledger = CostLedger()
-    assert ledger.total_cost_hours == 0.0
-    assert ledger.total_overhead_gflops == 0.0
+    assert ledger.entries == []
+    first = ledger.charge(0, ["a"], 1.5, 2.0)
+    assert first.cumulative_cost_hours == 1.5
+    assert first.cumulative_overhead_gflops == 2.0
 
 
 def test_write_ledgers_format(tmp_path):

@@ -98,12 +98,10 @@ def test_parse_label_file_rejects_bad_lines(line):
         parse_label_file("a_000000.txt", line + "\n")
 
 
-def test_unknown_class_kept_unless_strict():
+def test_unknown_class_kept():
     text = "9 0.5 0.5 0.1 0.1\n"
     lf = parse_label_file("a_000000.txt", text)
     assert lf.boxes[0].class_id == 9
-    with pytest.raises(LineFormatError):
-        parse_label_file("a_000000.txt", text, strict_classes=True)
 
 
 def test_format_label_line_round_trip():
@@ -201,28 +199,6 @@ def test_from_sequences_rejects_frame_gap():
         PoolState.from_sequences([seq])
 
 
-def check_partition(pool):
-    lab = set(pool.labeled)
-    assert len(lab) == len(pool.labeled), "labeled list holds duplicates"
-    assert lab | pool.unlabeled == set(pool.train_ids) and not lab & pool.unlabeled
-
-
-def test_unlabeled_holds_only_train_ids(six_pool):
-    assert six_pool.unlabeled == set(six_pool.train_ids)
-    assert six_pool.labeled == []
-    check_partition(six_pool)
-
-
-def test_acquire_and_reset(six_pool):
-    first = six_pool.train_ids[0]
-    six_pool.acquire([first])
-    assert first in six_pool.labeled and first not in six_pool.unlabeled
-    with pytest.raises(KeyError):
-        six_pool.acquire([first])
-    six_pool.reset_acquisition()
-    assert six_pool.labeled == []
-
-
 def test_total_train_frames(six_pool):
     assert six_pool.total_train_frames() == sum(
         six_pool.sequences[s].n_frames for s in six_pool.train_ids
@@ -267,7 +243,7 @@ def test_write_load_round_trip(tmp_path):
     write_pool(pool, tmp_path)
     back = load_pool(tmp_path)
     assert pools_match(pool, back)
-    assert back.unlabeled == set(pool.train_ids)
+    assert back.train_ids == pool.train_ids
 
 
 def test_round_trip_preserves_occlusion_and_classes(tmp_path):

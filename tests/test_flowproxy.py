@@ -136,7 +136,10 @@ def test_compute_flow_stats_caches_on_sequence():
     again = compute_flow_stats(seq)
     assert fp.computations() - before == 1, "cached call must not recompute"
     assert again.motion_scores == first.motion_scores
-    assert seq.motion_scores is not None
+    assert seq.flow_cache[(fp.DEFAULT_THRESHOLD, fp.DEFAULT_MIN_AREA)] == (
+        first.motion_scores,
+        first.box_estimates,
+    )
 
 
 def test_compute_flow_stats_cache_keyed_by_parameters():
@@ -147,9 +150,9 @@ def test_compute_flow_stats_cache_keyed_by_parameters():
     strict = compute_flow_stats(seq, 200, 1)
     fresh = compute_flow_stats(make_sequence("s", n_frames=6, raster_size=(16, 16)), 200, 1)
     assert strict == fresh
-    assert seq.box_estimates == fresh.box_estimates
+    assert seq.flow_cache[(200, 1)][1] == fresh.box_estimates
     assert compute_flow_stats(seq, 10, 25) == loose
-    assert seq.box_estimates == loose.box_estimates
+    assert seq.flow_cache[(10, 25)][1] == loose.box_estimates
     # one computation per sequence per parameter pair
     assert fp.computations() - before == 3
 

@@ -370,10 +370,10 @@ def test_from_points_collapses_equal_costs_keeping_last():
 
 def test_curve_extremes():
     curve = PerfCostCurve([(1.0, 0.4), (2.0, 0.3), (5.0, 0.9)])
-    assert curve.max_cost == 5.0
+    assert curve.points[-1][0] == 5.0
     assert curve.max_map == 0.9
     with pytest.raises(EmptyCurveError):
-        PerfCostCurve().max_cost
+        PerfCostCurve().max_map
 
 
 def test_car_worked_example():

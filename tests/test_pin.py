@@ -30,6 +30,19 @@ CONFIGS = {
     "seq_gauss_switch": (dict(strategy=StrategySpec("gauss_switch", batch_size=2)), None),
     "seq_min_max_motion": (dict(strategy=StrategySpec("min_max_motion")), None),
     "seq_coreset": (dict(strategy=StrategySpec("coreset")), None),
+    "seq_random": (dict(strategy=StrategySpec("random")), None),
+    "seq_least_confidence": (dict(strategy=StrategySpec("least_confidence")), None),
+    "seq_margin": (dict(strategy=StrategySpec("margin")), None),
+    "seq_false_switch": (dict(strategy=StrategySpec("false_switch")), None),
+    "seq_least_frame": (dict(strategy=StrategySpec("least_frame")), None),
+    "seq_most_frame": (dict(strategy=StrategySpec("most_frame")), None),
+    "seq_min_motion": (dict(strategy=StrategySpec("min_motion")), None),
+    "seq_min_boxes": (dict(strategy=StrategySpec("min_boxes")), None),
+    "seq_min_max_motion_min_first": (
+        dict(strategy=StrategySpec("min_max_motion", parity_phase="min_first")),
+        None,
+    ),
+    "seq_min_boxes_batch2": (dict(strategy=StrategySpec("min_boxes", batch_size=2)), None),
     "sing_entropy_eval": (
         dict(strategy=StrategySpec("entropy"), mode="singular", interpolation_rate=5, evaluate=True),
         None,

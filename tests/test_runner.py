@@ -70,6 +70,20 @@ def test_run_config_checks_iou_grid():
     assert tiny_cfg(iou_thresholds=(0.5, 0.85)).iou_thresholds == (0.5, 0.85)
 
 
+def test_run_config_checks_kappa_and_flow_parameters():
+    for bad in (
+        dict(kappa=-5.0),
+        dict(kappa=float("nan")),
+        dict(kappa=float("inf")),
+        dict(flow_threshold=300),
+        dict(flow_threshold=-1),
+        dict(flow_min_area=0),
+    ):
+        with pytest.raises(DomainError):
+            tiny_cfg(**bad)
+    assert tiny_cfg(kappa=0.0, flow_threshold=255, flow_min_area=1).kappa == 0.0
+
+
 # --- record structure ----------------------------------------------------
 
 

@@ -25,8 +25,7 @@ from seqal.surrogate import (
 from conftest import count_calls, make_pool, make_sequence
 
 
-def make_state(pool, round_index, kappa, noise_seed, features, sigma, weights=None):
-    labeled = list(pool.labeled)
+def make_state(labeled, round_index, kappa, noise_seed, features, sigma, weights=None):
     return SurrogateState(
         round_index=round_index,
         labeled_features=[features[s] for s in labeled],
@@ -39,11 +38,8 @@ def make_state(pool, round_index, kappa, noise_seed, features, sigma, weights=No
 
 
 def build_state(pool, labeled_ids, kappa=0.35, noise_seed=7, round_index=1):
-    pool.reset_acquisition()
-    if labeled_ids:
-        pool.acquire(list(labeled_ids))
     features, sigma = pool_feature_table(pool)
-    return make_state(pool, round_index, kappa, noise_seed, features, sigma)
+    return make_state(list(labeled_ids), round_index, kappa, noise_seed, features, sigma)
 
 
 def test_sequence_feature_layout():
@@ -116,11 +112,9 @@ def test_quality_feature_length_mismatch(six_pool):
 def test_labeled_weights_scale_contributions(six_pool):
     sid = six_pool.train_ids[0]
     target_id = six_pool.train_ids[2]
-    six_pool.reset_acquisition()
-    six_pool.acquire([sid])
     features, sigma = pool_feature_table(six_pool)
-    full = make_state(six_pool, 1, 0.35, 0, features, sigma, weights={sid: 1.0})
-    half = make_state(six_pool, 1, 0.35, 0, features, sigma, weights={sid: 0.5})
+    full = make_state([sid], 1, 0.35, 0, features, sigma, weights={sid: 1.0})
+    half = make_state([sid], 1, 0.35, 0, features, sigma, weights={sid: 0.5})
     t = features[target_id]
     # halving the weight halves the exponent
     assert math.log(1 - quality(half, t)) == pytest.approx(

@@ -92,7 +92,7 @@ def test_splits_and_ids_follow_plan():
     tr, va, te = split_sizes(10)
     assert sorted(pool.sequences) == [f"seq{i:03d}" for i in range(10)]
     assert len(pool.train_ids) == tr
-    assert len(pool.validation_ids) == va
+    assert len(pool.split_ids(Split.VALIDATION)) == va
     assert len(pool.test_ids) == te
     # plan order is train block, then validation, then test
     assert pool.sequences["seq000"].meta.split is Split.TRAIN
