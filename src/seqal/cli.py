@@ -31,6 +31,7 @@ from .errors import (
     ManifestError,
     MissingRasterError,
     NameFormatError,
+    PoolExhaustedError,
     SeqalError,
     ShapeError,
 )
@@ -108,9 +109,14 @@ def _cmd_metrics(args: argparse.Namespace) -> None:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> None:
+    if args.rounds < 1:
+        raise ConfigError(f"--rounds must be at least 1, got {args.rounds}")
     pool = load_pool(args.pool)
     costs = [pool.sequences[s].meta.cost_hours for s in pool.train_ids]
-    lower, upper = theoretical_cost_bounds(costs, args.rounds)
+    try:
+        lower, upper = theoretical_cost_bounds(costs, args.rounds)
+    except PoolExhaustedError as exc:
+        raise ConfigError(str(exc)) from exc
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="") as fh:
@@ -154,6 +160,10 @@ def _cmd_analyze(args: argparse.Namespace) -> None:
 
 
 def _cmd_stats(args: argparse.Namespace) -> None:
+    try:
+        flowproxy.check_params(args.threshold, args.min_area)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
     pool = load_pool(args.pool)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -30,78 +30,115 @@ MAP5095_THRESHOLDS = (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
 Prediction = tuple[BoundingBox, float]
 
 
+def _iou_grid(p: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """IoU of center-format boxes held as (cx, cy, w, h) on the last axis,
+    broadcast over the leading axes.
+
+    The arithmetic is iou's, term by term, so every value is bit-equal to
+    the scalar one: corners at cx -/+ w/2, union a.w*a.h + b.w*b.h - inter,
+    and 0 where the overlap's width, height or the union is not positive.
+    """
+    px0 = p[..., 0] - p[..., 2] / 2
+    py0 = p[..., 1] - p[..., 3] / 2
+    px1 = p[..., 0] + p[..., 2] / 2
+    py1 = p[..., 1] + p[..., 3] / 2
+    tx0 = t[..., 0] - t[..., 2] / 2
+    ty0 = t[..., 1] - t[..., 3] / 2
+    tx1 = t[..., 0] + t[..., 2] / 2
+    ty1 = t[..., 1] + t[..., 3] / 2
+    iw = np.minimum(px1, tx1) - np.maximum(px0, tx0)
+    ih = np.minimum(py1, ty1) - np.maximum(py0, ty0)
+    inter = iw * ih
+    union = p[..., 2] * p[..., 3] + t[..., 2] * t[..., 3] - inter
+    overlaps = (iw > 0) & (ih > 0) & (union > 0)
+    return np.divide(inter, union, out=np.zeros_like(inter), where=overlaps)
+
+
 def iou(a: BoundingBox, b: BoundingBox) -> float:
     """Intersection over union of two center-format boxes."""
-    ax0, ay0, ax1, ay1 = a.corners()
-    bx0, by0, bx1, by1 = b.corners()
-    iw = min(ax1, bx1) - max(ax0, bx0)
-    ih = min(ay1, by1) - max(ay0, by0)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    union = a.w * a.h + b.w * b.h - inter
-    if union <= 0:
-        return 0.0
-    return inter / union
+    return float(
+        _iou_grid(np.array([a.cx, a.cy, a.w, a.h]), np.array([b.cx, b.cy, b.w, b.h]))
+    )
 
 
-def _ap_pooled(
-    entries: list[tuple[int, BoundingBox, float]],
-    truths_by_frame: dict[int, list[BoundingBox]],
-    iou_thresh: float,
-) -> float | None:
-    """All-point-interpolated AP over a pool of frame-keyed predictions.
+def _greedy_hits(overlap: np.ndarray, thresholds: tuple[float, ...]) -> np.ndarray:
+    """Greedy matching in every frame at every threshold at once.
 
-    Predictions only ever match truths from their own frame. Returns None
-    when there is nothing to measure (no truths and no predictions).
+    overlap[f, k, j] is the IoU of frame f's k-th ranked prediction with
+    its j-th truth (0 for padding). Step k matches the k-th prediction of
+    every frame: it takes the first untaken truth of highest positive IoU,
+    and counts as a hit when that IoU reaches the threshold. Returns
+    hits[h, f, k]. Padded predictions come after a frame's real ones, so
+    what they take never changes a real prediction's match.
     """
-    n_truth = sum(len(v) for v in truths_by_frame.values())
-    if n_truth == 0:
-        return None if not entries else 0.0
-    if not entries:
-        return 0.0
+    n_frames, depth, width = overlap.shape
+    thresh = np.asarray(thresholds, dtype=float)[:, None]
+    taken = np.zeros((len(thresholds), n_frames, width), dtype=bool)
+    hits = np.zeros((len(thresholds), n_frames, depth), dtype=bool)
+    for k in range(depth):
+        row = np.where(taken, 0.0, overlap[:, k])
+        best_j = row.argmax(axis=2)
+        best = np.take_along_axis(row, best_j[..., None], axis=2)[..., 0]
+        hit = (best > 0.0) & (best >= thresh)
+        hits[:, :, k] = hit
+        h, f = np.nonzero(hit)
+        taken[h, f, best_j[h, f]] = True
+    return hits
 
-    for _, _, conf in entries:
-        if not 0.0 <= conf <= 1.0:
-            raise DomainError(f"confidence {conf} outside [0, 1]")
 
-    # Stable sort keeps insertion order among equal confidences.
-    order = sorted(range(len(entries)), key=lambda i: -entries[i][2])
-    taken = {frame: [False] * len(boxes) for frame, boxes in truths_by_frame.items()}
+def _pooled_ap(
+    preds: np.ndarray, truths: np.ndarray, thresholds: tuple[float, ...]
+) -> np.ndarray | None:
+    """All-point-interpolated AP of frame-keyed predictions, per threshold.
 
-    tp = np.zeros(len(order))
-    fp = np.zeros(len(order))
-    for rank, idx in enumerate(order):
-        frame, box, _ = entries[idx]
-        truth_boxes = truths_by_frame.get(frame, [])
-        best_iou = 0.0
-        best_j = -1
-        for j, truth in enumerate(truth_boxes):
-            if taken[frame][j]:
-                continue
-            overlap = iou(box, truth)
-            if overlap > best_iou:
-                best_iou = overlap
-                best_j = j
-        if best_j >= 0 and best_iou >= iou_thresh:
-            taken[frame][best_j] = True
-            tp[rank] = 1.0
-        else:
-            fp[rank] = 1.0
+    preds holds rows (frame, cx, cy, w, h, conf); truths holds rows
+    (frame, cx, cy, w, h) in frame order, each frame's truths in their own
+    order. Predictions are ranked by confidence over every frame (a stable
+    sort, so input order breaks ties) and only ever match truths of their
+    own frame, greedily in rank order. Returns None when there is nothing
+    to measure (no truths and no predictions).
+    """
+    if len(truths) == 0:
+        return None if len(preds) == 0 else np.zeros(len(thresholds))
+    if len(preds) == 0:
+        return np.zeros(len(thresholds))
+    conf = preds[:, 5]
+    bad = np.flatnonzero(~((conf >= 0.0) & (conf <= 1.0)))
+    if len(bad):
+        raise DomainError(f"confidence {conf[bad[0]]} outside [0, 1]")
 
-    ctp = np.cumsum(tp)
-    cfp = np.cumsum(fp)
-    recall = ctp / n_truth
-    precision = ctp / (ctp + cfp)
+    ranked = preds[np.argsort(-conf, kind="stable")]
+    # slot: index of the prediction's frame among the frames with
+    # predictions; step: its place in that frame's ranked predictions.
+    frames, slot, counts = np.unique(
+        ranked[:, 0], return_inverse=True, return_counts=True
+    )
+    by_slot = np.argsort(slot, kind="stable")
+    step = np.empty(len(ranked), dtype=np.intp)
+    starts = np.repeat(np.cumsum(counts) - counts, counts)
+    step[by_slot] = np.arange(len(ranked)) - starts
+
+    lo = np.searchsorted(truths[:, 0], frames, side="left")
+    n_in_frame = np.searchsorted(truths[:, 0], frames, side="right") - lo
+    # One IoU matrix per frame, padded to the largest frame (and to one
+    # column when no frame with predictions holds a truth).
+    cols = np.arange(max(int(n_in_frame.max()), 1))
+    present = cols < n_in_frame[:, None]
+    t_box = truths[np.where(present, lo[:, None] + cols, 0), 1:5]
+    p_box = np.zeros((len(frames), int(counts.max()), 4))
+    p_box[slot, step] = ranked[:, 1:5]
+    overlap = np.where(
+        present[:, None, :], _iou_grid(p_box[:, :, None], t_box[:, None]), 0.0
+    )
+    hits = _greedy_hits(overlap, thresholds)[:, slot, step]
+
+    ctp = np.cumsum(hits, axis=1)
+    recall = ctp / len(truths)
+    precision = ctp / np.arange(1, len(ranked) + 1)
     # Monotone envelope, right to left.
-    for i in range(len(precision) - 2, -1, -1):
-        precision[i] = max(precision[i], precision[i + 1])
-    ap = 0.0
-    prev_recall = 0.0
-    for r, p in zip(recall, precision):
-        ap += (r - prev_recall) * p
-        prev_recall = r
-    return float(ap)
+    envelope = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
+    # cumsum adds left to right, as the definition's running sum does.
+    return np.cumsum(np.diff(recall, axis=1, prepend=0.0) * envelope, axis=1)[:, -1]
 
 
 def average_precision(
@@ -109,9 +146,21 @@ def average_precision(
     truths: Sequence[BoundingBox],
     iou_thresh: float,
 ) -> float | None:
-    """AP for a single frame; None when both sides are empty."""
-    entries = [(0, box, conf) for box, conf in predictions]
-    return _ap_pooled(entries, {0: list(truths)}, iou_thresh)
+    """AP for a single frame; None when both sides are empty.
+
+    mean_ap's routine on one frame, class ids unread: predictions ranked by
+    confidence (a stable sort, so input order breaks ties) each take the
+    first untaken truth of highest positive IoU, a hit when that IoU
+    reaches iou_thresh.
+    """
+    preds = np.array(
+        [(0, b.cx, b.cy, b.w, b.h, conf) for b, conf in predictions], dtype=float
+    ).reshape(-1, 6)
+    truth_rows = np.array(
+        [(0, b.cx, b.cy, b.w, b.h) for b in truths], dtype=float
+    ).reshape(-1, 5)
+    ap = _pooled_ap(preds, truth_rows, (iou_thresh,))
+    return None if ap is None else float(ap[0])
 
 
 def check_thresholds(iou_thresholds: Sequence[float]) -> None:
@@ -135,6 +184,12 @@ def mean_ap(
     class across every frame before AP, map50 is the class mean at IoU 0.5
     and the second value averages classes over iou_thresholds. Classes
     without any truth box are left out entirely.
+
+    Per class, predictions are ranked by confidence over all frames (a
+    stable sort) and matched greedily in that order, each taking the first
+    untaken truth of highest IoU in its own frame. One IoU matrix per
+    (class, frame) serves every threshold, and step k of the match runs for
+    every frame and every distinct threshold (0.5 included) at once.
     """
     if len(predictions) != len(truths):
         raise ShapeError(
@@ -144,35 +199,43 @@ def mean_ap(
     if not truths:
         raise EmptyTestError("no test frames")
 
-    truth_classes = sorted({b.class_id for frame in truths for b in frame})
-    if not truth_classes:
+    # Rows (frame, cx, cy, w, h[, conf], class), in frame order.
+    truth_rows = np.array(
+        [
+            (i, b.cx, b.cy, b.w, b.h, b.class_id)
+            for i, frame in enumerate(truths)
+            for b in frame
+        ],
+        dtype=float,
+    ).reshape(-1, 6)
+    if len(truth_rows) == 0:
         raise EmptyTestError("test split has no truth boxes")
+    pred_rows = np.array(
+        [
+            (i, b.cx, b.cy, b.w, b.h, conf, b.class_id)
+            for i, frame in enumerate(predictions)
+            for b, conf in frame
+        ],
+        dtype=float,
+    ).reshape(-1, 7)
 
-    per_class_entries: dict[int, list[tuple[int, BoundingBox, float]]] = {
-        c: [] for c in truth_classes
-    }
-    per_class_truths: dict[int, dict[int, list[BoundingBox]]] = {
-        c: {} for c in truth_classes
-    }
-    for frame_idx, frame in enumerate(truths):
-        for box in frame:
-            per_class_truths[box.class_id].setdefault(frame_idx, []).append(box)
-    for frame_idx, frame in enumerate(predictions):
-        for box, conf in frame:
-            if box.class_id in per_class_entries:
-                per_class_entries[box.class_id].append((frame_idx, box, conf))
-
-    def class_ap(c: int, thresh: float) -> float:
-        ap = _ap_pooled(per_class_entries[c], per_class_truths[c], thresh)
+    grid = tuple(sorted({0.5, *iou_thresholds}))
+    class_ap: list[dict[float, float]] = []
+    for c in np.unique(truth_rows[:, 5]):
+        ap = _pooled_ap(
+            pred_rows[pred_rows[:, 6] == c, :6],
+            truth_rows[truth_rows[:, 5] == c, :5],
+            grid,
+        )
         # The class has truths by construction, so AP is never None here.
         assert ap is not None
-        return ap
+        class_ap.append(dict(zip(grid, ap.tolist())))
 
-    map50 = sum(class_ap(c, 0.5) for c in truth_classes) / len(truth_classes)
+    map50 = sum(ap[0.5] for ap in class_ap) / len(class_ap)
     total = 0.0
-    for c in truth_classes:
-        total += sum(class_ap(c, t) for t in iou_thresholds) / len(iou_thresholds)
-    return map50, total / len(truth_classes)
+    for ap in class_ap:
+        total += sum(ap[t] for t in iou_thresholds) / len(iou_thresholds)
+    return map50, total / len(class_ap)
 
 
 @dataclass

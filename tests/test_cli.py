@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import seqal.cli
 import seqal.runner
 from seqal.cli import main
 from seqal.pool import Split, load_pool, write_pool
@@ -365,20 +366,26 @@ def test_bounds_csv_matches_hand_computation(tmp_path):
         assert next(reader) == ["upper", "2.500000", "4.500000", "6.000000"]
 
 
-def test_bounds_zero_rounds_is_validation_error(tmp_path):
+def test_bounds_zero_rounds_is_usage_error(tmp_path, monkeypatch):
     write_pool(make_pool(n_train=4), tmp_path / "pool")
-    rc = main(
-        ["bounds", "--pool", str(tmp_path / "pool"), "--rounds", "0", "--out", str(tmp_path / "b.csv")]
-    )
-    assert rc == 3
+    loaded = count_calls(monkeypatch, seqal.cli, "load_pool")
+    for rounds in ("0", "-2"):
+        rc = main(
+            ["bounds", "--pool", str(tmp_path / "pool"), "--rounds", rounds, "--out", str(tmp_path / "b.csv")]
+        )
+        assert rc == 2
+    assert loaded == []
+    assert not (tmp_path / "b.csv").exists()
 
 
-def test_bounds_rounds_beyond_pool(tmp_path):
+def test_bounds_rounds_beyond_pool(tmp_path, capsys):
     write_pool(make_pool(n_train=4), tmp_path / "pool")
     rc = main(
         ["bounds", "--pool", str(tmp_path / "pool"), "--rounds", "9", "--out", str(tmp_path / "b.csv")]
     )
-    assert rc == 1
+    assert rc == 2
+    assert "cannot bound 9 rounds with 4 sequences" in capsys.readouterr().err
+    assert not (tmp_path / "b.csv").exists()
 
 
 def test_bounds_missing_pool(tmp_path):
@@ -458,6 +465,20 @@ def test_stats_writes_one_cache_per_sequence(tmp_path):
     first = snapshot(out)
     assert main(["stats", "--pool", str(pool_dir), "--out", str(out)]) == 0
     assert snapshot(out) == first
+
+
+@pytest.mark.parametrize(
+    "flag", [("--threshold", "300"), ("--threshold", "-1"), ("--min-area", "0")]
+)
+def test_stats_bad_flow_parameters_fail_before_any_work(tmp_path, monkeypatch, capsys, flag):
+    write_pool(make_pool(n_train=2), tmp_path / "pool")
+    loaded = count_calls(monkeypatch, seqal.cli, "load_pool")
+    out = tmp_path / "flow"
+    rc = main(["stats", "--pool", str(tmp_path / "pool"), "--out", str(out), *flag])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert loaded == []
+    assert not out.exists()
 
 
 def test_stats_missing_pool(tmp_path):

@@ -87,6 +87,88 @@ def ap_oracle(predictions, truths, thresh):
     return area
 
 
+def ap_pooled_oracle(entries, truths_by_frame, iou_thresh):
+    """Scalar pooled AP: the loop metrics used before frame batching.
+
+    entries are (frame, box, conf); predictions only ever match truths from
+    their own frame, one IoU call per (prediction, untaken truth) pair in
+    global confidence order. None when there is nothing to measure.
+    """
+    n_truth = sum(len(v) for v in truths_by_frame.values())
+    if n_truth == 0:
+        return None if not entries else 0.0
+    if not entries:
+        return 0.0
+
+    for _, _, conf in entries:
+        if not 0.0 <= conf <= 1.0:
+            raise DomainError(f"confidence {conf} outside [0, 1]")
+
+    # Stable sort keeps insertion order among equal confidences.
+    order = sorted(range(len(entries)), key=lambda i: -entries[i][2])
+    taken = {frame: [False] * len(boxes) for frame, boxes in truths_by_frame.items()}
+
+    tp = np.zeros(len(order))
+    fp = np.zeros(len(order))
+    for rank, idx in enumerate(order):
+        frame, pred_box, _ = entries[idx]
+        truth_boxes = truths_by_frame.get(frame, [])
+        best_iou = 0.0
+        best_j = -1
+        for j, truth in enumerate(truth_boxes):
+            if taken[frame][j]:
+                continue
+            overlap = iou_oracle(pred_box, truth)
+            if overlap > best_iou:
+                best_iou = overlap
+                best_j = j
+        if best_j >= 0 and best_iou >= iou_thresh:
+            taken[frame][best_j] = True
+            tp[rank] = 1.0
+        else:
+            fp[rank] = 1.0
+
+    ctp = np.cumsum(tp)
+    cfp = np.cumsum(fp)
+    recall = ctp / n_truth
+    precision = ctp / (ctp + cfp)
+    # Monotone envelope, right to left.
+    for i in range(len(precision) - 2, -1, -1):
+        precision[i] = max(precision[i], precision[i + 1])
+    ap = 0.0
+    prev_recall = 0.0
+    for r, p in zip(recall, precision):
+        ap += (r - prev_recall) * p
+        prev_recall = r
+    return float(ap)
+
+
+def mean_ap_oracle(predictions, truths, iou_thresholds):
+    """(map50, map_mean) through ap_pooled_oracle, one class and threshold
+    at a time, in the order mean_ap used before frame batching."""
+    truth_classes = sorted({b.class_id for frame in truths for b in frame})
+    if not truth_classes:
+        raise EmptyTestError("test split has no truth boxes")
+    entries = {c: [] for c in truth_classes}
+    by_frame = {c: {} for c in truth_classes}
+    for frame_idx, frame in enumerate(truths):
+        for b in frame:
+            by_frame[b.class_id].setdefault(frame_idx, []).append(b)
+    for frame_idx, frame in enumerate(predictions):
+        for b, conf in frame:
+            if b.class_id in entries:
+                entries[b.class_id].append((frame_idx, b, conf))
+
+    def class_ap(c, thresh):
+        return ap_pooled_oracle(entries[c], by_frame[c], thresh)
+
+    map50 = sum(class_ap(c, 0.5) for c in truth_classes) / len(truth_classes)
+    total = 0.0
+    for c in truth_classes:
+        total += sum(class_ap(c, t) for t in iou_thresholds) / len(iou_thresholds)
+    return map50, total / len(truth_classes)
+
+
 def random_instance(rnd):
     truths = [
         box(rnd.uniform(0.2, 0.8), rnd.uniform(0.2, 0.8), rnd.uniform(0.05, 0.3), rnd.uniform(0.05, 0.3))
@@ -107,6 +189,68 @@ def random_instance(rnd):
         preds.append((b, rnd.random()))
     thresh = 0.5 + 0.05 * rnd.randint(0, 9)
     return preds, truths, thresh
+
+
+def pooled_instance(rnd):
+    """A random test split for mean_ap: 1-8 frames (some empty), 5 classes,
+    boxes on a coarse grid so IoU ties and identical boxes are common,
+    duplicated boxes, confidences from a small set so ranks tie, now and
+    then one outside [0, 1], and a random sub-grid of the thresholds."""
+    confs = (0.0, 0.25, 0.5, 0.5, 0.75, 1.0)
+    bad_confs = (-0.25, 1.5, float("nan"))
+    shifts = (-0.05, 0.0, 0.05)
+
+    def grid_box(cls):
+        w = rnd.choice((0.1, 0.2, 0.3))
+        h = rnd.choice((0.1, 0.2, 0.3))
+        cx = rnd.choice((0.2, 0.25, 0.3, 0.5, 0.7))
+        cy = rnd.choice((0.2, 0.3, 0.5, 0.7))
+        return box(cx, cy, w, h, cls)
+
+    def conf():
+        if rnd.random() < 0.01:
+            return rnd.choice(bad_confs)
+        return rnd.choice(confs) if rnd.random() < 0.6 else rnd.random()
+
+    truths, preds = [], []
+    for _ in range(rnd.randint(1, 8)):
+        n_truths = rnd.choice((0, 0, 1, 2, 3, 5))
+        frame_truths = [grid_box(rnd.randrange(5)) for _ in range(n_truths)]
+        if frame_truths and rnd.random() < 0.3:
+            frame_truths.append(rnd.choice(frame_truths))
+        frame_preds = []
+        for _ in range(rnd.choice((0, 0, 1, 2, 4, 7))):
+            if frame_truths and rnd.random() < 0.6:
+                t = rnd.choice(frame_truths)
+                if rnd.random() < 0.5:
+                    b = t
+                else:
+                    b = box(
+                        min(max(t.cx + rnd.choice(shifts) + rnd.gauss(0, 0.01), 0.2), 0.8),
+                        min(max(t.cy + rnd.choice(shifts), 0.2), 0.8),
+                        t.w,
+                        t.h,
+                        t.class_id,
+                    )
+            else:
+                b = grid_box(rnd.randrange(5))
+            frame_preds.append((b, conf()))
+            if rnd.random() < 0.15:
+                frame_preds.append(frame_preds[-1])
+        truths.append(frame_truths)
+        preds.append(frame_preds)
+    thresholds = rnd.sample(MAP5095_THRESHOLDS, rnd.randint(1, len(MAP5095_THRESHOLDS)))
+    if rnd.random() < 0.5:
+        thresholds.sort()
+    return preds, truths, tuple(thresholds)
+
+
+def outcome(fn, *args):
+    """fn's result, or the class of the exception it raised."""
+    try:
+        return fn(*args)
+    except (DomainError, EmptyTestError) as exc:
+        return type(exc)
 
 
 def riemann_car(points, budget, steps=200_000):
@@ -204,6 +348,17 @@ def test_iou_symmetric_random():
         assert iou(a, b) == pytest.approx(iou_oracle(a, b))
 
 
+def test_iou_bit_equal_to_scalar_definition():
+    rnd = random.Random(7)
+    for _ in range(5000):
+        a, b = (
+            box(rnd.uniform(0.1, 0.9), rnd.uniform(0.1, 0.9), rnd.uniform(0.01, 0.4), rnd.uniform(0.01, 0.4))
+            for _ in range(2)
+        )
+        assert iou(a, b) == iou_oracle(a, b)
+        assert type(iou(a, b)) is float
+
+
 # --- average precision ---------------------------------------------------
 
 
@@ -264,6 +419,20 @@ def test_ap_matches_oracle_randomized():
             assert got is None
         else:
             assert got == want, (preds, truths, thresh)
+
+
+def test_ap_matches_scalar_oracle_randomized():
+    rnd = random.Random(2024)
+    for _ in range(2000):
+        preds, truths, _ = pooled_instance(rnd)
+        flat_preds = [p for frame in preds for p in frame]
+        flat_truths = [t for frame in truths for t in frame]
+        thresh = 0.5 + 0.05 * rnd.randint(0, 9)
+        got = outcome(average_precision, flat_preds, flat_truths, thresh)
+        want = outcome(
+            ap_pooled_oracle, [(0, b, c) for b, c in flat_preds], {0: flat_truths}, thresh
+        )
+        assert got == want, (flat_preds, flat_truths, thresh)
 
 
 # --- mean AP -------------------------------------------------------------
@@ -341,6 +510,21 @@ def test_mean_ap_validation():
         mean_ap([[]], truths, iou_thresholds=(0.62,))
     with pytest.raises(DomainError):
         mean_ap([[]], truths, iou_thresholds=())
+
+
+def test_mean_ap_matches_scalar_oracle_randomized():
+    rnd = random.Random(606)
+    kinds = set()
+    for _ in range(2500):
+        preds, truths, thresholds = pooled_instance(rnd)
+        got = outcome(mean_ap, preds, truths, thresholds)
+        want = outcome(mean_ap_oracle, preds, truths, thresholds)
+        assert got == want, (preds, truths, thresholds)
+        if isinstance(got, tuple):
+            assert all(type(v) is float for v in got)
+        kinds.add(want if isinstance(want, type) else tuple)
+    # the generator reaches values and both error cases
+    assert kinds == {tuple, DomainError, EmptyTestError}
 
 
 def test_map5095_grid():
