@@ -7,7 +7,7 @@ resulting performance-cost trade-offs.
 """
 
 from .acquisition import GmmFit, StrategySpec, fit_gmm2, select
-from .costing import CostLedger, OverheadModel
+from .costing import OverheadModel
 from .errors import SeqalError
 from .metrics import PerfCostCurve, average_precision, car, correlations, iou, mean_ap, par
 from .pool import BoundingBox, Frame, PoolState, Sequence, SequenceMeta, load_pool, write_pool
@@ -20,7 +20,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundingBox",
     "CostCoeffs",
-    "CostLedger",
     "Frame",
     "GenConfig",
     "GmmFit",

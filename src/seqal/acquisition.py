@@ -55,6 +55,8 @@ SWITCH_KINDS = frozenset({KIND_FALSE_SWITCH, KIND_GAUSS_SWITCH})
 CONFORMAL_KINDS = frozenset(
     {KIND_LEAST_FRAME, KIND_MOST_FRAME, KIND_MIN_MOTION, KIND_MIN_MAX_MOTION, KIND_MIN_BOXES}
 )
+# Conformal kinds whose catalog_scores read flow statistics.
+FLOW_KINDS = frozenset({KIND_MIN_MOTION, KIND_MIN_MAX_MOTION, KIND_MIN_BOXES})
 ALL_KINDS = (
     KIND_RANDOM,
     KIND_ENTROPY,
@@ -283,7 +285,7 @@ def catalog_scores(
 ) -> dict[str, float]:
     """Per-sequence criterion of a pool-statistic kind, signed so that the
     highest score is the pick. flow maps each id to its flow statistics; only
-    the motion and box kinds read it."""
+    FLOW_KINDS read it."""
     kind = strategy.kind
     out: dict[str, float] = {}
     for sid in ids:

@@ -20,7 +20,7 @@ from pathlib import Path
 from . import config as config_mod
 from . import flowproxy, metrics, runner
 from .config import convert, float_list, int_list
-from .costing import OverheadModel, theoretical_cost_bounds
+from .costing import theoretical_cost_bounds
 from .errors import (
     ConfigError,
     ContinuityError,

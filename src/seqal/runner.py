@@ -8,11 +8,13 @@ annotation cost and compute overhead, refreshes the surrogate, and
 (optionally) evaluates test mAP. Everything is keyed off the config so
 reruns are byte-identical.
 
-Overhead timing: the detector is refreshed after every acquisition (the
-seed draw included) and then scores whatever is still unlabeled, so each
-record carries an inferential overhead charge for the frames remaining
-after its own acquisition. Flow-statistics strategies instead pay one
-up-front charge on the seed record and nothing after.
+Charges: each RoundRecord holds its round's annotation hours and GFLOPS
+and the seed's running totals; records.csv and ledger.csv are two views of
+that one list. Which overhead a kind pays is decided here, costing only
+prices it. Model-score kinds and coreset pay the detector, refreshed after
+every acquisition (the seed draw included) to score whatever is still
+unlabeled; acquisition.FLOW_KINDS pay one up-front flow charge on the seed
+record; random and the length ranks pay nothing.
 
 The acquisition unit depends on the mode; both modes share one round loop
 that makes one acquisition.select call per record, the seed draw included.
@@ -40,6 +42,7 @@ import numpy as np
 from . import acquisition, costing, flowproxy, metrics, surrogate
 from .acquisition import (
     CONFORMAL_KINDS,
+    FLOW_KINDS,
     FRAME_TRANSFORMS,
     KIND_CORESET,
     KIND_RANDOM,
@@ -47,7 +50,7 @@ from .acquisition import (
     SWITCH_KINDS,
     StrategySpec,
 )
-from .costing import MODE_SEQUENTIAL, MODE_SINGULAR, CostLedger, OverheadModel
+from .costing import MODE_SEQUENTIAL, MODE_SINGULAR, OverheadModel
 from .errors import DomainError, ModeError, PoolExhaustedError, TraceError
 from .pool import Frame, PoolState, load_pool
 from .surrogate import ScoreTrace, SurrogateState
@@ -96,6 +99,8 @@ class RunConfig:
             )
         if not self.seeds:
             raise DomainError("need at least one seed")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise DomainError(f"seeds must not repeat, got {list(self.seeds)}")
         if self.interpolation_rate < 1:
             raise DomainError(
                 f"interpolation_rate must be >= 1, got {self.interpolation_rate}"
@@ -122,14 +127,19 @@ class RunConfig:
 
 @dataclass
 class RoundRecord:
+    """One seed's round: what it acquired, the round's charges and the
+    seed's running totals, and test mAP once evaluated."""
+
     round_index: int
     seed: int
     strategy_kind: str
     selected: tuple[str, ...]
+    cost_hours: float
     cum_cost_hours: float
+    overhead_gflops: float
     cum_overhead_gflops: float
-    map50: float | None
-    map5095: float | None
+    map50: float | None = None
+    map5095: float | None = None
 
 
 def build_pool(source: GenConfig | str | Path) -> PoolState:
@@ -209,6 +219,7 @@ class _Scorer:
         self.pool = pool
         self.features = features
         self.sigma = sigma
+        self.seed = seed
         self.noise_seed = seed if cfg.noise_seed is None else cfg.noise_seed
         self.trace_in = trace_in
         self.trace_out = trace_out
@@ -244,6 +255,14 @@ class _Scorer:
                 raise TraceError(
                     f"trace round {round_index} lacks scores for {missing[:4]}"
                 )
+            for sid in target_ids:
+                n_traced = len(table[sid][0])
+                n_pool = self.pool.sequences[sid].n_frames
+                if n_traced != n_pool:
+                    raise TraceError(
+                        f"trace seed {self.seed} round {round_index} sequence "
+                        f"{sid}: {n_traced} frames scored, the pool has {n_pool}"
+                    )
             return {s: table[s] for s in target_ids}
         state = self.state(round_index, labeled, weights)
         out = {}
@@ -304,7 +323,7 @@ def run_experiment(
     copy, so the caller's pool comes back as it was; only the flow stats a
     run computes stay cached on the caller's sequences. With
     out_dir set, the CSV outputs land there; a failing run still flushes the
-    ledger rows accumulated so far.
+    ledger rows of every round charged so far.
     """
     kind = cfg.strategy.kind
     singular = cfg.mode == MODE_SINGULAR
@@ -326,9 +345,8 @@ def run_experiment(
             f"budget needs {need} sequences, train split has {len(train_ids)}"
         )
 
-    oclass = costing.overhead_class(kind)
-    flow = {}
-    if oclass == costing.OVERHEAD_CONFORMAL:
+    flow, front_charge = {}, 0.0
+    if kind in FLOW_KINDS:
         # Flow stats read rasters only, so they are cached on the caller's
         # sequences for later runs over the same pool.
         flow = {
@@ -353,13 +371,12 @@ def run_experiment(
     replay_traces = _load_replay(cfg)
     rate = cfg.interpolation_rate
     n_frames = {sid: pool.sequences[sid].n_frames for sid in train_ids}
+    pays_detector = kind in SCORE_KINDS or kind == KIND_CORESET
 
     records: list[RoundRecord] = []
-    ledgers: dict[int, CostLedger] = {}
     traces_out: dict[int, ScoreTrace] = {}
     try:
         for seed in cfg.seeds:
-            ledger = ledgers[seed] = CostLedger()
             trace_out = traces_out[seed] = ScoreTrace()
             scorer = _Scorer(
                 cfg,
@@ -437,29 +454,34 @@ def run_experiment(
                 return names, cost
 
             def emit(round_index: int, selected: list[str], cost: float) -> None:
-                if oclass == costing.OVERHEAD_CONFORMAL:
-                    over = front_charge if round_index == 0 else 0.0
-                elif oclass == costing.OVERHEAD_INFERENTIAL:
+                """Charge the round on a new record, then evaluate it; the
+                record is kept first, so a failing evaluation still leaves
+                the charge for the ledger."""
+                if pays_detector:
                     unlabeled = sum(
                         n_frames[s] - len(labeled_frames.get(s, ()))
                         for s in train_ids
                     )
                     over = costing.overhead_inferential(cfg.overhead, unlabeled)
                 else:
-                    over = 0.0
-                entry = ledger.charge(round_index, selected, cost, over)
-                m50, m5095 = scorer.test_metrics(round_index, *surrogate_view())
-                records.append(
-                    RoundRecord(
-                        round_index=round_index,
-                        seed=seed,
-                        strategy_kind=kind,
-                        selected=tuple(selected),
-                        cum_cost_hours=entry.cumulative_cost_hours,
-                        cum_overhead_gflops=entry.cumulative_overhead_gflops,
-                        map50=m50,
-                        map5095=m5095,
-                    )
+                    over = front_charge if round_index == 0 else 0.0
+                if cost < 0 or over < 0:
+                    raise DomainError("charges must be non-negative")
+                prev = records[-1] if round_index else None
+                record = RoundRecord(
+                    round_index=round_index,
+                    seed=seed,
+                    strategy_kind=kind,
+                    selected=tuple(selected),
+                    cost_hours=cost,
+                    cum_cost_hours=(prev.cum_cost_hours if prev else 0.0) + cost,
+                    overhead_gflops=over,
+                    cum_overhead_gflops=(prev.cum_overhead_gflops if prev else 0.0)
+                    + over,
+                )
+                records.append(record)
+                record.map50, record.map5095 = scorer.test_metrics(
+                    round_index, *surrogate_view()
                 )
 
             for rnd in range(cfg.rounds + 1):
@@ -488,13 +510,12 @@ def run_experiment(
                 emit(rnd, *acquire(picked))
     except BaseException:
         if out_dir is not None:
-            _flush_ledgers(ledgers, out_dir)
+            Path(out_dir).mkdir(parents=True, exist_ok=True)
+            write_ledger(records, Path(out_dir) / "ledger.csv")
         raise
 
     if out_dir is not None:
-        write_outputs(
-            records, ledgers, traces_out, out_dir, include_traces=not cfg.replay
-        )
+        write_outputs(records, traces_out, out_dir, include_traces=not cfg.replay)
     return records
 
 
@@ -581,6 +602,28 @@ def write_records(records: list[RoundRecord], path: Path | str) -> None:
             )
 
 
+def write_ledger(records: list[RoundRecord], path: Path | str) -> None:
+    """The records' charges, seeds ascending and rounds in order; floats at
+    6 decimals, ids joined by ';'."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["seed", "round", "selected_ids", "round_cost_h", "cum_cost_h", "round_gflops", "cum_gflops"]
+        )
+        for r in sorted(records, key=lambda r: r.seed):
+            writer.writerow(
+                [
+                    r.seed,
+                    r.round_index,
+                    ";".join(r.selected),
+                    _fmt(r.cost_hours),
+                    _fmt(r.cum_cost_hours),
+                    _fmt(r.overhead_gflops),
+                    _fmt(r.cum_overhead_gflops),
+                ]
+            )
+
+
 def write_curves(records: list[RoundRecord], path: Path | str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -619,15 +662,8 @@ def write_aggregate(rows: list[AggregateRow], path: Path | str) -> None:
             )
 
 
-def _flush_ledgers(ledgers: dict[int, CostLedger], out_dir: Path | str) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    costing.write_ledgers(ledgers, out / "ledger.csv")
-
-
 def write_outputs(
     records: list[RoundRecord],
-    ledgers: dict[int, CostLedger],
     traces: dict[int, ScoreTrace],
     out_dir: Path | str,
     include_traces: bool = True,
@@ -635,7 +671,7 @@ def write_outputs(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_records(records, out / "records.csv")
-    costing.write_ledgers(ledgers, out / "ledger.csv")
+    write_ledger(records, out / "ledger.csv")
     write_curves(records, out / "curves.csv")
     write_aggregate(aggregate(records), out / "aggregate.csv")
     if include_traces:

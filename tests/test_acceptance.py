@@ -24,7 +24,6 @@ from seqal.acquisition import (
 )
 from seqal.costing import (
     OverheadModel,
-    overhead_class,
     overhead_conformal,
     sequence_cost,
     theoretical_cost_bounds,
@@ -403,13 +402,33 @@ def test_criterion_06_cost_aware_beats_random(default_pool):
     verdict(6, problems)
 
 
+# Which overhead each kind pays, stated here rather than read from the code:
+# the detector every round, one flow pass up front, or nothing.
+OVERHEAD_REGIMES = {
+    "random": "none",
+    "least_frame": "none",
+    "most_frame": "none",
+    "min_motion": "conformal",
+    "min_max_motion": "conformal",
+    "min_boxes": "conformal",
+    "entropy": "inferential",
+    "least_confidence": "inferential",
+    "margin": "inferential",
+    "false_switch": "inferential",
+    "gauss_switch": "inferential",
+    "coreset": "inferential",
+}
+
+
 def test_criterion_07_overhead_regimes(small_pool, envelope_runs):
     by_kind, _ = envelope_runs
     flow_price = OverheadModel().flow_gflops_per_pair
     total_train_frames = sum(small_pool.sequences[s].n_frames for s in small_pool.train_ids)
     problems = []
+    if set(OVERHEAD_REGIMES) != set(by_kind):
+        problems.append(f"regime table covers {sorted(OVERHEAD_REGIMES)}, runs {sorted(by_kind)}")
     for kind, records in by_kind.items():
-        regime = overhead_class(kind)
+        regime = OVERHEAD_REGIMES.get(kind)
         for seed in ENVELOPE_SEEDS:
             series = [r.cum_overhead_gflops for r in sorted(
                 (r for r in records if r.seed == seed), key=lambda r: r.round_index

@@ -218,6 +218,26 @@ def test_run_bad_kappa_is_config_error(tmp_path, kappa):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["detector_gflops_per_frame", "flow_gflops_per_pair"])
+@pytest.mark.parametrize("price", ["-1", "nan", "inf"])
+def test_run_bad_overhead_price_is_config_error(tmp_path, monkeypatch, key, price):
+    generated = count_calls(monkeypatch, seqal.runner, "generate_pool")
+    cfg = write_ini(tmp_path, run_ini_text() + f"\n[costing]\n{key} = {price}\n")
+    out = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert generated == [] and not out.exists()
+
+
+def test_run_repeated_seeds_is_config_error(tmp_path, monkeypatch):
+    generated = count_calls(monkeypatch, seqal.runner, "generate_pool")
+    cfg = write_ini(tmp_path, run_ini_text().replace("seeds = 0,1", "seeds = 0,0"))
+    out = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    cfg = write_ini(tmp_path, run_ini_text(), "other.ini")
+    assert main(["run", "--config", cfg, "--out", str(out), "--seed", "3,1,3"]) == 2
+    assert generated == [] and not out.exists()
+
+
 @pytest.mark.parametrize("kind", ["entropy", "min_motion"])
 @pytest.mark.parametrize(
     "setting", ["flow_threshold = 300", "flow_threshold = -1", "flow_min_area = 0"]

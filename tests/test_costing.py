@@ -4,21 +4,22 @@ import math
 
 import pytest
 
+from seqal.acquisition import StrategySpec
 from seqal.costing import (
-    CostLedger,
     OverheadModel,
     effective_frames,
     is_keyframe,
-    overhead_class,
     overhead_conformal,
     overhead_inferential,
     sequence_cost,
     theoretical_cost_bounds,
-    write_ledgers,
 )
 from seqal.errors import DomainError, PoolExhaustedError
+from seqal.pool import PoolState, Split
+from seqal.runner import RoundRecord, RunConfig, run_experiment, write_ledger
+from seqal.synth import GenConfig
 
-from conftest import make_meta
+from conftest import make_meta, make_pool, make_sequence
 
 
 def bounds_oracle(costs, n_rounds):
@@ -109,16 +110,6 @@ def test_theoretical_cost_bounds_validation():
 # --- compute overhead ----------------------------------------------------
 
 
-def test_overhead_class_map():
-    assert overhead_class("random") == "none"
-    assert overhead_class("least_frame") == "none"
-    assert overhead_class("most_frame") == "none"
-    for kind in ("min_motion", "min_max_motion", "min_boxes"):
-        assert overhead_class(kind) == "conformal"
-    for kind in ("entropy", "least_confidence", "margin", "false_switch", "gauss_switch", "coreset"):
-        assert overhead_class(kind) == "inferential"
-
-
 def test_overhead_inferential_cumulative():
     model = OverheadModel()
     out = list(itertools.accumulate(overhead_inferential(model, f) for f in [30, 20, 10]))
@@ -203,42 +194,99 @@ def test_overhead_bounds_validation():
 # --- ledger --------------------------------------------------------------
 
 
+def ledger_run(kind="entropy", pool=None, **kw):
+    settings = dict(seed_sequences=1, rounds=3, seeds=(1, 0), evaluate=False)
+    settings.update(kw)
+    # pool_source is unused when a pool is passed in
+    cfg = RunConfig(pool_source=GenConfig(), strategy=StrategySpec(kind), **settings)
+    if pool is None:
+        pool = make_pool(n_train=6, n_frames=4, boxes_per_frame=2, raster_size=(16, 16))
+    return run_experiment(cfg, pool=pool)
+
+
+def read_ledger(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_overhead_regime_per_kind():
+    # Round 0 and round 1 overhead of one seed; the pool's train split has
+    # 6 sequences x 4 frames and the seed round labels one sequence.
+    detector = [4.1 * 20, 4.1 * 16]
+    flow = [30.54 * 24, 0.0]
+    free = [0.0, 0.0]
+    regimes = {
+        "random": free,
+        "least_frame": free,
+        "most_frame": free,
+        "min_motion": flow,
+        "min_max_motion": flow,
+        "min_boxes": flow,
+        "entropy": detector,
+        "least_confidence": detector,
+        "margin": detector,
+        "false_switch": detector,
+        "gauss_switch": detector,
+        "coreset": detector,
+    }
+    for kind, want in regimes.items():
+        records = ledger_run(kind, seeds=(0,), rounds=1)
+        assert [r.overhead_gflops for r in records] == want, kind
+
+
 def test_ledger_accumulates():
-    ledger = CostLedger()
-    ledger.charge(0, ["a"], 2.0, 100.0)
-    e = ledger.charge(1, ["b", "c"], 3.5, 0.0)
-    assert e.cumulative_cost_hours == pytest.approx(5.5)
-    assert e.cumulative_overhead_gflops == pytest.approx(100.0)
-    assert ledger.entries[-1] is e
+    records = ledger_run()
+    for seed in (0, 1):
+        rows = [r for r in records if r.seed == seed]
+        assert [r.round_index for r in rows] == [0, 1, 2, 3]
+        cost = over = 0.0
+        for r in rows:
+            cost += r.cost_hours
+            over += r.overhead_gflops
+            assert r.cum_cost_hours == cost  # same accumulation order, exact
+            assert r.cum_overhead_gflops == over
 
 
 def test_ledger_rejects_negative_charges():
-    ledger = CostLedger()
+    seqs = [make_sequence(f"t{i}", n_frames=3, cost=-1.0) for i in range(4)]
+    seqs.append(make_sequence("test0", n_frames=3, split=Split.TEST))
     with pytest.raises(DomainError):
-        ledger.charge(0, ["a"], -1.0, 0.0)
-    with pytest.raises(DomainError):
-        ledger.charge(0, ["a"], 0.0, -5.0)
+        ledger_run("random", pool=PoolState.from_sequences(seqs))
+    for price in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            OverheadModel(detector_gflops_per_frame=price)
+        with pytest.raises(DomainError):
+            OverheadModel(flow_gflops_per_pair=price)
+    assert OverheadModel(0.0, 0.0).flow_gflops_per_pair == 0.0
 
 
-def test_empty_ledger_totals():
-    ledger = CostLedger()
-    assert ledger.entries == []
-    first = ledger.charge(0, ["a"], 1.5, 2.0)
-    assert first.cumulative_cost_hours == 1.5
-    assert first.cumulative_overhead_gflops == 2.0
-
-
-def test_write_ledgers_format(tmp_path):
-    a = CostLedger()
-    a.charge(0, ["x"], 1.0, 0.0)
-    a.charge(1, ["y", "z"], 2.0, 41.0)
-    b = CostLedger()
-    b.charge(0, ["w"], 0.5, 0.0)
+def test_empty_ledger_totals(tmp_path):
     path = tmp_path / "ledger.csv"
-    write_ledgers({1: a, 0: b}, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert [r["seed"] for r in rows] == ["0", "1", "1"]  # seeds sorted
+    write_ledger([], path)
+    assert path.read_text().splitlines() == [
+        "seed,round,selected_ids,round_cost_h,cum_cost_h,round_gflops,cum_gflops"
+    ]
+    for first in (r for r in ledger_run() if r.round_index == 0):
+        assert first.cum_cost_hours == first.cost_hours
+        assert first.cum_overhead_gflops == first.overhead_gflops
+
+
+def rec(seed, rnd, selected, cost, cum_cost, over, cum_over):
+    return RoundRecord(rnd, seed, "random", selected, cost, cum_cost, over, cum_over)
+
+
+def test_write_ledger_format(tmp_path):
+    records = [
+        rec(1, 0, ("x",), 1.0, 1.0, 0.0, 0.0),
+        rec(1, 1, ("y", "z"), 2.0, 3.0, 41.0, 41.0),
+        rec(0, 0, ("w",), 0.5, 0.5, 0.0, 0.0),
+    ]
+    path = tmp_path / "ledger.csv"
+    write_ledger(records, path)
+    rows = read_ledger(path)
+    assert [(r["seed"], r["round"]) for r in rows] == [("0", "0"), ("1", "0"), ("1", "1")]
     assert rows[2]["selected_ids"] == "y;z"
+    assert rows[2]["round_cost_h"] == "2.000000"
     assert rows[2]["cum_cost_h"] == "3.000000"
     assert rows[2]["round_gflops"] == "41.000000"
+    assert rows[2]["cum_gflops"] == "41.000000"

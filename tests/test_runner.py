@@ -1,13 +1,14 @@
 """End-to-end experiment runner tests on tiny deterministic pools."""
 
 import csv
+from dataclasses import replace
 
 import pytest
 
 import seqal.flowproxy as fp
 import seqal.surrogate as sg
 from seqal.acquisition import StrategySpec
-from seqal.errors import DomainError, ModeError, PoolExhaustedError
+from seqal.errors import DomainError, EmptyTestError, ModeError, PoolExhaustedError, TraceError
 from seqal.pool import BoundingBox, PoolState, Split
 from seqal.runner import (
     RoundRecord,
@@ -61,6 +62,13 @@ def test_run_config_validation():
         tiny_cfg(trace_path="only-one-of-two.csv")
     assert not tiny_cfg().replay
     assert tiny_cfg(trace_path="a", trace_metrics_path="b").replay
+
+
+def test_run_config_rejects_repeated_seeds():
+    for bad in ((0, 0), (3, 1, 3)):
+        with pytest.raises(DomainError):
+            tiny_cfg(seeds=bad)
+    assert tiny_cfg(seeds=(2, 0)).seeds == (2, 0)
 
 
 def test_run_config_checks_iou_grid():
@@ -265,6 +273,43 @@ def test_replay_reproduces_records(tmp_path):
     assert not (replay_dir / "trace.csv").exists()
 
 
+def test_replay_rejects_trace_of_other_frame_counts(tmp_path):
+    live = tiny_cfg(kind="entropy", rounds=2)
+    run_experiment(live, pool=runner_pool(n_frames=4), out_dir=tmp_path / "seq")
+    sing = singular_cfg(kind="entropy", frames_per_round=5, seeds=(1,))
+    run_experiment(sing, pool=singular_pool(n_frames=10), out_dir=tmp_path / "sing")
+    for cfg, pool, name, seed in (
+        (live, runner_pool(n_frames=6), "seq", 0),
+        (sing, singular_pool(n_frames=12), "sing", 1),
+    ):
+        replay = replace(
+            cfg,
+            trace_path=str(tmp_path / name / "trace.csv"),
+            trace_metrics_path=str(tmp_path / name / "trace_metrics.csv"),
+        )
+        with pytest.raises(TraceError, match=rf"seed {seed} round 1 sequence \S+: "
+                           rf"\d+ frames scored, the pool has \d+"):
+            run_experiment(replay, pool=pool)
+
+
+def test_failed_evaluation_still_flushes_ledger(tmp_path):
+    # The test split has no boxes, so evaluating seed 0's round 0 fails
+    # after that round is charged; the ledger keeps its row.
+    seqs = [
+        make_sequence(f"t{i}", n_frames=4, cost=1.0 + 0.25 * i, boxes_per_frame=2)
+        for i in range(6)
+    ]
+    seqs.append(make_sequence("test0", n_frames=3, boxes_per_frame=0, split=Split.TEST))
+    pool = PoolState.from_sequences(seqs)
+    with pytest.raises(EmptyTestError):
+        run_experiment(tiny_cfg(evaluate=True), pool=pool, out_dir=tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ledger.csv"]
+    assert (tmp_path / "ledger.csv").read_bytes() == (
+        b"seed,round,selected_ids,round_cost_h,cum_cost_h,round_gflops,cum_gflops\r\n"
+        b"0,0,t3,1.750000,1.750000,82.000000,82.000000\r\n"
+    )
+
+
 def test_output_files(tmp_path):
     run_experiment(tiny_cfg(evaluate=True), pool=runner_pool(), out_dir=tmp_path)
     for name in ("records.csv", "ledger.csv", "curves.csv", "aggregate.csv", "trace.csv", "trace_metrics.csv"):
@@ -408,7 +453,7 @@ def test_singular_pool_exhausted():
 
 
 def rec(kind, rnd, seed, cost, m50):
-    return RoundRecord(rnd, seed, kind, ("x",), cost, 0.0, m50, m50)
+    return RoundRecord(rnd, seed, kind, ("x",), cost, cost, 0.0, 0.0, m50, m50)
 
 
 def test_mean_se_known_values():
