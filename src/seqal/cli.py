@@ -34,6 +34,7 @@ from .errors import (
     PoolExhaustedError,
     SeqalError,
     ShapeError,
+    TraceError,
 )
 from .pool import load_pool, write_pool
 from .synth import generate_pool
@@ -47,6 +48,7 @@ _VALIDATION_ERRORS = (
     ShapeError,
     MissingRasterError,
     DomainError,
+    TraceError,
 )
 
 

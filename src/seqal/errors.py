@@ -47,7 +47,8 @@ class FeatureError(SeqalError):
 
 
 class TraceError(SeqalError):
-    """A score trace lacks a requested round, seed, or sequence."""
+    """A score trace is malformed or lacks a requested round, seed, or
+    sequence."""
 
 
 class EmptyScoreError(SeqalError):

@@ -16,6 +16,12 @@ every acquisition (the seed draw included) to score whatever is still
 unlabeled; acquisition.FLOW_KINDS pay one up-front flow charge on the seed
 record; random and the length ranks pay nothing.
 
+Detector outputs: each seed has one surrogate.ScoreTrace, and the round
+loop reads every frame score and test mAP from it. A live run fills each
+round in first and saves the traces as trace.csv and trace_metrics.csv; a
+replay reads those files before the pool is built, so a malformed or
+seed-short trace fails before any work.
+
 The acquisition unit depends on the mode; both modes share one round loop
 that makes one acquisition.select call per record, the seed draw included.
 A run's only record of what is labeled is its per-seed map from sequence id
@@ -202,101 +208,12 @@ def _coreset_features(
     return {sid: (row - mean) / sd for sid, row in zip(ids, mat)}
 
 
-class _Scorer:
-    """Produces per-round detector outputs, live or replayed from a trace."""
-
-    def __init__(
-        self,
-        cfg: RunConfig,
-        pool: PoolState,
-        seed: int,
-        features: dict[str, np.ndarray] | None,
-        sigma: float | None,
-        trace_in: ScoreTrace | None,
-        trace_out: ScoreTrace,
-    ):
-        self.cfg = cfg
-        self.pool = pool
-        self.features = features
-        self.sigma = sigma
-        self.seed = seed
-        self.noise_seed = seed if cfg.noise_seed is None else cfg.noise_seed
-        self.trace_in = trace_in
-        self.trace_out = trace_out
-
-    def state(
-        self,
-        round_index: int,
-        labeled: list[str],
-        weights: list[float] | None = None,
-    ) -> SurrogateState:
-        return SurrogateState(
-            round_index=round_index,
-            labeled_features=[self.features[s] for s in labeled],
-            kappa=self.cfg.kappa,
-            noise_seed=self.noise_seed,
-            sigma=self.sigma,
-            features=self.features,
-            labeled_weights=weights,
-        )
-
-    def round_scores(
-        self,
-        round_index: int,
-        target_ids: list[str],
-        labeled: list[str],
-        weights: list[float] | None = None,
-    ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """(objectness, counts) per target sequence for one round."""
-        if self.trace_in is not None:
-            table = surrogate.replay_scores(self.trace_in, round_index)
-            missing = [s for s in target_ids if s not in table]
-            if missing:
-                raise TraceError(
-                    f"trace round {round_index} lacks scores for {missing[:4]}"
-                )
-            for sid in target_ids:
-                n_traced = len(table[sid][0])
-                n_pool = self.pool.sequences[sid].n_frames
-                if n_traced != n_pool:
-                    raise TraceError(
-                        f"trace seed {self.seed} round {round_index} sequence "
-                        f"{sid}: {n_traced} frames scored, the pool has {n_pool}"
-                    )
-            return {s: table[s] for s in target_ids}
-        state = self.state(round_index, labeled, weights)
-        out = {}
-        for sid in target_ids:
-            obj, counts = surrogate.frame_scores(state, self.pool.sequences[sid])
-            self.trace_out.add_scores(round_index, sid, obj, counts)
-            out[sid] = (obj, counts)
-        return out
-
-    def test_metrics(
-        self,
-        round_index: int,
-        labeled: list[str],
-        weights: list[float] | None = None,
-    ) -> tuple[float | None, float | None]:
-        if not self.cfg.evaluate:
-            return None, None
-        if self.trace_in is not None:
-            return surrogate.replay_test_metrics(self.trace_in, round_index)
-        state = self.state(round_index, labeled, weights)
-        preds: list[list[tuple]] = []
-        truths: list[list] = []
-        for sid in self.pool.test_ids:
-            seq = self.pool.sequences[sid]
-            preds.extend(surrogate.predict_test(state, seq))
-            truths.extend(f.boxes for f in seq.frames)
-        m50, m5095 = metrics.mean_ap(preds, truths, self.cfg.iou_thresholds)
-        self.trace_out.add_test_metrics(round_index, m50, m5095)
-        return m50, m5095
-
-
-def _load_replay(cfg: RunConfig) -> dict[int, ScoreTrace] | None:
+def _load_traces(cfg: RunConfig) -> dict[int, ScoreTrace]:
+    """Each seed's ScoreTrace: read from the trace files on replay, so a bad
+    or seed-short trace fails before any work; empty for a live run, whose
+    round loop fills it."""
     if not cfg.replay:
-        return None
+        return {seed: ScoreTrace() for seed in cfg.seeds}
     traces = surrogate.read_traces(cfg.trace_path, cfg.trace_metrics_path)
     missing = [s for s in cfg.seeds if s not in traces]
     if missing:
@@ -333,6 +250,7 @@ def run_experiment(
             "singular mode supports model-score kinds and random"
         )
 
+    traces = _load_traces(cfg)
     if pool is None:
         pool = build_pool(cfg.pool_source)
     train_ids = pool.train_ids
@@ -368,39 +286,81 @@ def run_experiment(
         features, sigma = surrogate.pool_feature_table(pool)
     if kind == KIND_CORESET:
         coreset_feats = _coreset_features(pool, features)
-    replay_traces = _load_replay(cfg)
     rate = cfg.interpolation_rate
     n_frames = {sid: pool.sequences[sid].n_frames for sid in train_ids}
     pays_detector = kind in SCORE_KINDS or kind == KIND_CORESET
 
     records: list[RoundRecord] = []
-    traces_out: dict[int, ScoreTrace] = {}
     try:
         for seed in cfg.seeds:
-            trace_out = traces_out[seed] = ScoreTrace()
-            scorer = _Scorer(
-                cfg,
-                pool,
-                seed,
-                features,
-                sigma,
-                replay_traces[seed] if replay_traces else None,
-                trace_out,
-            )
+            trace = traces[seed]
+            noise_seed = seed if cfg.noise_seed is None else cfg.noise_seed
             # The run's record of acquisition: labeled frames per sequence,
             # in the order the sequences were first touched.
             labeled_frames: dict[str, set[int]] = {}
             prev_counts: dict[str, np.ndarray] = {}
 
-            def surrogate_view() -> tuple[list[str], list[float] | None]:
-                """What the surrogate trains on: whole sequences in
-                acquisition order, or each touched sequence weighted by its
-                labeled fraction."""
-                if not singular:
-                    return list(labeled_frames), None
-                ids = sorted(labeled_frames)
-                fracs = [len(labeled_frames[s]) / n_frames[s] for s in ids]
-                return ids, fracs
+            def surrogate_state(rnd: int) -> SurrogateState:
+                """The detector trained on whole sequences in acquisition
+                order, or on each touched sequence weighted by its labeled
+                fraction."""
+                labeled, weights = list(labeled_frames), None
+                if singular:
+                    labeled = sorted(labeled_frames)
+                    weights = [len(labeled_frames[s]) / n_frames[s] for s in labeled]
+                return SurrogateState(
+                    round_index=rnd,
+                    labeled_features=[features[s] for s in labeled],
+                    kappa=cfg.kappa,
+                    noise_seed=noise_seed,
+                    sigma=sigma,
+                    features=features,
+                    labeled_weights=weights,
+                )
+
+            def detector_scores(rnd: int, open_ids: list[str]) -> dict:
+                """(objectness, counts) per open sequence, read from the
+                seed's trace; a live run first fills the round in."""
+                if not cfg.replay:
+                    state = surrogate_state(rnd)
+                    trace.rounds[rnd] = {
+                        sid: surrogate.frame_scores(state, pool.sequences[sid])
+                        for sid in open_ids
+                    }
+                where = f"trace seed {seed} round {rnd}"
+                table = trace.rounds.get(rnd)
+                if table is None:
+                    raise TraceError(f"{where}: no detector scores")
+                for sid in open_ids:
+                    if sid not in table:
+                        raise TraceError(f"{where} sequence {sid}: no scores")
+                    n_traced, n_pool = len(table[sid][0]), n_frames[sid]
+                    if n_traced != n_pool:
+                        raise TraceError(
+                            f"{where} sequence {sid}: {n_traced} frames scored, "
+                            f"the pool has {n_pool}"
+                        )
+                return {sid: table[sid] for sid in open_ids}
+
+            def test_metrics(rnd: int) -> tuple[float | None, float | None]:
+                """Test mAP from the seed's trace; a live run first
+                evaluates the round into it."""
+                if not cfg.evaluate:
+                    return None, None
+                if not cfg.replay:
+                    state = surrogate_state(rnd)
+                    preds: list[list[tuple]] = []
+                    truths: list[list] = []
+                    for sid in pool.test_ids:
+                        seq = pool.sequences[sid]
+                        preds.extend(surrogate.predict_test(state, seq))
+                        truths.extend(f.boxes for f in seq.frames)
+                    trace.test_metrics[rnd] = metrics.mean_ap(
+                        preds, truths, cfg.iou_thresholds
+                    )
+                if rnd not in trace.test_metrics:
+                    raise TraceError(f"trace seed {seed} round {rnd}: no test metrics")
+                return trace.test_metrics[rnd]
 
             def round_scores(rnd: int, open_ids: list[str]) -> dict | None:
                 """The strategy's scores for this round's candidates."""
@@ -413,8 +373,7 @@ def run_experiment(
                 if kind not in SCORE_KINDS:
                     return None
                 scores = {}
-                tables = scorer.round_scores(rnd, open_ids, *surrogate_view())
-                for sid, (objectness, counts) in tables.items():
+                for sid, (objectness, counts) in detector_scores(rnd, open_ids).items():
                     if kind in SWITCH_KINDS:
                         per_frame = acquisition.score_switch(
                             prev_counts.get(sid), counts
@@ -480,9 +439,7 @@ def run_experiment(
                     + over,
                 )
                 records.append(record)
-                record.map50, record.map5095 = scorer.test_metrics(
-                    round_index, *surrogate_view()
-                )
+                record.map50, record.map5095 = test_metrics(round_index)
 
             for rnd in range(cfg.rounds + 1):
                 open_ids = [
@@ -515,7 +472,7 @@ def run_experiment(
         raise
 
     if out_dir is not None:
-        write_outputs(records, traces_out, out_dir, include_traces=not cfg.replay)
+        write_outputs(records, traces, out_dir, include_traces=not cfg.replay)
     return records
 
 

@@ -8,6 +8,9 @@ smoothly as q drops. All randomness is keyed by (noise_seed, round,
 sequence, frame), so reruns are bit-identical and evaluation order is
 irrelevant.
 
+A ScoreTrace holds one seed's outputs; the runner reads every output from
+it, filled live or read back from the files write_traces wrote.
+
 Features are read off the annotation stream itself (mean per-frame box
 count, mean center displacement, scene one-hot, season), never from the
 motion proxy: inferential runs must stay off the flow machinery, which only
@@ -195,11 +198,11 @@ def predict_test(
 
 @dataclass
 class ScoreTrace:
-    """Logged per-round detector outputs, sufficient to replay a run.
+    """One seed's detector outputs, sufficient to replay a run.
 
-    rounds maps acquisition round -> sequence id -> (objectness array,
-    predicted-count array); test_metrics maps record round -> (map50,
-    map5095).
+    rounds maps acquisition round -> sequence id -> (objectness array of
+    float64, predicted-count array of int64); test_metrics maps record
+    round -> (map50, map5095).
     """
 
     rounds: dict[int, dict[str, tuple[np.ndarray, np.ndarray]]] = field(
@@ -209,35 +212,16 @@ class ScoreTrace:
         default_factory=dict
     )
 
-    def add_scores(
-        self, round_index: int, sequence_id: str, objectness, counts
-    ) -> None:
-        bucket = self.rounds.setdefault(round_index, {})
-        bucket[sequence_id] = (
-            np.asarray(objectness, dtype=float),
-            np.asarray(counts, dtype=np.int64),
-        )
 
-    def add_test_metrics(
-        self, round_index: int, map50: float | None, map5095: float | None
-    ) -> None:
-        self.test_metrics[round_index] = (map50, map5095)
+def _optional_float(raw: str) -> float | None:
+    return float(raw) if raw else None
 
 
-def replay_scores(
-    trace: ScoreTrace, round_index: int
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    if round_index not in trace.rounds:
-        raise TraceError(f"trace has no scores for round {round_index}")
-    return trace.rounds[round_index]
-
-
-def replay_test_metrics(
-    trace: ScoreTrace, round_index: int
-) -> tuple[float | None, float | None]:
-    if round_index not in trace.test_metrics:
-        raise TraceError(f"trace has no test metrics for round {round_index}")
-    return trace.test_metrics[round_index]
+# (column, parser) of each trace file, in file order.
+_SCORE_FIELDS = (("seed", int), ("round", int), ("sequence_id", str), ("frame_id", int),
+                 ("uncertainty", float), ("pred_count", int))
+_METRIC_FIELDS = (("seed", int), ("round", int), ("map50", _optional_float),
+                  ("map5095", _optional_float))
 
 
 def write_traces(
@@ -247,7 +231,7 @@ def write_traces(
     must reproduce bit-identical selections and records."""
     with open(scores_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["seed", "round", "sequence_id", "frame_id", "uncertainty", "pred_count"])
+        writer.writerow([name for name, _ in _SCORE_FIELDS])
         for seed in sorted(traces):
             trace = traces[seed]
             for rnd in sorted(trace.rounds):
@@ -259,56 +243,61 @@ def write_traces(
                         )
     with open(metrics_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["seed", "round", "map50", "map5095"])
+        writer.writerow([name for name, _ in _METRIC_FIELDS])
         for seed in sorted(traces):
             trace = traces[seed]
             for rnd in sorted(trace.test_metrics):
-                m50, m5095 = trace.test_metrics[rnd]
-                writer.writerow(
-                    [
-                        seed,
-                        rnd,
-                        "" if m50 is None else repr(float(m50)),
-                        "" if m5095 is None else repr(float(m5095)),
-                    ]
-                )
+                maps = ["" if m is None else repr(float(m)) for m in trace.test_metrics[rnd]]
+                writer.writerow([seed, rnd, *maps])
+
+
+def _parsed_rows(path: Path | str, fields):
+    """Each data row of a trace file as a list of parsed fields. A missing
+    column, a short row or an unparsable field raises TraceError naming the
+    file, the line and the field."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        for name, _ in fields:
+            if name not in header:
+                raise TraceError(f"{path} line 1: no {name} column")
+        columns = [(name, header.index(name), parse) for name, parse in fields]
+        for row in filter(None, reader):
+            values = []
+            for name, index, parse in columns:
+                try:
+                    values.append(parse(row[index]))
+                except IndexError:
+                    raise TraceError(f"{path} line {reader.line_num}: no {name} field") from None
+                except ValueError:
+                    raise TraceError(
+                        f"{path} line {reader.line_num}: bad {name} {row[index]!r}"
+                    ) from None
+            yield values
 
 
 def read_traces(
     scores_path: Path | str, metrics_path: Path | str
 ) -> dict[int, ScoreTrace]:
-    staged: dict[int, dict[int, dict[str, list[tuple[int, float, int]]]]] = {}
-    with open(scores_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            seed = int(row["seed"])
-            rnd = int(row["round"])
-            staged.setdefault(seed, {}).setdefault(rnd, {}).setdefault(
-                row["sequence_id"], []
-            ).append((int(row["frame_id"]), float(row["uncertainty"]), int(row["pred_count"])))
+    """Per-seed traces from the two files write_traces writes."""
+    staged: dict[tuple[int, int, str], list[tuple[int, float, int]]] = {}
+    for seed, rnd, sid, fid, unc, count in _parsed_rows(scores_path, _SCORE_FIELDS):
+        staged.setdefault((seed, rnd, sid), []).append((fid, unc, count))
 
     traces: dict[int, ScoreTrace] = {}
-    for seed, rounds in staged.items():
-        trace = ScoreTrace()
-        for rnd, seqs in rounds.items():
-            for sid, rows in seqs.items():
-                rows.sort()
-                fids = [r[0] for r in rows]
-                if fids != list(range(len(fids))):
-                    raise TraceError(
-                        f"trace rows for seed {seed} round {rnd} sequence {sid!r} "
-                        "do not cover frames 0..N-1"
-                    )
-                trace.add_scores(rnd, sid, [r[1] for r in rows], [r[2] for r in rows])
-        traces[seed] = trace
-
-    with open(metrics_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            seed = int(row["seed"])
-            if seed not in traces:
-                traces[seed] = ScoreTrace()
-            traces[seed].add_test_metrics(
-                int(row["round"]),
-                float(row["map50"]) if row["map50"] else None,
-                float(row["map5095"]) if row["map5095"] else None,
+    for (seed, rnd, sid), rows in staged.items():
+        rows.sort()
+        if [r[0] for r in rows] != list(range(len(rows))):
+            raise TraceError(
+                f"trace rows for seed {seed} round {rnd} sequence {sid!r} "
+                "do not cover frames 0..N-1"
             )
+        table = traces.setdefault(seed, ScoreTrace()).rounds.setdefault(rnd, {})
+        table[sid] = (
+            np.array([r[1] for r in rows], dtype=float),
+            np.array([r[2] for r in rows], dtype=np.int64),
+        )
+
+    for seed, rnd, m50, m5095 in _parsed_rows(metrics_path, _METRIC_FIELDS):
+        traces.setdefault(seed, ScoreTrace()).test_metrics[rnd] = (m50, m5095)
     return traces

@@ -260,6 +260,62 @@ def test_run_missing_pool_directory(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "run")]) == 3
 
 
+def replay_ini(tmp_path: Path, live: Path) -> str:
+    """An evaluated config that replays the trace files in live."""
+    return write_ini(
+        tmp_path,
+        run_ini_text(evaluate=True)
+        + f"\n[surrogate]\ntrace = {live / 'trace.csv'}\n"
+        + f"trace_metrics = {live / 'trace_metrics.csv'}\n",
+        "replay.ini",
+    )
+
+
+def live_run(tmp_path: Path) -> Path:
+    out = tmp_path / "live"
+    cfg = write_ini(tmp_path, run_ini_text(evaluate=True), "live.ini")
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    return out
+
+
+def corrupt_field(path: Path, line: int, column: str, value: str) -> None:
+    """Overwrite one field of one 1-based line of a CSV file."""
+    lines = path.read_text().splitlines()
+    row = lines[line - 1].split(",")
+    row[lines[0].split(",").index(column)] = value
+    lines[line - 1] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "name, column, value",
+    [("trace.csv", "round", "x"), ("trace_metrics.csv", "map50", "0.5.1")],
+)
+def test_run_malformed_trace_is_validation_error(tmp_path, capsys, name, column, value):
+    live = live_run(tmp_path)
+    corrupt_field(live / name, 3, column, value)
+    capsys.readouterr()
+    out = tmp_path / "replay"
+    assert main(["run", "--config", replay_ini(tmp_path, live), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert name in err and "line 3" in err and column in err and value in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fault", ["malformed", "seed_short"])
+def test_run_bad_trace_fails_before_the_pool(tmp_path, monkeypatch, fault):
+    live = live_run(tmp_path)
+    argv = ["run", "--config", replay_ini(tmp_path, live), "--out", str(tmp_path / "replay")]
+    if fault == "malformed":
+        corrupt_field(live / "trace.csv", 2, "pred_count", "")
+    else:
+        argv += ["--seed", "0,5"]  # the trace holds seeds 0 and 1 only
+    generated = count_calls(monkeypatch, seqal.runner, "generate_pool")
+    assert main(argv) == 3
+    assert generated == [] and not (tmp_path / "replay").exists()
+
+
 # ---------------------------------------------------------------------------
 # metrics
 

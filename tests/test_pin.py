@@ -59,6 +59,14 @@ CONFIGS = {
         dict(strategy=StrategySpec("gauss_switch"), mode="singular", interpolation_rate=2),
         "sing_gauss_switch",
     ),
+    "seq_entropy_eval_replay": (
+        dict(strategy=StrategySpec("entropy"), evaluate=True),
+        "seq_entropy_eval",
+    ),
+    "sing_entropy_eval_replay": (
+        dict(strategy=StrategySpec("entropy"), mode="singular", interpolation_rate=5, evaluate=True),
+        "sing_entropy_eval",
+    ),
 }
 
 

@@ -292,6 +292,34 @@ def test_replay_rejects_trace_of_other_frame_counts(tmp_path):
             run_experiment(replay, pool=pool)
 
 
+def test_replay_missing_round_raises(tmp_path):
+    live, cut = tmp_path / "live", tmp_path / "cut"
+    cfg = tiny_cfg(kind="entropy", rounds=3, evaluate=True)
+    run_experiment(cfg, pool=runner_pool(), out_dir=live)
+    cut.mkdir()
+    for name, keep in (("trace.csv", {"1"}), ("trace_metrics.csv", {"0", "1", "3"})):
+        header, *rows = (live / name).read_text().splitlines(keepends=True)
+        (cut / name).write_text(header + "".join(r for r in rows if r.split(",")[1] in keep))
+
+    # scores cut back to round 1, replayed by a 3-round config
+    scores_short = replace(
+        cfg,
+        evaluate=False,
+        trace_path=str(cut / "trace.csv"),
+        trace_metrics_path=str(live / "trace_metrics.csv"),
+    )
+    with pytest.raises(TraceError, match=r"seed 0 round 2: no detector scores"):
+        run_experiment(scores_short, pool=runner_pool())
+    # test metrics missing round 2, replayed with evaluation on
+    metrics_short = replace(
+        cfg,
+        trace_path=str(live / "trace.csv"),
+        trace_metrics_path=str(cut / "trace_metrics.csv"),
+    )
+    with pytest.raises(TraceError, match=r"seed 0 round 2: no test metrics"):
+        run_experiment(metrics_short, pool=runner_pool())
+
+
 def test_failed_evaluation_still_flushes_ledger(tmp_path):
     # The test split has no boxes, so evaluating seed 0's round 0 fails
     # after that round is charged; the ledger keeps its row.

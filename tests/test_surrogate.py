@@ -15,8 +15,6 @@ from seqal.surrogate import (
     predict_test,
     quality,
     read_traces,
-    replay_scores,
-    replay_test_metrics,
     sequence_feature,
     target_quality,
     write_traces,
@@ -221,30 +219,49 @@ def test_predict_test_degrades_at_low_quality(six_pool):
 
 
 def test_trace_round_trip_full_precision(tmp_path):
-    trace = ScoreTrace()
     awkward = [0.1 + 0.2, 1.0 / 3.0, 0.9999999999999999]
-    trace.add_scores(1, "a", awkward, [1, 2, 3])
-    trace.add_scores(2, "a", [0.5], [0])
-    trace.add_test_metrics(0, None, None)
-    trace.add_test_metrics(1, 2.0 / 3.0, 0.1 + 0.2)
+    trace = ScoreTrace(
+        rounds={
+            1: {"a": (np.array(awkward), np.array([1, 2, 3], dtype=np.int64))},
+            2: {"a": (np.array([0.5]), np.array([0], dtype=np.int64))},
+        },
+        test_metrics={0: (None, None), 1: (2.0 / 3.0, 0.1 + 0.2)},
+    )
     sp, mp = tmp_path / "t.csv", tmp_path / "m.csv"
     write_traces({3: trace}, sp, mp)
     back = read_traces(sp, mp)
     assert set(back) == {3}
+    assert sorted(back[3].rounds) == [1, 2]
     o, c = back[3].rounds[1]["a"]
     assert o.tolist() == awkward  # bit-exact through repr
     assert c.tolist() == [1, 2, 3]
+    assert o.dtype == np.float64 and c.dtype == np.int64
     assert back[3].test_metrics[0] == (None, None)
     assert back[3].test_metrics[1] == (2.0 / 3.0, 0.1 + 0.2)
 
 
-def test_replay_missing_round_raises():
-    trace = ScoreTrace()
-    trace.add_scores(1, "a", [0.5], [1])
-    with pytest.raises(TraceError):
-        replay_scores(trace, 2)
-    with pytest.raises(TraceError):
-        replay_test_metrics(trace, 0)
+@pytest.mark.parametrize(
+    "scores, metrics, where",
+    [
+        ("seed,round,sequence_id,frame_id,uncertainty\n0,1,a,0,0.5\n", "seed,round,map50,map5095\n",
+         r"t\.csv line 1: no pred_count column"),
+        ("seed,round,sequence_id,frame_id,uncertainty,pred_count\n0,1,a,0,0.5,1\n0,1,a,1,0.5\n",
+         "seed,round,map50,map5095\n", r"t\.csv line 3: no pred_count field"),
+        ("seed,round,sequence_id,frame_id,uncertainty,pred_count\n0,1,a,0,high,1\n",
+         "seed,round,map50,map5095\n", r"t\.csv line 2: bad uncertainty 'high'"),
+        ("seed,round,sequence_id,frame_id,uncertainty,pred_count\n",
+         "seed,round,map50,map5095\n0,0,,\n0,x,,\n", r"m\.csv line 3: bad round 'x'"),
+        ("seed,round,sequence_id,frame_id,uncertainty,pred_count\n",
+         "seed,round,map50\n0,0,0.5\n", r"m\.csv line 1: no map5095 column"),
+    ],
+    ids=["no-column", "short-row", "bad-float", "bad-metrics-round", "no-metrics-column"],
+)
+def test_read_traces_names_file_line_and_field(tmp_path, scores, metrics, where):
+    sp, mp = tmp_path / "t.csv", tmp_path / "m.csv"
+    sp.write_text(scores)
+    mp.write_text(metrics)
+    with pytest.raises(TraceError, match=where):
+        read_traces(sp, mp)
 
 
 def test_read_traces_requires_full_frame_coverage(tmp_path):
