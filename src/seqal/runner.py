@@ -211,14 +211,17 @@ def _coreset_features(
 def _load_traces(cfg: RunConfig) -> dict[int, ScoreTrace]:
     """Each seed's ScoreTrace: read from the trace files on replay, so a bad
     or seed-short trace fails before any work; empty for a live run, whose
-    round loop fills it."""
+    round loop fills it. A seed is required in the files only when the run
+    reads its trace (a model-score kind, or evaluation on): a live run that
+    reads nothing writes no rows for it."""
     if not cfg.replay:
         return {seed: ScoreTrace() for seed in cfg.seeds}
     traces = surrogate.read_traces(cfg.trace_path, cfg.trace_metrics_path)
-    missing = [s for s in cfg.seeds if s not in traces]
-    if missing:
-        raise TraceError(f"trace files lack seeds {missing}")
-    return traces
+    if cfg.strategy.kind in SCORE_KINDS or cfg.evaluate:
+        missing = [s for s in cfg.seeds if s not in traces]
+        if missing:
+            raise TraceError(f"trace files lack seeds {missing}")
+    return {seed: traces.get(seed, ScoreTrace()) for seed in cfg.seeds}
 
 
 def _run_pool(pool: PoolState) -> PoolState:
@@ -323,9 +326,11 @@ def run_experiment(
                 seed's trace; a live run first fills the round in."""
                 if not cfg.replay:
                     state = surrogate_state(rnd)
+                    seqs = [pool.sequences[sid] for sid in open_ids]
+                    noise = surrogate.frame_noise(noise_seed, rnd, seqs)
                     trace.rounds[rnd] = {
-                        sid: surrogate.frame_scores(state, pool.sequences[sid])
-                        for sid in open_ids
+                        sid: surrogate.frame_scores(state, seq, seq_noise)
+                        for sid, seq, seq_noise in zip(open_ids, seqs, noise)
                     }
                 where = f"trace seed {seed} round {rnd}"
                 table = trace.rounds.get(rnd)

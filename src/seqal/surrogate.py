@@ -8,6 +8,16 @@ smoothly as q drops. All randomness is keyed by (noise_seed, round,
 sequence, frame), so reruns are bit-identical and evaluation order is
 irrelevant.
 
+Each frame's key seeds its own numpy PCG64 stream (_frame_rng). Frame
+scoring draws one uniform and one integer from every such stream, but
+computes them for a whole round in one array pass (frame_noise) that
+re-derives the SeedSequence hash, PCG64 seeding and outputs, next_double
+and 32-bit Lemire bit for bit; it never builds the generators. Under
+numpy's NEP 19 the SeedSequence and PCG64 bit streams are stable across
+versions while the Generator.uniform and Generator.integers algorithms
+are not; the oracle tests against _frame_rng flag an upgrade that changes
+them. predict_test still draws from _frame_rng directly.
+
 A ScoreTrace holds one seed's outputs; the runner reads every output from
 it, filled live or read back from the files write_traces wrote.
 
@@ -95,22 +105,25 @@ def quality(state: SurrogateState, target: np.ndarray) -> float:
 
     Similarity is a Gaussian kernel over feature distance with bandwidth
     sigma. An empty labeled set gives exactly 0. Adding a labeled sequence
-    can only raise q (similarities are positive).
+    can only raise q (similarities are positive). The kernel total is a
+    left-to-right sum (cumsum, not np.sum's pairwise order) over the
+    labeled features in their given order.
     """
     target = np.asarray(target, dtype=float)
     if target.size == 0:
         raise FeatureError("empty target feature vector")
     if not state.labeled_features:
         return 0.0
-    total = 0.0
-    weights = state.labeled_weights or [1.0] * len(state.labeled_features)
-    for feat, w in zip(state.labeled_features, weights):
+    for feat in state.labeled_features:
         if feat.size != target.size:
             raise FeatureError(
                 f"feature length mismatch: {feat.size} vs {target.size}"
             )
-        d2 = float(np.sum((feat - target) ** 2))
-        total += w * np.exp(-d2 / (2.0 * state.sigma**2))
+    d2 = np.sum((np.stack(state.labeled_features) - target) ** 2, axis=1)
+    kernel = np.exp(-d2 / (2.0 * state.sigma**2))
+    if state.labeled_weights:
+        kernel = np.asarray(state.labeled_weights, dtype=float) * kernel
+    total = np.cumsum(kernel)[-1]
     return float(1.0 - np.exp(-state.kappa * total))
 
 
@@ -126,6 +139,160 @@ def _frame_rng(
     return np.random.Generator(np.random.PCG64(seed))
 
 
+# The constants of numpy's SeedSequence hash (bit_generator.pyx) and of
+# PCG64's 128-bit LCG multiplier (pcg64.h), as 32- and 64-bit limbs.
+_MASK32 = 0xFFFFFFFF
+_SEED_POOL_WORDS = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_U32_16 = np.uint32(16)
+_U64_1, _U64_11, _U64_32 = np.uint64(1), np.uint64(11), np.uint64(32)
+_U64_58, _U64_63, _U64_64 = np.uint64(58), np.uint64(63), np.uint64(64)
+_U64_LOW32 = np.uint64(_MASK32)
+_PCG_MULT_LO_HALVES = (_PCG_MULT_LO & _U64_LOW32, _PCG_MULT_LO >> _U64_32)
+# Generator.uniform is low + (high - low) * next_double, next_double the top
+# 53 bits of one output; Generator.integers(-1, 2) is 32-bit Lemire over
+# the next output's low half, redrawing when the product's low word falls
+# under the threshold.
+_EPS_LOW = -EPSILON_HALF_WIDTH
+_EPS_SPAN = EPSILON_HALF_WIDTH - _EPS_LOW
+_ETA_LOW, _ETA_HIGH = -1, 2
+_ETA_SPAN = np.uint64(_ETA_HIGH - _ETA_LOW)
+_ETA_REJECT_BELOW = np.uint64(2**32 % (_ETA_HIGH - _ETA_LOW))
+
+
+def _uint32_words(value: int) -> list[np.ndarray]:
+    """SeedSequence's coercion of one non-negative entropy int: its 32-bit
+    words, least significant first, one word for 0."""
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [np.array([value & _MASK32], dtype=np.uint32)]
+    value >>= 32
+    while value:
+        words.append(np.array([value & _MASK32], dtype=np.uint32))
+        value >>= 32
+    return words
+
+
+def _hash_consts(init: int, mult: int):
+    """The (xor, multiply) pair of each successive SeedSequence hash step:
+    the hash constant advances by one multiplication per step."""
+    const = init
+    while True:
+        nxt = const * mult & _MASK32
+        yield np.uint32(const), np.uint32(nxt)
+        const = nxt
+
+
+def _hashmix(value: np.ndarray, consts) -> np.ndarray:
+    xor, mult = next(consts)
+    value = (value ^ xor) * mult
+    return value ^ (value >> _U32_16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> _U32_16)
+
+
+def _seed_state(entropy: list[np.ndarray]) -> list[np.ndarray]:
+    """SeedSequence(entropy).generate_state(4, np.uint64) for entropy of at
+    least four words, each word a uint32 array over all keys (or a length-1
+    constant)."""
+    consts = _hash_consts(_INIT_A, _MULT_A)
+    pool = [_hashmix(word, consts) for word in entropy[:_SEED_POOL_WORDS]]
+    for src in range(_SEED_POOL_WORDS):
+        for dst in range(_SEED_POOL_WORDS):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
+    for word in entropy[_SEED_POOL_WORDS:]:
+        for dst in range(_SEED_POOL_WORDS):
+            pool[dst] = _mix(pool[dst], _hashmix(word, consts))
+    # Eight uint32 words cycled off the pool, paired little-endian.
+    consts = _hash_consts(_INIT_B, _MULT_B)
+    words = [
+        _hashmix(pool[i % _SEED_POOL_WORDS], consts).astype(np.uint64)
+        for i in range(8)
+    ]
+    return [words[2 * i] | (words[2 * i + 1] << _U64_32) for i in range(4)]
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One 128-bit LCG step, state * multiplier + increment, on 64-bit limbs."""
+    a0, a1 = lo & _U64_LOW32, lo >> _U64_32
+    b0, b1 = _PCG_MULT_LO_HALVES
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> _U64_32) + (p01 & _U64_LOW32) + (p10 & _U64_LOW32)
+    carry = a1 * b1 + (p01 >> _U64_32) + (p10 >> _U64_32) + (mid >> _U64_32)
+    prod_lo = lo * _PCG_MULT_LO
+    new_lo = prod_lo + inc_lo
+    new_hi = carry + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO + inc_hi
+    return new_hi + (new_lo < prod_lo).astype(np.uint64), new_lo
+
+
+def _xsl_rr(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """PCG64's output: the xor of the state halves, rotated right by the
+    state's top six bits."""
+    x = hi ^ lo
+    rot = hi >> _U64_58
+    return (x >> rot) | (x << ((_U64_64 - rot) & _U64_63))
+
+
+def frame_noise(
+    noise_seed: int, round_index: int, seqs: list[Sequence]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each sequence's per-frame noise (eps float64, eta int64) for one round.
+
+    Bit-equal to drawing uniform(-0.05, 0.05) and then integers(-1, 2) from
+    every frame's _frame_rng, computed in one array pass over all frames:
+    the SeedSequence hash, PCG64 seeding and two outputs. A frame whose
+    Lemire draw would be redrawn (about one in 2**32) takes both values
+    from its _frame_rng instead.
+    """
+    lengths = [seq.n_frames for seq in seqs]
+    offsets = np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)])
+    keys = np.repeat(
+        np.array(
+            [zlib.crc32(seq.sequence_id.encode("utf-8")) for seq in seqs],
+            dtype=np.uint32,
+        ),
+        lengths,
+    )
+    frame_ids = (np.arange(offsets[-1]) - np.repeat(offsets[:-1], lengths)).astype(np.uint32)
+    entropy = [
+        *_uint32_words(noise_seed & 0xFFFFFFFFFFFFFFFF),
+        *_uint32_words(round_index),
+        keys,
+        frame_ids,
+    ]
+    seed_hi, seed_lo, inc_hi, inc_lo = _seed_state(entropy)
+    inc_hi = (inc_hi << _U64_1) | (inc_lo >> _U64_63)
+    inc_lo = (inc_lo << _U64_1) | _U64_1
+    # From the zero state one step leaves the increment; add the seed, step.
+    lo = inc_lo + seed_lo
+    hi = inc_hi + seed_hi + (lo < inc_lo).astype(np.uint64)
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    first = _xsl_rr(hi, lo)
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    second = _xsl_rr(hi, lo)
+
+    eps = _EPS_LOW + _EPS_SPAN * ((first >> _U64_11).astype(np.float64) * (1.0 / 2.0**53))
+    product = (second & _U64_LOW32) * _ETA_SPAN
+    eta = (product >> _U64_32).astype(np.int64) + _ETA_LOW
+    for i in np.flatnonzero((product & _U64_LOW32) < _ETA_REJECT_BELOW):
+        s = int(np.searchsorted(offsets, i, side="right")) - 1
+        rng = _frame_rng(noise_seed, round_index, seqs[s].sequence_id, int(i - offsets[s]))
+        eps[i] = rng.uniform(-EPSILON_HALF_WIDTH, EPSILON_HALF_WIDTH)
+        eta[i] = rng.integers(_ETA_LOW, _ETA_HIGH)
+    return [
+        (eps[start:stop], eta[start:stop])
+        for start, stop in zip(offsets[:-1], offsets[1:])
+    ]
+
+
 def target_quality(state: SurrogateState, seq: Sequence) -> float:
     feat = state.features.get(seq.sequence_id)
     if feat is None:
@@ -133,23 +300,21 @@ def target_quality(state: SurrogateState, seq: Sequence) -> float:
     return quality(state, feat)
 
 
-def frame_scores(state: SurrogateState, seq: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frame (objectness, predicted count) for one sequence.
+def frame_scores(
+    state: SurrogateState, seq: Sequence, noise: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-frame (objectness, predicted count) for one sequence, given its
+    (eps, eta) from frame_noise.
 
-    Objectness is q plus small keyed uniform noise clamped to [0, 1]; the
-    predicted count is the true count scaled by q with an integer wobble in
-    {-1, 0, 1}, floored at zero.
+    Objectness is q + eps clamped to [0, 1]; the predicted count is the
+    true count scaled by q plus the integer wobble eta in {-1, 0, 1},
+    rounded half to even and floored at zero.
     """
     q = target_quality(state, seq)
-    n = seq.n_frames
-    objectness = np.empty(n)
-    counts = np.empty(n, dtype=np.int64)
-    for fid, frame in enumerate(seq.frames):
-        rng = _frame_rng(state.noise_seed, state.round_index, seq.sequence_id, fid)
-        eps = float(rng.uniform(-EPSILON_HALF_WIDTH, EPSILON_HALF_WIDTH))
-        eta = int(rng.integers(-1, 2))
-        objectness[fid] = min(max(q + eps, 0.0), 1.0)
-        counts[fid] = max(0, round(len(frame.boxes) * q + eta))
+    eps, eta = noise
+    boxes = np.fromiter((len(f.boxes) for f in seq.frames), dtype=np.int64, count=seq.n_frames)
+    objectness = np.minimum(np.maximum(q + eps, 0.0), 1.0)
+    counts = np.maximum(np.rint(boxes * q + eta), 0.0).astype(np.int64)
     return objectness, counts
 
 

@@ -316,6 +316,39 @@ def test_run_bad_trace_fails_before_the_pool(tmp_path, monkeypatch, fault):
     assert generated == [] and not (tmp_path / "replay").exists()
 
 
+@pytest.mark.parametrize("kind", ["random", "least_frame", "min_motion"])
+def test_replay_of_a_run_that_reads_no_trace(tmp_path, kind):
+    # An unevaluated run of a kind that never scores leaves header-only
+    # trace files; its replay reads nothing from them and needs no seed.
+    text = run_ini_text().replace("kind = entropy", f"kind = {kind}")
+    live, out = tmp_path / "live", tmp_path / "replay"
+    assert main(["run", "--config", write_ini(tmp_path, text, "live.ini"), "--out", str(live)]) == 0
+    assert len((live / "trace.csv").read_text().splitlines()) == 1
+    replay = (
+        text
+        + f"\n[surrogate]\ntrace = {live / 'trace.csv'}\n"
+        + f"trace_metrics = {live / 'trace_metrics.csv'}\n"
+    )
+    assert main(["run", "--config", write_ini(tmp_path, replay, "replay.ini"), "--out", str(out)]) == 0
+    for name in ("records.csv", "ledger.csv"):
+        assert (out / name).read_bytes() == (live / name).read_bytes()
+
+
+@pytest.mark.parametrize("kind, evaluate", [("entropy", False), ("random", True)])
+def test_replay_that_reads_the_trace_needs_every_seed(tmp_path, kind, evaluate):
+    live = live_run(tmp_path)  # its trace holds seeds 0 and 1 only
+    text = run_ini_text(evaluate).replace("kind = entropy", f"kind = {kind}")
+    replay = write_ini(
+        tmp_path,
+        text
+        + f"\n[surrogate]\ntrace = {live / 'trace.csv'}\n"
+        + f"trace_metrics = {live / 'trace_metrics.csv'}\n",
+        "replay.ini",
+    )
+    argv = ["run", "--config", replay, "--out", str(tmp_path / "replay"), "--seed", "0,5"]
+    assert main(argv) == 3
+
+
 # ---------------------------------------------------------------------------
 # metrics
 

@@ -6,10 +6,11 @@ import pytest
 
 import seqal.surrogate as sg
 from seqal.errors import FeatureError, TraceError
-from seqal.pool import Season, Split
+from seqal.pool import PoolState, Season, Split
 from seqal.surrogate import (
     ScoreTrace,
     SurrogateState,
+    frame_noise,
     frame_scores,
     pool_feature_table,
     predict_test,
@@ -126,14 +127,129 @@ def test_target_quality_unknown_sequence(six_pool):
         target_quality(state, make_sequence("stranger"))
 
 
+# --- oracles ------------------------------------------------------------
+# The scalar forms quality and frame_scores had before they were batched;
+# the array code must match them bit for bit.
+
+
+def quality_loop(state, target):
+    """One np.sum per labeled feature, kernel terms summed left to right."""
+    target = np.asarray(target, dtype=float)
+    if not state.labeled_features:
+        return 0.0
+    total = 0.0
+    weights = state.labeled_weights or [1.0] * len(state.labeled_features)
+    for feat, w in zip(state.labeled_features, weights):
+        d2 = float(np.sum((feat - target) ** 2))
+        total += w * np.exp(-d2 / (2.0 * state.sigma**2))
+    return float(1.0 - np.exp(-state.kappa * total))
+
+
+def draws_loop(noise_seed, round_index, sequence_id, frame_id):
+    """One frame's (eps, eta), drawn from its own PCG64 stream."""
+    rng = sg._frame_rng(noise_seed, round_index, sequence_id, frame_id)
+    eps = float(rng.uniform(-sg.EPSILON_HALF_WIDTH, sg.EPSILON_HALF_WIDTH))
+    return eps, int(rng.integers(-1, 2))
+
+
+def frame_scores_loop(state, seq):
+    """Objectness and counts frame by frame, each from draws_loop."""
+    q = sg.target_quality(state, seq)
+    objectness = np.empty(seq.n_frames)
+    counts = np.empty(seq.n_frames, dtype=np.int64)
+    for fid, frame in enumerate(seq.frames):
+        eps, eta = draws_loop(state.noise_seed, state.round_index, seq.sequence_id, fid)
+        objectness[fid] = min(max(q + eps, 0.0), 1.0)
+        counts[fid] = max(0, round(len(frame.boxes) * q + eta))
+    return objectness, counts
+
+
+def scores(state, seq):
+    """frame_scores fed the sequence's noise for the state's round."""
+    noise = frame_noise(state.noise_seed, state.round_index, [seq])
+    return frame_scores(state, seq, noise[0])
+
+
+def test_quality_matches_loop_oracle():
+    gen = np.random.default_rng(20)
+    for case in range(6000):
+        length = int(gen.integers(1, 41))
+        n = int(gen.integers(1, 30))
+        scale = 10.0 ** gen.uniform(-3, 2)
+        feats = [gen.normal(0.0, scale, length) for _ in range(n)]
+        target = gen.normal(0.0, scale, length)
+        if case % 7 == 0:
+            feats[int(gen.integers(n))] = target.copy()  # zero distance
+        sigma = sg._SIGMA_FLOOR if case % 11 == 0 else scale * 10.0 ** gen.uniform(-1, 1)
+        kappa = 0.0 if case % 13 == 0 else 10.0 ** gen.uniform(-2, 1)
+        weights = list(gen.uniform(0.0, 1.0, n)) if case % 2 else None
+        state = SurrogateState(0, feats, kappa, 0, sigma, labeled_weights=weights)
+        assert quality(state, target) == quality_loop(state, target), case
+
+
+def test_frame_noise_matches_frame_rng():
+    ids = ["seq000", "séquence-1", "配列_7", "x" * 40, "", "\N{SNOWMAN}9"]
+    lengths = [1, 37, 2, 90, 5, 12, 3, 48]
+    keys = 0
+    for noise_seed in (0, 2**32 - 1, 2**32, 2**64 - 1, -3):
+        for round_index in (0, 1, 9, 2**32 + 5):
+            seqs = [
+                make_sequence(f"{ids[i % len(ids)]}{i}", n_frames=n, boxes_per_frame=0)
+                for i, n in enumerate(lengths)
+            ]
+            seqs += [make_sequence(f"r{round_index}s{i}", n_frames=24, boxes_per_frame=0)
+                     for i in range(35)]
+            noise = frame_noise(noise_seed, round_index, seqs)
+            assert len(noise) == len(seqs)
+            for seq, (eps, eta) in zip(seqs, noise):
+                assert eps.dtype == np.float64 and eta.dtype == np.int64
+                assert eps.shape == eta.shape == (seq.n_frames,)
+                for fid in range(seq.n_frames):
+                    want = draws_loop(noise_seed, round_index, seq.sequence_id, fid)
+                    assert (eps[fid], eta[fid]) == want, (noise_seed, round_index, seq, fid)
+                    keys += 1
+    assert keys >= 20_000
+    assert frame_noise(5, 1, []) == []
+
+
+def test_frame_noise_lemire_rejection_falls_back_to_frame_rng(monkeypatch):
+    seqs = [make_sequence(f"s{i}", n_frames=n, boxes_per_frame=0) for i, n in enumerate((3, 6, 4))]
+    plain = frame_noise(11, 2, seqs)
+    forced = {(0, 0), (1, 4), (2, 3)}
+    starts = [0, 3, 9]  # each sequence's first position in the round's frames
+    flat = [starts[s] + f for s, f in forced]
+    outputs = []
+    xsl_rr = sg._xsl_rr
+
+    def rejecting(hi, lo):
+        # Zero both outputs' low words on the forced frames: the second
+        # output's Lemire draw is then redrawn, and the first output's eps
+        # would be wrong if it were kept.
+        out = xsl_rr(hi, lo)
+        out[flat] &= np.uint64(0xFFFFFFFF00000000)
+        outputs.append(out)
+        return out
+
+    monkeypatch.setattr(sg, "_xsl_rr", rejecting)
+    calls = count_calls(monkeypatch, sg, "_frame_rng")
+    got = frame_noise(11, 2, seqs)
+    assert len(outputs) == 2
+    assert sorted((c[2], c[3]) for c in calls) == sorted((f"s{s}", f) for s, f in forced)
+    for s, (seq, (eps, eta), (eps0, eta0)) in enumerate(zip(seqs, got, plain)):
+        for fid in range(seq.n_frames):
+            assert (eps[fid], eta[fid]) == (eps0[fid], eta0[fid])
+            if (s, fid) in forced:
+                assert (eps[fid], eta[fid]) == draws_loop(11, 2, seq.sequence_id, fid)
+
+
 # --- frame scores --------------------------------------------------------
 
 
 def test_frame_scores_deterministic_and_counted(six_pool):
     state = build_state(six_pool, six_pool.train_ids[:2])
     seq = six_pool.sequences[six_pool.train_ids[3]]
-    o1, c1 = frame_scores(state, seq)
-    o2, c2 = frame_scores(state, seq)
+    o1, c1 = scores(state, seq)
+    o2, c2 = scores(state, seq)
     assert np.array_equal(o1, o2) and np.array_equal(c1, c2)
     assert o1.shape == (seq.n_frames,)
 
@@ -142,7 +258,7 @@ def test_frame_scores_noise_band(six_pool):
     state = build_state(six_pool, six_pool.train_ids[:2])
     seq = six_pool.sequences[six_pool.train_ids[3]]
     q = target_quality(state, seq)
-    objectness, counts = frame_scores(state, seq)
+    objectness, counts = scores(state, seq)
     assert np.all(objectness >= max(0.0, q - 0.05) - 1e-12)
     assert np.all(objectness <= min(1.0, q + 0.05) + 1e-12)
     assert np.all(counts >= 0)
@@ -154,11 +270,33 @@ def test_frame_scores_noise_band(six_pool):
 def test_frame_scores_vary_with_round_and_seed(six_pool):
     seq = six_pool.sequences[six_pool.train_ids[3]]
     labeled = six_pool.train_ids[:2]
-    a, _ = frame_scores(build_state(six_pool, labeled, round_index=1), seq)
-    b, _ = frame_scores(build_state(six_pool, labeled, round_index=2), seq)
-    c, _ = frame_scores(build_state(six_pool, labeled, noise_seed=8), seq)
+    a, _ = scores(build_state(six_pool, labeled, round_index=1), seq)
+    b, _ = scores(build_state(six_pool, labeled, round_index=2), seq)
+    c, _ = scores(build_state(six_pool, labeled, noise_seed=8), seq)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("forced_q", [None, 0.0, 0.5, 0.25, 0.9999, 1.0])
+def test_frame_scores_match_loop_oracle(monkeypatch, forced_q):
+    # q = 0.5 puts odd box counts on a half: both sides round it to even.
+    # q near 0 and 1 push objectness into the clamp.
+    seqs = [
+        make_sequence(f"seq{i:03d}", n_frames=30 + i, boxes_per_frame=i % 6, scene=i // 2)
+        for i in range(10)
+    ]
+    pool = PoolState.from_sequences(seqs)
+    if forced_q is not None:
+        monkeypatch.setattr(sg, "target_quality", lambda state, seq: forced_q)
+    for round_index, labeled in ((0, []), (1, pool.train_ids[:1]), (4, pool.train_ids[:6])):
+        state = build_state(pool, labeled, round_index=round_index, noise_seed=round_index + 3)
+        noise = frame_noise(state.noise_seed, round_index, seqs)
+        for seq, seq_noise in zip(seqs, noise):
+            got = frame_scores(state, seq, seq_noise)
+            want = frame_scores_loop(state, seq)
+            assert got[0].tolist() == want[0].tolist()
+            assert got[1].tolist() == want[1].tolist()
+            assert got[0].dtype == np.float64 and got[1].dtype == np.int64
 
 
 # --- test-split prediction -----------------------------------------------
