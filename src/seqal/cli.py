@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -37,6 +38,7 @@ from .errors import (
     TraceError,
 )
 from .pool import load_pool, write_pool
+from .surrogate import optional_float, parsed_rows
 from .synth import generate_pool
 
 _VALIDATION_ERRORS = (
@@ -66,17 +68,16 @@ def _cmd_run(args: argparse.Namespace) -> None:
     runner.run_experiment(cfg, out_dir=args.out)
 
 
+_RECORD_FIELDS = (("seed", int), ("cum_cost_hours", float), ("map50", optional_float))
+
+
 def _read_curves(run_dir: Path) -> dict[int, metrics.PerfCostCurve]:
     """Per-seed performance-cost curves from a run's records.csv."""
     records_path = run_dir / "records.csv"
     staged: dict[int, list[tuple[float, float]]] = {}
-    with open(records_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            if not row["map50"]:
-                continue
-            staged.setdefault(int(row["seed"]), []).append(
-                (float(row["cum_cost_hours"]), float(row["map50"]))
-            )
+    for seed, cost, map50 in parsed_rows(records_path, _RECORD_FIELDS):
+        if map50 is not None:
+            staged.setdefault(seed, []).append((cost, map50))
     if not staged:
         raise EmptyCurveError(f"{records_path} holds no evaluated rounds")
     return {
@@ -85,13 +86,22 @@ def _read_curves(run_dir: Path) -> dict[int, metrics.PerfCostCurve]:
     }
 
 
+def _budgets(raw: str, name: str, high: float) -> tuple[float, ...]:
+    """A budget list whose every value lies in [0, high]."""
+    budgets = convert(raw, float_list, name)
+    for budget in budgets:
+        if not 0.0 <= budget <= high:
+            raise ConfigError(f"{name} value {budget} outside [0, {high}]")
+    return budgets
+
+
 def _cmd_metrics(args: argparse.Namespace) -> None:
+    car_budgets = _budgets(args.car_budgets, "--car-budgets", math.inf)
+    par_budgets = _budgets(args.par_budgets, "--par-budgets", 1.0)
     run_dir = Path(args.run)
+    curves = _read_curves(run_dir)
     out_dir = Path(args.out) if args.out else run_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    curves = _read_curves(run_dir)
-    car_budgets = convert(args.car_budgets, float_list, "--car-budgets")
-    par_budgets = convert(args.par_budgets, float_list, "--par-budgets")
     with open(out_dir / "car_sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["seed", "budget_hours", "car"])

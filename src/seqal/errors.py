@@ -47,8 +47,8 @@ class FeatureError(SeqalError):
 
 
 class TraceError(SeqalError):
-    """A score trace is malformed or lacks a requested round, seed, or
-    sequence."""
+    """A score trace or a run's records file is malformed, or a trace lacks a
+    requested round, seed, or sequence."""
 
 
 class EmptyScoreError(SeqalError):

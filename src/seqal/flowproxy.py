@@ -1,11 +1,12 @@
 """Frame-differencing motion statistics.
 
-Stands in for dense optical flow: per-frame motion is the exact integer sum
-of absolute pixel differences between consecutive rasters, and the box
-estimate counts 8-connected components of the thresholded difference image
-whose area clears a minimum. Results are cached onto the sequence, keyed by
-threshold and min_area, so the computation runs once per sequence per
-parameter pair.
+Stands in for dense optical flow over a sequence's 8-bit (uint8) rasters.
+One pass per sequence stacks the rasters and takes each consecutive pair's
+absolute difference once: a frame's motion is the exact integer sum of that
+difference, and its box estimate counts the 8-connected components of the
+difference thresholded at ``threshold`` whose area clears ``min_area``.
+Results are cached onto the sequence, keyed by threshold and min_area, so
+the computation runs once per sequence per parameter pair.
 """
 
 from __future__ import annotations
@@ -47,53 +48,12 @@ class FlowStats:
     min_area: int
 
 
-def _as_raster(arr, name: str) -> np.ndarray:
-    a = np.asarray(arr)
-    if a.ndim != 2 or a.size == 0:
-        raise ShapeError(f"{name} must be a non-empty 2-D array, got shape {a.shape}")
-    return a.astype(np.int64, copy=False)
-
-
-def motion_score(prev, curr) -> int:
-    """Exact integer sum of absolute pixel differences."""
-    a = _as_raster(prev, "prev")
-    b = _as_raster(curr, "curr")
-    if a.shape != b.shape:
-        raise ShapeError(f"raster shapes differ: {a.shape} vs {b.shape}")
-    return int(np.abs(b - a).sum())
-
-
 def check_params(threshold: int, min_area: int) -> None:
     """Raise DomainError unless threshold is in [0, 255] and min_area >= 1."""
     if not 0 <= threshold <= 255:
         raise DomainError(f"threshold {threshold} outside [0, 255]")
     if min_area < 1:
         raise DomainError(f"min_area must be at least 1, got {min_area}")
-
-
-def difference_mask(prev, curr, threshold: int) -> np.ndarray:
-    a = _as_raster(prev, "prev")
-    b = _as_raster(curr, "curr")
-    if a.shape != b.shape:
-        raise ShapeError(f"raster shapes differ: {a.shape} vs {b.shape}")
-    return np.abs(b - a) >= threshold
-
-
-def estimate_boxes(
-    prev, curr, threshold: int = DEFAULT_THRESHOLD, min_area: int = DEFAULT_MIN_AREA
-) -> int:
-    """Count moved objects between two rasters.
-
-    Binarizes |curr - prev| at the threshold and counts 8-connected
-    components with at least min_area pixels.
-    """
-    check_params(threshold, min_area)
-    mask = difference_mask(prev, curr, threshold)
-    labels, count = ndimage.label(mask, structure=_EIGHT_CONNECTED)
-    if count == 0:
-        return 0
-    areas = np.bincount(labels.ravel())[1:]
-    return int(np.count_nonzero(areas >= min_area))
 
 
 def compute_flow_stats(
@@ -103,9 +63,10 @@ def compute_flow_stats(
 ) -> FlowStats:
     """Compute (or fetch cached) motion statistics for a whole sequence.
 
-    Requires a raster on every frame. The values are cached on the sequence;
-    a second call with the same threshold and min_area returns them without
-    recomputing, which the computation counter makes observable.
+    Requires a non-empty 2-D uint8 raster of one shape on every frame. The
+    stats are cached on the sequence; a second call with the same threshold
+    and min_area returns them without recomputing, which the computation
+    counter makes observable.
     """
     check_params(threshold, min_area)
     key = (threshold, min_area)
@@ -115,16 +76,26 @@ def compute_flow_stats(
             raise MissingRasterError(
                 f"sequence {seq.sequence_id!r} lacks rasters for frames {missing[:5]}"
             )
-        motions = [0]
-        estimates = [0]
-        for prev, curr in zip(seq.frames, seq.frames[1:]):
-            motions.append(motion_score(prev.raster, curr.raster))
-            estimates.append(estimate_boxes(prev.raster, curr.raster, threshold, min_area))
-        seq.flow_cache[key] = (motions, estimates)
+        shape = np.shape(seq.frames[0].raster)
+        for f in seq.frames:
+            r = np.asarray(f.raster)
+            if r.dtype != np.uint8 or r.ndim != 2 or r.size == 0 or r.shape != shape:
+                raise ShapeError(
+                    f"sequence {seq.sequence_id!r} frame {f.frame_id}: raster is {r.dtype} "
+                    f"{r.shape}, not non-empty 2-D uint8 shaped like frame 0 {shape}"
+                )
+        diff = np.diff(np.stack([f.raster for f in seq.frames], dtype=np.int16), axis=0)
+        np.abs(diff, out=diff)
+        boxes = [0]
+        for pair in diff:
+            labels, _ = ndimage.label(pair >= threshold, structure=_EIGHT_CONNECTED)
+            areas = np.bincount(labels.ravel())[1:]
+            boxes.append(int(np.count_nonzero(areas >= min_area)))
+        motions = [0] + diff.sum(axis=(1, 2), dtype=np.int64).tolist()
+        seq.flow_cache[key] = FlowStats(motions, boxes, threshold, min_area)
         global _computations
         _computations += 1
-    motions, estimates = seq.flow_cache[key]
-    return FlowStats(motions, estimates, threshold, min_area)
+    return seq.flow_cache[key]
 
 
 def write_flow_cache(stats: FlowStats, sequence_id: str, out_dir: Path | str) -> Path:

@@ -14,6 +14,7 @@ import csv
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,6 +24,9 @@ from .errors import (
     ManifestError,
     NameFormatError,
 )
+
+if TYPE_CHECKING:
+    from .flowproxy import FlowStats
 
 CLASS_NAMES = ("pedestrian", "bicycle", "car", "cart")
 
@@ -166,13 +170,13 @@ class SequenceMeta:
 class Sequence:
     """A contiguous video sequence with metadata.
 
-    flow_cache keeps every (motion, box estimate) pair of per-frame lists the
-    flow proxy computed, keyed by (threshold, min_area).
+    flow_cache keeps every FlowStats the flow proxy computed, keyed by
+    (threshold, min_area).
     """
 
     meta: SequenceMeta
     frames: list[Frame]
-    flow_cache: dict[tuple[int, int], tuple[list[int], list[int]]] = field(
+    flow_cache: dict[tuple[int, int], FlowStats] = field(
         default_factory=dict, repr=False, compare=False
     )
 
@@ -262,8 +266,8 @@ class LabelFile:
 def parse_label_name(path_name: str) -> tuple[str, int]:
     """Split ``<sequence>_<frame>.txt`` into its parts.
 
-    The frame id is the final underscore-separated token; everything before
-    the last underscore belongs to the sequence id.
+    The frame id is the final underscore-separated token, ASCII digits only;
+    everything before the last underscore belongs to the sequence id.
     """
     name = Path(path_name).name
     if not name.endswith(".txt"):
@@ -274,7 +278,7 @@ def parse_label_name(path_name: str) -> tuple[str, int]:
     sid, frame_part = stem.rsplit("_", 1)
     if not sid:
         raise NameFormatError(f"{name!r} has an empty sequence id")
-    if not frame_part.isdigit():
+    if not (frame_part.isascii() and frame_part.isdigit()):
         raise NameFormatError(f"{name!r} has a non-numeric frame id {frame_part!r}")
     return sid, int(frame_part)
 
@@ -411,8 +415,9 @@ def load_pool(root_dir: Path | str) -> PoolState:
     """Load a pool directory into memory.
 
     Validates that every label file's sequence has a manifest row on the
-    matching split, that frame ids are gapless from zero, and that costs are
-    positive. Rasters are attached when a matching PGM exists.
+    matching split, that frame ids are gapless from zero with one file each,
+    and that costs are positive. Rasters are attached when a matching PGM
+    exists.
     """
     root = Path(root_dir)
     metas = _parse_manifest(root / "manifest.csv")
@@ -438,12 +443,17 @@ def load_pool(root_dir: Path | str) -> PoolState:
                     f"{label_path.name}: filed under {dirname!r} but manifest says "
                     f"{meta.split.value!r}"
                 )
+            frames = frames_by_seq.setdefault(parsed.sequence_id, {})
+            if parsed.frame_id in frames:
+                raise ContinuityError(
+                    f"{label_path.name}: sequence {parsed.sequence_id!r} already has a "
+                    f"label file for frame {parsed.frame_id}"
+                )
             raster = None
             pgm = root / "frames" / dirname / (label_path.stem + ".pgm")
             if pgm.is_file():
                 raster = read_pgm(pgm)
-            frame = Frame(parsed.frame_id, parsed.boxes, raster)
-            frames_by_seq.setdefault(parsed.sequence_id, {})[parsed.frame_id] = frame
+            frames[parsed.frame_id] = Frame(parsed.frame_id, parsed.boxes, raster)
 
     missing = sorted(set(metas) - set(frames_by_seq))
     if missing:

@@ -378,15 +378,15 @@ class ScoreTrace:
     )
 
 
-def _optional_float(raw: str) -> float | None:
+def optional_float(raw: str) -> float | None:
     return float(raw) if raw else None
 
 
 # (column, parser) of each trace file, in file order.
 _SCORE_FIELDS = (("seed", int), ("round", int), ("sequence_id", str), ("frame_id", int),
                  ("uncertainty", float), ("pred_count", int))
-_METRIC_FIELDS = (("seed", int), ("round", int), ("map50", _optional_float),
-                  ("map5095", _optional_float))
+_METRIC_FIELDS = (("seed", int), ("round", int), ("map50", optional_float),
+                  ("map5095", optional_float))
 
 
 def write_traces(
@@ -416,10 +416,10 @@ def write_traces(
                 writer.writerow([seed, rnd, *maps])
 
 
-def _parsed_rows(path: Path | str, fields):
-    """Each data row of a trace file as a list of parsed fields. A missing
-    column, a short row or an unparsable field raises TraceError naming the
-    file, the line and the field."""
+def parsed_rows(path: Path | str, fields):
+    """Each data row of a run's CSV file (a trace or records.csv) as a list
+    of parsed fields. A missing column, a short row or an unparsable field
+    raises TraceError naming the file, the line and the field."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -446,7 +446,7 @@ def read_traces(
 ) -> dict[int, ScoreTrace]:
     """Per-seed traces from the two files write_traces writes."""
     staged: dict[tuple[int, int, str], list[tuple[int, float, int]]] = {}
-    for seed, rnd, sid, fid, unc, count in _parsed_rows(scores_path, _SCORE_FIELDS):
+    for seed, rnd, sid, fid, unc, count in parsed_rows(scores_path, _SCORE_FIELDS):
         staged.setdefault((seed, rnd, sid), []).append((fid, unc, count))
 
     traces: dict[int, ScoreTrace] = {}
@@ -463,6 +463,6 @@ def read_traces(
             np.array([r[2] for r in rows], dtype=np.int64),
         )
 
-    for seed, rnd, m50, m5095 in _parsed_rows(metrics_path, _METRIC_FIELDS):
+    for seed, rnd, m50, m5095 in parsed_rows(metrics_path, _METRIC_FIELDS):
         traces.setdefault(seed, ScoreTrace()).test_metrics[rnd] = (m50, m5095)
     return traces

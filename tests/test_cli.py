@@ -458,6 +458,57 @@ def test_metrics_bad_budget_list(finished_run):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "column, value, where",
+    [
+        ("seed", "x", "line 3: bad seed 'x'"),
+        ("cum_cost_hours", "abc", "line 3: bad cum_cost_hours 'abc'"),
+        ("map50", None, "line 1: no map50 column"),
+    ],
+)
+def test_metrics_malformed_records_is_validation_error(
+    finished_run, tmp_path, capsys, column, value, where
+):
+    run = tmp_path / "run"
+    run.mkdir()
+    records = (finished_run / "records.csv").read_text()
+    if value is None:  # the column leaves the header only
+        records = records.replace(f",{column},", ",", 1)
+    (run / "records.csv").write_text(records)
+    if value is not None:
+        corrupt_field(run / "records.csv", 3, column, value)
+    out = tmp_path / "sweeps"
+    capsys.readouterr()
+    argv = ["metrics", "--run", str(run), "--car-budgets", "1", "--par-budgets", "0.1"]
+    assert main([*argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "records.csv" in err and where in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ("--car-budgets", "-1"),
+        ("--car-budgets", "abc"),
+        ("--car-budgets", "nan"),
+        ("--par-budgets", "1.5"),
+        ("--par-budgets", "-0.1"),
+        ("--par-budgets", "nan"),
+    ],
+)
+def test_metrics_bad_budgets_fail_before_any_work(tmp_path, capsys, flag):
+    # the run directory does not exist: reading it would exit 1, not 2
+    run, out = tmp_path / "run", tmp_path / "sweeps"
+    budgets = {"--car-budgets": "1", "--par-budgets": "0.1"}
+    budgets.update([flag])
+    argv = ["metrics", "--run", str(run), "--out", str(out)]
+    assert main(argv + [part for item in budgets.items() for part in item]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists() and not run.exists()
+
+
 # ---------------------------------------------------------------------------
 # bounds
 
@@ -495,6 +546,19 @@ def test_bounds_rounds_beyond_pool(tmp_path, capsys):
     assert rc == 2
     assert "cannot bound 9 rounds with 4 sequences" in capsys.readouterr().err
     assert not (tmp_path / "b.csv").exists()
+
+
+@pytest.mark.parametrize("name", ["seq000_\u00b2.txt", "seq000_0.txt"])
+def test_bad_label_file_name_is_validation_error(tmp_path, capsys, name):
+    # a superscript frame id, and a second file for frame 0
+    write_pool(make_pool(n_train=2, n_val=0, n_test=0), tmp_path / "pool")
+    labels = tmp_path / "pool" / "labels" / "training"
+    (labels / name).write_text((labels / "seq000_000000.txt").read_text())
+    out = tmp_path / "b.csv"
+    argv = ["bounds", "--pool", str(tmp_path / "pool"), "--rounds", "1", "--out", str(out)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
 
 
 def test_bounds_missing_pool(tmp_path):

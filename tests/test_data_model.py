@@ -44,7 +44,15 @@ def test_parse_label_name_underscores_in_sequence_id():
 
 @pytest.mark.parametrize(
     "bad",
-    ["seq001_000123.csv", "seq001.txt", "_000123.txt", "seq001_12a.txt", "seq001_.txt"],
+    [
+        "seq001_000123.csv",
+        "seq001.txt",
+        "_000123.txt",
+        "seq001_12a.txt",
+        "seq001_.txt",
+        "seq001_\u00b2.txt",  # superscript two: str.isdigit, but not a frame id
+        "seq001_\u0663.txt",  # Arabic-Indic three: int() reads it as 3
+    ],
 )
 def test_parse_label_name_rejects(bad):
     with pytest.raises(NameFormatError):
@@ -298,6 +306,15 @@ def test_load_pool_frame_gap(tmp_path):
     write_pool(pool, tmp_path)
     (tmp_path / "labels" / "training" / "seq000_000001.txt").unlink()
     with pytest.raises(ContinuityError):
+        load_pool(tmp_path)
+
+
+def test_load_pool_second_file_for_a_frame(tmp_path):
+    pool = make_pool(n_train=1, n_val=0, n_test=0, n_frames=2)
+    write_pool(pool, tmp_path)
+    labels = tmp_path / "labels" / "training"
+    (labels / "seq000_0.txt").write_text((labels / "seq000_000000.txt").read_text())
+    with pytest.raises(ContinuityError, match="seq000_000000.txt.*frame 0"):
         load_pool(tmp_path)
 
 

@@ -5,15 +5,10 @@ import pytest
 
 import seqal.flowproxy as fp
 from seqal.errors import DomainError, MissingRasterError, ShapeError
-from seqal.flowproxy import (
-    compute_flow_stats,
-    difference_mask,
-    estimate_boxes,
-    motion_score,
-    write_flow_cache,
-)
+from seqal.flowproxy import compute_flow_stats, write_flow_cache
+from seqal.pool import Frame, Sequence
 
-from conftest import make_sequence
+from conftest import make_meta, make_sequence
 
 
 def read_flow_cache(path):
@@ -53,32 +48,44 @@ def flood_count(mask, min_area):
     return count
 
 
+def pair_oracle(prev, curr, threshold, min_area):
+    """Oracle: one frame pair's (motion, box estimate), from its own int64
+    |curr - prev| and a flood fill of that difference's mask."""
+    diff = np.abs(curr.astype(np.int64) - prev.astype(np.int64))
+    return int(diff.sum()), flood_count(diff >= threshold, min_area)
+
+
+def raster_sequence(*rasters):
+    return Sequence(make_meta("s"), [Frame(i, [], r) for i, r in enumerate(rasters)])
+
+
+def pair_stats(prev, curr, threshold=fp.DEFAULT_THRESHOLD, min_area=fp.DEFAULT_MIN_AREA):
+    """The second frame's (motion, box estimate) of a 2-frame sequence."""
+    stats = compute_flow_stats(raster_sequence(prev, curr), threshold, min_area)
+    assert stats.motion_scores[0] == stats.box_estimates[0] == 0
+    return stats.motion_scores[1], stats.box_estimates[1]
+
+
 def test_motion_score_exact():
     a = np.zeros((4, 4), dtype=np.uint8)
     b = a.copy()
     b[0, 0] = 200
     b[3, 3] = 55
-    assert motion_score(a, b) == 255
-    assert motion_score(a, a) == 0
+    assert pair_stats(a, b)[0] == 255
+    assert pair_stats(a, a)[0] == 0
 
 
 def test_motion_score_no_uint8_wraparound():
     a = np.full((2, 2), 250, dtype=np.uint8)
     b = np.full((2, 2), 5, dtype=np.uint8)
-    assert motion_score(a, b) == 4 * 245
-
-
-def test_motion_score_shape_mismatch():
-    with pytest.raises(ShapeError):
-        motion_score(np.zeros((2, 2), np.uint8), np.zeros((3, 2), np.uint8))
-    with pytest.raises(ShapeError):
-        motion_score(np.zeros(4, np.uint8), np.zeros(4, np.uint8))
+    assert pair_stats(a, b)[0] == 4 * 245
+    assert pair_stats(b, a)[0] == 4 * 245
 
 
 def test_difference_mask_threshold_is_inclusive():
-    a = np.zeros((1, 3), dtype=np.uint8)
-    b = np.array([[9, 10, 11]], dtype=np.uint8)
-    assert difference_mask(a, b, 10).tolist() == [[False, True, True]]
+    a = np.zeros((1, 5), dtype=np.uint8)
+    b = np.array([[9, 0, 10, 0, 11]], dtype=np.uint8)
+    assert [pair_stats(a, b, t, 1)[1] for t in (9, 10, 11, 12)] == [3, 2, 1, 0]
 
 
 def test_estimate_boxes_hand_case():
@@ -86,34 +93,69 @@ def test_estimate_boxes_hand_case():
     b = a.copy()
     b[0:3, 0:3] = 100   # area 9
     b[6:8, 6:8] = 100   # area 4
-    assert estimate_boxes(a, b, threshold=10, min_area=1) == 2
-    assert estimate_boxes(a, b, threshold=10, min_area=5) == 1
-    assert estimate_boxes(a, b, threshold=10, min_area=10) == 0
+    assert pair_stats(a, b, threshold=10, min_area=1)[1] == 2
+    assert pair_stats(a, b, threshold=10, min_area=5)[1] == 1
+    assert pair_stats(a, b, threshold=10, min_area=10)[1] == 0
 
 
 def test_estimate_boxes_diagonal_counts_as_connected():
     a = np.zeros((4, 4), dtype=np.uint8)
     b = a.copy()
     b[0, 0] = b[1, 1] = b[2, 2] = 100
-    assert estimate_boxes(a, b, threshold=10, min_area=3) == 1
+    assert pair_stats(a, b, threshold=10, min_area=3)[1] == 1
 
 
 def test_estimate_boxes_matches_flood_fill_oracle():
     rng = np.random.default_rng(42)
-    for _ in range(30):
-        a = rng.integers(0, 256, size=(20, 24), dtype=np.uint8)
-        b = rng.integers(0, 256, size=(20, 24), dtype=np.uint8)
-        threshold = int(rng.integers(0, 256))
-        min_area = int(rng.integers(1, 8))
-        mask = difference_mask(a, b, threshold)
-        assert estimate_boxes(a, b, threshold, min_area) == flood_count(mask, min_area)
+    for _ in range(200):
+        shape = tuple(int(v) for v in rng.integers(1, 17, size=2))
+        n_frames = int(rng.integers(1, 13))
+        # the {0, 255} palette makes differences of 255 common
+        palette = np.arange(256, dtype=np.uint8)
+        if rng.random() < 0.3:
+            palette = np.array([0, 255], np.uint8)
+        change = rng.random()
+        frames = [rng.choice(palette, size=shape)]
+        for _ in range(n_frames - 1):
+            moved = rng.random(shape) < change
+            frames.append(np.where(moved, rng.choice(palette, size=shape), frames[-1]))
+        threshold = int(rng.choice([0, 255, int(rng.integers(0, 256))]))
+        min_area = int(rng.integers(1, 9))
+        stats = compute_flow_stats(raster_sequence(*frames), threshold, min_area)
+        pairs = [pair_oracle(a, b, threshold, min_area) for a, b in zip(frames, frames[1:])]
+        assert stats.motion_scores == [0] + [m for m, _ in pairs]
+        assert stats.box_estimates == [0] + [b for _, b in pairs]
+        assert all(type(v) is int for v in stats.motion_scores + stats.box_estimates)
+
+
+def test_one_frame_sequence():
+    stats = compute_flow_stats(raster_sequence(np.zeros((3, 5), dtype=np.uint8)))
+    assert (stats.motion_scores, stats.box_estimates) == ([0], [0])
+
+
+def test_motion_score_shape_mismatch():
+    with pytest.raises(ShapeError, match="sequence 's' frame 1"):
+        compute_flow_stats(raster_sequence(np.zeros((2, 2), np.uint8), np.zeros((3, 2), np.uint8)))
+    with pytest.raises(ShapeError, match="sequence 's' frame 0"):
+        compute_flow_stats(raster_sequence(np.zeros(4, np.uint8), np.zeros(4, np.uint8)))
+
+
+@pytest.mark.parametrize(
+    "rasters",
+    [
+        [np.zeros((0, 4), np.uint8), np.zeros((0, 4), np.uint8)],
+        [np.zeros((2, 2), np.uint8), np.zeros((2, 2), np.float64)],
+        [np.zeros((2, 2), np.int64), np.zeros((2, 2), np.int64)],
+    ],
+    ids=["empty", "float", "int64"],
+)
+def test_bad_rasters_raise_shape_error(rasters):
+    with pytest.raises(ShapeError, match="sequence 's' frame"):
+        compute_flow_stats(raster_sequence(*rasters))
 
 
 @pytest.mark.parametrize("threshold,min_area", [(-1, 25), (256, 25), (10, 0)])
 def test_parameter_validation(threshold, min_area):
-    a = np.zeros((4, 4), dtype=np.uint8)
-    with pytest.raises(DomainError):
-        estimate_boxes(a, a, threshold, min_area)
     with pytest.raises(DomainError):
         compute_flow_stats(make_sequence("s", raster_size=(16, 16)), threshold, min_area)
 
@@ -135,11 +177,8 @@ def test_compute_flow_stats_caches_on_sequence():
     assert fp.computations() - before == 1
     again = compute_flow_stats(seq)
     assert fp.computations() - before == 1, "cached call must not recompute"
-    assert again.motion_scores == first.motion_scores
-    assert seq.flow_cache[(fp.DEFAULT_THRESHOLD, fp.DEFAULT_MIN_AREA)] == (
-        first.motion_scores,
-        first.box_estimates,
-    )
+    assert again == first
+    assert seq.flow_cache[(fp.DEFAULT_THRESHOLD, fp.DEFAULT_MIN_AREA)] is first
 
 
 def test_compute_flow_stats_cache_keyed_by_parameters():
@@ -150,9 +189,9 @@ def test_compute_flow_stats_cache_keyed_by_parameters():
     strict = compute_flow_stats(seq, 200, 1)
     fresh = compute_flow_stats(make_sequence("s", n_frames=6, raster_size=(16, 16)), 200, 1)
     assert strict == fresh
-    assert seq.flow_cache[(200, 1)][1] == fresh.box_estimates
+    assert seq.flow_cache[(200, 1)] == fresh
     assert compute_flow_stats(seq, 10, 25) == loose
-    assert seq.flow_cache[(10, 25)][1] == loose.box_estimates
+    assert seq.flow_cache[(10, 25)] == loose
     # one computation per sequence per parameter pair
     assert fp.computations() - before == 3
 

@@ -2,8 +2,10 @@
 
 Each config runs two seeds for six rounds on a generated 20-sequence pool
 of 20-30 frame sequences and compares the SHA-256 of every CSV it writes
-with ``pin_digests.json``. A change that means to alter output rewrites
-the digests in the same commit and says why in CHANGES.md:
+with ``pin_digests.json``. The raw flow statistics are pinned the same way:
+the ``<id>.flow.csv`` that ``write_flow_cache`` writes for every sequence of
+that pool at each ``FLOW_PARAMS`` pair. A change that means to alter output
+rewrites the digests in the same commit and says why in CHANGES.md:
 
     PYTHONPATH=src python tests/test_pin.py --write
 """
@@ -18,11 +20,14 @@ from pathlib import Path
 import pytest
 
 from seqal.acquisition import StrategySpec
+from seqal.flowproxy import compute_flow_stats, write_flow_cache
 from seqal.runner import RunConfig, run_experiment
 from seqal.synth import GenConfig, generate_pool
 
 DIGESTS = Path(__file__).with_name("pin_digests.json")
 POOL = GenConfig(rng_seed=3, n_sequences=20, frame_len_range=(20, 30), raster_size=(32, 32))
+# (threshold, min_area) pairs whose flow caches are pinned
+FLOW_PARAMS = ((10, 25), (40, 5))
 
 # name -> (RunConfig keywords, live run whose trace is replayed or None)
 CONFIGS = {
@@ -70,6 +75,10 @@ CONFIGS = {
 }
 
 
+def digests(out: Path, pattern: str) -> dict[str, str]:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.glob(pattern))}
+
+
 def run_config(name: str, root: Path) -> dict[str, str]:
     """Run one pinned config into a directory of its name under root; returns
     the SHA-256 of each CSV it wrote."""
@@ -83,9 +92,21 @@ def run_config(name: str, root: Path) -> dict[str, str]:
     cfg = RunConfig(**{**base, **kw})
     out = root / name
     run_experiment(cfg, pool=generate_pool(POOL), out_dir=out)
-    return {
-        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.glob("*.csv"))
-    }
+    return digests(out, "*.csv")
+
+
+def flow_name(threshold: int, min_area: int) -> str:
+    return f"flow_{threshold}_{min_area}"
+
+
+def flow_caches(threshold: int, min_area: int, root: Path) -> dict[str, str]:
+    """Write every pin-pool sequence's flow cache under root; returns the
+    SHA-256 of each file."""
+    pool = generate_pool(POOL)
+    out = root / flow_name(threshold, min_area)
+    for sid in sorted(pool.sequences):
+        write_flow_cache(compute_flow_stats(pool.sequences[sid], threshold, min_area), sid, out)
+    return digests(out, "*.flow.csv")
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -94,12 +115,20 @@ def test_output_bytes_pinned(name, tmp_path):
     assert run_config(name, tmp_path) == expected
 
 
+@pytest.mark.parametrize("threshold,min_area", FLOW_PARAMS)
+def test_flow_cache_bytes_pinned(threshold, min_area, tmp_path):
+    expected = json.loads(DIGESTS.read_text())[flow_name(threshold, min_area)]
+    assert flow_caches(threshold, min_area, tmp_path) == expected
+
+
 if __name__ == "__main__":
     import tempfile
 
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
     with tempfile.TemporaryDirectory() as tmp:
-        digests = {name: run_config(name, Path(tmp)) for name in sorted(CONFIGS)}
-    DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+        pinned = {name: run_config(name, Path(tmp)) for name in sorted(CONFIGS)}
+        for threshold, min_area in FLOW_PARAMS:
+            pinned[flow_name(threshold, min_area)] = flow_caches(threshold, min_area, Path(tmp))
+    DIGESTS.write_text(json.dumps(pinned, indent=2, sort_keys=True) + "\n")
     print(f"wrote {DIGESTS}")
