@@ -13,7 +13,6 @@ fails validation.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from pathlib import Path
@@ -26,7 +25,6 @@ from .errors import (
     ConfigError,
     ContinuityError,
     DomainError,
-    EmptyCurveError,
     GenError,
     LineFormatError,
     ManifestError,
@@ -38,8 +36,8 @@ from .errors import (
     TraceError,
 )
 from .pool import load_pool, write_pool
-from .surrogate import optional_float, parsed_rows
 from .synth import generate_pool
+from .tables import cell, write_table
 
 _VALIDATION_ERRORS = (
     NameFormatError,
@@ -65,25 +63,10 @@ def _cmd_run(args: argparse.Namespace) -> None:
     parser = config_mod.read_config(args.config)
     seeds = None if args.seed is None else convert(args.seed, int_list, "--seed")
     cfg = config_mod.run_config(parser, args.strategy, seeds)
-    runner.run_experiment(cfg, out_dir=args.out)
-
-
-_RECORD_FIELDS = (("seed", int), ("cum_cost_hours", float), ("map50", optional_float))
-
-
-def _read_curves(run_dir: Path) -> dict[int, metrics.PerfCostCurve]:
-    """Per-seed performance-cost curves from a run's records.csv."""
-    records_path = run_dir / "records.csv"
-    staged: dict[int, list[tuple[float, float]]] = {}
-    for seed, cost, map50 in parsed_rows(records_path, _RECORD_FIELDS):
-        if map50 is not None:
-            staged.setdefault(seed, []).append((cost, map50))
-    if not staged:
-        raise EmptyCurveError(f"{records_path} holds no evaluated rounds")
-    return {
-        seed: metrics.PerfCostCurve.from_points(points)
-        for seed, points in sorted(staged.items())
-    }
+    try:
+        runner.run_experiment(cfg, out_dir=args.out)
+    except PoolExhaustedError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _budgets(raw: str, name: str, high: float) -> tuple[float, ...]:
@@ -99,25 +82,19 @@ def _cmd_metrics(args: argparse.Namespace) -> None:
     car_budgets = _budgets(args.car_budgets, "--car-budgets", math.inf)
     par_budgets = _budgets(args.par_budgets, "--par-budgets", 1.0)
     run_dir = Path(args.run)
-    curves = _read_curves(run_dir)
+    curves = runner.read_curves(run_dir)
     out_dir = Path(args.out) if args.out else run_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "car_sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed", "budget_hours", "car"])
-        for seed, curve in curves.items():
-            for budget in car_budgets:
-                writer.writerow(
-                    [seed, "%.6f" % budget, "%.6f" % metrics.car(curve, budget)]
-                )
-    with open(out_dir / "par_sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed", "budget_map", "par"])
-        for seed, curve in curves.items():
-            for budget in par_budgets:
-                writer.writerow(
-                    [seed, "%.6f" % budget, "%.6f" % metrics.par(curve, budget)]
-                )
+    for name, header, budgets, area in (
+        ("car_sweep.csv", ["seed", "budget_hours", "car"], car_budgets, metrics.car),
+        ("par_sweep.csv", ["seed", "budget_map", "par"], par_budgets, metrics.par),
+    ):
+        rows = (
+            [seed, cell(budget), cell(area(curve, budget))]
+            for seed, curve in curves.items()
+            for budget in budgets
+        )
+        write_table(out_dir / name, header, rows)
 
 
 def _cmd_bounds(args: argparse.Namespace) -> None:
@@ -131,11 +108,11 @@ def _cmd_bounds(args: argparse.Namespace) -> None:
         raise ConfigError(str(exc)) from exc
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bound"] + [f"round_{i + 1}" for i in range(args.rounds)])
-        writer.writerow(["lower"] + ["%.6f" % v for v in lower])
-        writer.writerow(["upper"] + ["%.6f" % v for v in upper])
+    write_table(
+        out,
+        ["bound"] + [f"round_{i + 1}" for i in range(args.rounds)],
+        [["lower"] + [cell(v) for v in lower], ["upper"] + [cell(v) for v in upper]],
+    )
 
 
 def _cmd_analyze(args: argparse.Namespace) -> None:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .acquisition import StrategySpec
 from .costing import OverheadModel
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, ModeError
 from .runner import RunConfig
 from .synth import CostCoeffs, GenConfig
 
@@ -207,5 +207,5 @@ def run_config(
             overhead=OverheadModel(**values[OverheadModel]),
             **values[RunConfig],
         )
-    except DomainError as exc:
+    except (DomainError, ModeError) as exc:
         raise ConfigError(f"bad run settings: {exc}")

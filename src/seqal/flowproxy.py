@@ -11,7 +11,6 @@ the computation runs once per sequence per parameter pair.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,6 +19,7 @@ from scipy import ndimage
 
 from .errors import DomainError, MissingRasterError, ShapeError
 from .pool import Sequence
+from .tables import write_table
 
 DEFAULT_THRESHOLD = 10
 DEFAULT_MIN_AREA = 25
@@ -103,9 +103,6 @@ def write_flow_cache(stats: FlowStats, sequence_id: str, out_dir: Path | str) ->
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{sequence_id}.flow.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frame_id", "motion", "box_est"])
-        for fid, (m, b) in enumerate(zip(stats.motion_scores, stats.box_estimates)):
-            writer.writerow([fid, m, b])
+    rows = enumerate(zip(stats.motion_scores, stats.box_estimates))
+    write_table(path, ["frame_id", "motion", "box_est"], ([fid, m, b] for fid, (m, b) in rows))
     return path

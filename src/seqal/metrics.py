@@ -13,7 +13,6 @@ by the tests in this repository.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -24,6 +23,7 @@ import numpy as np
 
 from .errors import DomainError, EmptyCurveError, EmptyTestError, ShapeError
 from .pool import BoundingBox
+from .tables import cell, write_table
 
 MAP5095_THRESHOLDS = (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
 
@@ -456,15 +456,8 @@ def correlations(x: Sequence[float], y: Sequence[float]) -> CorrelationEntry:
 
 def write_correlation_csv(report: CorrelationReport, path: Path | str) -> None:
     """pair,pearson,spearman,kendall_tau_b with blanks for undefined."""
-
-    def cell(value: float | None) -> str:
-        return "" if value is None else "%.6f" % value
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pair", "pearson", "spearman", "kendall_tau_b"])
-        for name in sorted(report.entries):
-            e = report.entries[name]
-            writer.writerow(
-                [name, cell(e.pearson), cell(e.spearman), cell(e.kendall_tau_b)]
-            )
+    rows = (
+        [name, cell(e.pearson), cell(e.spearman), cell(e.kendall_tau_b)]
+        for name, e in sorted(report.entries.items())
+    )
+    write_table(path, ["pair", "pearson", "spearman", "kendall_tau_b"], rows)

@@ -24,6 +24,7 @@ from .errors import (
     ManifestError,
     NameFormatError,
 )
+from .tables import cell, write_table
 
 if TYPE_CHECKING:
     from .flowproxy import FlowStats
@@ -501,18 +502,9 @@ def write_pool(pool: PoolState, root_dir: Path | str) -> None:
                 frame_dir.mkdir(parents=True, exist_ok=True)
                 write_pgm(frame_dir / f"{stem}.pgm", frame.raster)
 
-    with open(root / "manifest.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_MANIFEST_COLUMNS)
-        for sid in sorted(pool.sequences):
-            meta = pool.sequences[sid].meta
-            writer.writerow(
-                [
-                    sid,
-                    COORD_FORMAT % meta.cost_hours,
-                    meta.scene_id,
-                    meta.season.name.lower(),
-                    meta.time_of_day.name.lower(),
-                    meta.split.value,
-                ]
-            )
+    rows = (
+        [sid, cell(seq.meta.cost_hours), seq.meta.scene_id, seq.meta.season.name.lower(),
+         seq.meta.time_of_day.name.lower(), seq.meta.split.value]
+        for sid, seq in sorted(pool.sequences.items())
+    )
+    write_table(root / "manifest.csv", _MANIFEST_COLUMNS, rows)

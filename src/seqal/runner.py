@@ -32,13 +32,16 @@ to labeled frame ids, in the order sequences were first touched.
   interpolation_rate-th frame (a keyframe) carries a charge of
   cost_hours / ceil(N / rate), interpolated frames are free. Seed draws
   still label whole sequences. Frame scoring only makes sense for the
-  model-score strategies, so pool-statistic kinds and coreset are rejected
-  here.
+  model-score strategies, so RunConfig rejects pool-statistic kinds and
+  coreset before any work.
+
+Outputs: records.csv, ledger.csv, curves.csv and aggregate.csv are written
+here through tables.write_table, floats at six decimals; read_curves reads
+records.csv back for the CAR/PAR sweeps.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -57,10 +60,11 @@ from .acquisition import (
     StrategySpec,
 )
 from .costing import MODE_SEQUENTIAL, MODE_SINGULAR, OverheadModel
-from .errors import DomainError, ModeError, PoolExhaustedError, TraceError
+from .errors import DomainError, EmptyCurveError, ModeError, PoolExhaustedError, TraceError
 from .pool import Frame, PoolState, load_pool
 from .surrogate import ScoreTrace, SurrogateState
 from .synth import GenConfig, generate_pool
+from .tables import cell, optional_float, parsed_rows, write_table
 
 DEFAULT_SEEDS = (0, 1, 2)
 DEFAULT_MIN_BOX_PIXELS = 50
@@ -97,6 +101,11 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.mode not in (MODE_SEQUENTIAL, MODE_SINGULAR):
             raise DomainError(f"unknown mode {self.mode!r}")
+        if self.mode == MODE_SINGULAR and self.strategy.kind not in SINGULAR_KINDS:
+            raise ModeError(
+                f"strategy {self.strategy.kind!r} has no frame-level scores; "
+                "singular mode supports model-score kinds and random"
+            )
         if self.rounds < 0:
             raise DomainError(f"rounds must be >= 0, got {self.rounds}")
         if self.seed_sequences < 1:
@@ -247,11 +256,6 @@ def run_experiment(
     """
     kind = cfg.strategy.kind
     singular = cfg.mode == MODE_SINGULAR
-    if singular and kind not in SINGULAR_KINDS:
-        raise ModeError(
-            f"strategy {kind!r} has no frame-level scores; "
-            "singular mode supports model-score kinds and random"
-        )
 
     traces = _load_traces(cfg)
     if pool is None:
@@ -539,89 +543,63 @@ RECORD_COLUMNS = (
     "map50",
     "map5095",
 )
-
-
-def _fmt(value: float | None) -> str:
-    return "" if value is None else "%.6f" % value
+# (column, parser) of the records.csv columns read_curves reads.
+_RECORD_FIELDS = (("seed", int), ("cum_cost_hours", float), ("map50", optional_float))
 
 
 def write_records(records: list[RoundRecord], path: Path | str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RECORD_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [
-                    r.round_index,
-                    r.seed,
-                    r.strategy_kind,
-                    ";".join(r.selected),
-                    _fmt(r.cum_cost_hours),
-                    _fmt(r.cum_overhead_gflops),
-                    _fmt(r.map50),
-                    _fmt(r.map5095),
-                ]
-            )
+    rows = (
+        [r.round_index, r.seed, r.strategy_kind, ";".join(r.selected)]
+        + [cell(v) for v in (r.cum_cost_hours, r.cum_overhead_gflops, r.map50, r.map5095)]
+        for r in records
+    )
+    write_table(path, RECORD_COLUMNS, rows)
+
+
+def read_curves(run_dir: Path | str) -> dict[int, metrics.PerfCostCurve]:
+    """Per-seed performance-cost curves from a run's records.csv."""
+    records_path = Path(run_dir) / "records.csv"
+    staged: dict[int, list[tuple[float, float]]] = {}
+    for seed, cost, map50 in parsed_rows(records_path, _RECORD_FIELDS):
+        if map50 is not None:
+            staged.setdefault(seed, []).append((cost, map50))
+    if not staged:
+        raise EmptyCurveError(f"{records_path} holds no evaluated rounds")
+    return {
+        seed: metrics.PerfCostCurve.from_points(points)
+        for seed, points in sorted(staged.items())
+    }
 
 
 def write_ledger(records: list[RoundRecord], path: Path | str) -> None:
     """The records' charges, seeds ascending and rounds in order; floats at
     6 decimals, ids joined by ';'."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["seed", "round", "selected_ids", "round_cost_h", "cum_cost_h", "round_gflops", "cum_gflops"]
-        )
-        for r in sorted(records, key=lambda r: r.seed):
-            writer.writerow(
-                [
-                    r.seed,
-                    r.round_index,
-                    ";".join(r.selected),
-                    _fmt(r.cost_hours),
-                    _fmt(r.cum_cost_hours),
-                    _fmt(r.overhead_gflops),
-                    _fmt(r.cum_overhead_gflops),
-                ]
-            )
+    header = ["seed", "round", "selected_ids", "round_cost_h", "cum_cost_h", "round_gflops",
+              "cum_gflops"]
+    rows = (
+        [r.seed, r.round_index, ";".join(r.selected)]
+        + [cell(v) for v in (r.cost_hours, r.cum_cost_hours, r.overhead_gflops,
+                             r.cum_overhead_gflops)]
+        for r in sorted(records, key=lambda r: r.seed)
+    )
+    write_table(path, header, rows)
 
 
 def write_curves(records: list[RoundRecord], path: Path | str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed", "round", "cum_cost_hours", "map50"])
-        for r in records:
-            writer.writerow(
-                [r.seed, r.round_index, _fmt(r.cum_cost_hours), _fmt(r.map50)]
-            )
+    rows = ([r.seed, r.round_index, cell(r.cum_cost_hours), cell(r.map50)] for r in records)
+    write_table(path, ["seed", "round", "cum_cost_hours", "map50"], rows)
 
 
 def write_aggregate(rows: list[AggregateRow], path: Path | str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "strategy",
-                "round",
-                "n_seeds",
-                "mean_cum_cost_hours",
-                "se_cum_cost_hours",
-                "mean_map50",
-                "se_map50",
-            ]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    row.strategy_kind,
-                    row.round_index,
-                    row.n_seeds,
-                    _fmt(row.mean_cum_cost_hours),
-                    _fmt(row.se_cum_cost_hours),
-                    _fmt(row.mean_map50),
-                    _fmt(row.se_map50),
-                ]
-            )
+    header = ["strategy", "round", "n_seeds", "mean_cum_cost_hours", "se_cum_cost_hours",
+              "mean_map50", "se_map50"]
+    cells = (
+        [row.strategy_kind, row.round_index, row.n_seeds]
+        + [cell(v) for v in (row.mean_cum_cost_hours, row.se_cum_cost_hours,
+                             row.mean_map50, row.se_map50)]
+        for row in rows
+    )
+    write_table(path, header, cells)
 
 
 def write_outputs(

@@ -19,7 +19,10 @@ are not; the oracle tests against _frame_rng flag an upgrade that changes
 them. predict_test still draws from _frame_rng directly.
 
 A ScoreTrace holds one seed's outputs; the runner reads every output from
-it, filled live or read back from the files write_traces wrote.
+it, filled live or read back from the files write_traces wrote. Those are
+two tables.write_table files whose floats are full repr, not six-decimal
+cells, so a replay is bit-identical; read_traces parses them back through
+tables.parsed_rows.
 
 Features are read off the annotation stream itself (mean per-frame box
 count, mean center displacement, scene one-hot, season), never from the
@@ -29,7 +32,6 @@ conformal runs pay for.
 
 from __future__ import annotations
 
-import csv
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,6 +40,7 @@ import numpy as np
 
 from .errors import FeatureError, TraceError
 from .pool import BoundingBox, PoolState, Sequence, clamp_box
+from .tables import optional_float, parsed_rows, write_table
 
 EPSILON_HALF_WIDTH = 0.05
 JITTER_SD_SCALE = 0.08
@@ -378,10 +381,6 @@ class ScoreTrace:
     )
 
 
-def optional_float(raw: str) -> float | None:
-    return float(raw) if raw else None
-
-
 # (column, parser) of each trace file, in file order.
 _SCORE_FIELDS = (("seed", int), ("round", int), ("sequence_id", str), ("frame_id", int),
                  ("uncertainty", float), ("pred_count", int))
@@ -394,51 +393,23 @@ def write_traces(
 ) -> None:
     """Serialize per-seed traces. Floats keep full repr precision: replay
     must reproduce bit-identical selections and records."""
-    with open(scores_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([name for name, _ in _SCORE_FIELDS])
-        for seed in sorted(traces):
-            trace = traces[seed]
-            for rnd in sorted(trace.rounds):
-                for sid in sorted(trace.rounds[rnd]):
-                    objectness, counts = trace.rounds[rnd][sid]
-                    for fid in range(len(objectness)):
-                        writer.writerow(
-                            [seed, rnd, sid, fid, repr(float(objectness[fid])), int(counts[fid])]
-                        )
-    with open(metrics_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([name for name, _ in _METRIC_FIELDS])
-        for seed in sorted(traces):
-            trace = traces[seed]
-            for rnd in sorted(trace.test_metrics):
-                maps = ["" if m is None else repr(float(m)) for m in trace.test_metrics[rnd]]
-                writer.writerow([seed, rnd, *maps])
 
+    def score_rows():
+        for seed in sorted(traces):
+            rounds = traces[seed].rounds
+            for rnd in sorted(rounds):
+                for sid in sorted(rounds[rnd]):
+                    objectness, counts = rounds[rnd][sid]
+                    for fid, (p, n) in enumerate(zip(objectness.tolist(), counts.tolist())):
+                        yield seed, rnd, sid, fid, repr(p), n
 
-def parsed_rows(path: Path | str, fields):
-    """Each data row of a run's CSV file (a trace or records.csv) as a list
-    of parsed fields. A missing column, a short row or an unparsable field
-    raises TraceError naming the file, the line and the field."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        for name, _ in fields:
-            if name not in header:
-                raise TraceError(f"{path} line 1: no {name} column")
-        columns = [(name, header.index(name), parse) for name, parse in fields]
-        for row in filter(None, reader):
-            values = []
-            for name, index, parse in columns:
-                try:
-                    values.append(parse(row[index]))
-                except IndexError:
-                    raise TraceError(f"{path} line {reader.line_num}: no {name} field") from None
-                except ValueError:
-                    raise TraceError(
-                        f"{path} line {reader.line_num}: bad {name} {row[index]!r}"
-                    ) from None
-            yield values
+    def metric_rows():
+        for seed in sorted(traces):
+            for rnd, maps in sorted(traces[seed].test_metrics.items()):
+                yield seed, rnd, *("" if m is None else repr(float(m)) for m in maps)
+
+    write_table(scores_path, [name for name, _ in _SCORE_FIELDS], score_rows())
+    write_table(metrics_path, [name for name, _ in _METRIC_FIELDS], metric_rows())
 
 
 def read_traces(

@@ -1,0 +1,55 @@
+"""The one CSV format every file seqal writes shares, and its row reader.
+
+A table is a header row then data rows, in ``csv.writer``'s default dialect:
+comma-separated, minimal quoting, every line ended by CRLF. A float cell is
+written at six decimals and a missing value as an empty cell; trace files,
+which must replay bit for bit, write full ``repr`` floats instead.
+"""
+
+from __future__ import annotations
+
+import csv
+from pathlib import Path
+from typing import Iterable
+
+from .errors import TraceError
+
+
+def write_table(path: Path | str, header: Iterable, rows: Iterable[Iterable]) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def cell(value: float | None) -> str:
+    return "" if value is None else "%.6f" % value
+
+
+def optional_float(raw: str) -> float | None:
+    return float(raw) if raw else None
+
+
+def parsed_rows(path: Path | str, fields):
+    """Each data row of a run's CSV file (a trace or records.csv) as a list
+    of parsed fields. A missing column, a short row or an unparsable field
+    raises TraceError naming the file, the line and the field."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        for name, _ in fields:
+            if name not in header:
+                raise TraceError(f"{path} line 1: no {name} column")
+        columns = [(name, header.index(name), parse) for name, parse in fields]
+        for row in filter(None, reader):
+            values = []
+            for name, index, parse in columns:
+                try:
+                    values.append(parse(row[index]))
+                except IndexError:
+                    raise TraceError(f"{path} line {reader.line_num}: no {name} field") from None
+                except ValueError:
+                    raise TraceError(
+                        f"{path} line {reader.line_num}: bad {name} {row[index]!r}"
+                    ) from None
+            yield values

@@ -7,6 +7,7 @@ codes and the files left behind, the same way a shell user would.
 from __future__ import annotations
 
 import csv
+import re
 from pathlib import Path
 
 import pytest
@@ -53,6 +54,19 @@ def write_ini(tmp_path: Path, text: str, name: str = "cfg.ini") -> str:
 
 def run_ini_text(evaluate: bool = False) -> str:
     return GEN_INI + "\n" + RUN_TAIL.format(evaluate="true" if evaluate else "false")
+
+
+SIX_DECIMALS = re.compile(r"-?\d+\.\d{6}")
+
+
+def assert_crlf_six_decimal(path: Path, numeric_from: int) -> None:
+    """Every line of path ends in CRLF, and every cell from column
+    numeric_from on is blank or a six-decimal float."""
+    lines = path.read_bytes().split(b"\n")
+    assert lines.pop() == b"" and all(line.endswith(b"\r") for line in lines)
+    for row in lines[1:]:
+        for value in row[:-1].decode().split(",")[numeric_from:]:
+            assert value == "" or SIX_DECIMALS.fullmatch(value), (path.name, row)
 
 
 def snapshot(root: Path) -> dict[str, bytes]:
@@ -260,6 +274,43 @@ def test_run_missing_pool_directory(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "run")]) == 3
 
 
+@pytest.mark.parametrize("kind", ["coreset", "min_motion"])
+def test_run_singular_kind_without_frame_scores_fails_before_any_work(
+    tmp_path, monkeypatch, capsys, kind
+):
+    generated = count_calls(monkeypatch, seqal.runner, "generate_pool")
+    text = run_ini_text().replace("kind = entropy", f"kind = {kind}")
+    cfg = write_ini(tmp_path, text.replace("rounds = 2\n", "rounds = 2\nmode = singular\n"))
+    out = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert f"strategy '{kind}' has no frame-level scores" in capsys.readouterr().err
+    assert generated == [] and not out.exists()
+
+
+def test_run_budget_beyond_pool_is_config_error(tmp_path, capsys):
+    cfg = write_ini(tmp_path, run_ini_text().replace("rounds = 2", "rounds = 50"))
+    out = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: budget needs 51 sequences") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_run_singular_frames_beyond_pool_is_config_error(tmp_path, capsys):
+    # seed draw labels one 10-frame sequence; round 1 wants 25 of the other's 10 frames
+    write_pool(make_pool(n_train=2, n_val=0, n_test=1, n_frames=10), tmp_path / "pool")
+    text = (
+        f"[pool]\nsource = {tmp_path / 'pool'}\n[strategy]\nkind = random\n"
+        "[run]\nmode = singular\nseed_sequences = 1\nrounds = 2\nseeds = 0\n"
+        "frames_per_round = 25\n[eval]\nevaluate = false\n"
+    )
+    out = tmp_path / "run"
+    assert main(["run", "--config", write_ini(tmp_path, text), "--out", str(out)]) == 2
+    assert "need 25 candidates, only 10 remain" in capsys.readouterr().err
+    ledger = (out / "ledger.csv").read_text().splitlines()
+    assert len(ledger) == 2 and ledger[1].startswith("0,0,")
+
+
 def replay_ini(tmp_path: Path, live: Path) -> str:
     """An evaluated config that replays the trace files in live."""
     return write_ini(
@@ -391,6 +442,8 @@ def test_metrics_sweeps(finished_run, tmp_path):
         reader = csv.reader(fh)
         assert next(reader) == ["seed", "budget_map", "par"]
         assert len(list(reader)) == 2 * 2
+    assert_crlf_six_decimal(out / "car_sweep.csv", numeric_from=1)
+    assert_crlf_six_decimal(out / "par_sweep.csv", numeric_from=1)
 
 
 def test_metrics_defaults_to_run_directory(finished_run):
@@ -519,11 +572,11 @@ def test_bounds_csv_matches_hand_computation(tmp_path):
     out = tmp_path / "bounds.csv"
     rc = main(["bounds", "--pool", str(tmp_path / "pool"), "--rounds", "3", "--out", str(out)])
     assert rc == 0
-    with open(out, newline="") as fh:
-        reader = csv.reader(fh)
-        assert next(reader) == ["bound", "round_1", "round_2", "round_3"]
-        assert next(reader) == ["lower", "1.000000", "2.500000", "4.500000"]
-        assert next(reader) == ["upper", "2.500000", "4.500000", "6.000000"]
+    assert out.read_bytes() == (
+        b"bound,round_1,round_2,round_3\r\n"
+        b"lower,1.000000,2.500000,4.500000\r\n"
+        b"upper,2.500000,4.500000,6.000000\r\n"
+    )
 
 
 def test_bounds_zero_rounds_is_usage_error(tmp_path, monkeypatch):
@@ -614,6 +667,7 @@ def test_analyze_recovers_dominant_cost_driver(tmp_path):
     assert list(rows) == sorted(rows)
     # cost is a noise-free linear function of the box count here
     assert float(rows["cost_vs_total_boxes"][0]) > 0.9
+    assert_crlf_six_decimal(out, numeric_from=1)
 
 
 def test_analyze_leaves_pool_untouched(tmp_path):

@@ -40,7 +40,7 @@ delta_length = 0.04
 cost_noise_sd = 0.05
 
 [strategy]
-kind = min_max_motion
+kind = gauss_switch
 batch_size = 3
 parity_phase = min_first
 
@@ -97,7 +97,7 @@ def test_every_key_lands_in_its_field(tmp_path):
                 noise_sd=0.05,
             ),
         ),
-        strategy=StrategySpec("min_max_motion", batch_size=3, parity_phase="min_first"),
+        strategy=StrategySpec("gauss_switch", batch_size=3, parity_phase="min_first"),
         mode="singular",
         interpolation_rate=4,
         frames_per_round=6,

@@ -252,6 +252,14 @@ def test_write_load_round_trip(tmp_path):
     back = load_pool(tmp_path)
     assert pools_match(pool, back)
     assert back.train_ids == pool.train_ids
+    assert (tmp_path / "manifest.csv").read_bytes() == (
+        b"sequence_id,cost_hours,scene_id,season,time_of_day,split\r\n"
+        b"seq000,1.000000,0,winter,noon,train\r\n"
+        b"seq001,1.500000,0,winter,noon,train\r\n"
+        b"seq002,2.000000,1,winter,noon,train\r\n"
+        b"seq003,2.500000,1,winter,noon,validation\r\n"
+        b"seq004,3.000000,2,winter,noon,test\r\n"
+    )
 
 
 def test_round_trip_preserves_occlusion_and_classes(tmp_path):
