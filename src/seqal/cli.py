@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from pathlib import Path
 
 from . import config as config_mod
@@ -85,16 +86,21 @@ def _cmd_metrics(args: argparse.Namespace) -> None:
     curves = runner.read_curves(run_dir)
     out_dir = Path(args.out) if args.out else run_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, header, budgets, area in (
-        ("car_sweep.csv", ["seed", "budget_hours", "car"], car_budgets, metrics.car),
-        ("par_sweep.csv", ["seed", "budget_map", "par"], par_budgets, metrics.par),
-    ):
-        rows = (
-            [seed, cell(budget), cell(area(curve, budget))]
-            for seed, curve in curves.items()
-            for budget in budgets
-        )
-        write_table(out_dir / name, header, rows)
+    # Each metrics.par warning (a budget past the best mAP) is one stderr line.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for name, header, budgets, area in (
+            ("car_sweep.csv", ["seed", "budget_hours", "car"], car_budgets, metrics.car),
+            ("par_sweep.csv", ["seed", "budget_map", "par"], par_budgets, metrics.par),
+        ):
+            rows = (
+                [seed, cell(budget), cell(area(curve, budget))]
+                for seed, curve in curves.items()
+                for budget in budgets
+            )
+            write_table(out_dir / name, header, rows)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
 
 
 def _cmd_bounds(args: argparse.Namespace) -> None:

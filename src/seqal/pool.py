@@ -29,8 +29,6 @@ from .tables import cell, write_table
 if TYPE_CHECKING:
     from .flowproxy import FlowStats
 
-CLASS_NAMES = ("pedestrian", "bicycle", "car", "cart")
-
 COORD_FORMAT = "%.6f"
 FRAME_ID_DIGITS = 6
 
@@ -122,13 +120,12 @@ def clamp_box(
     w: float,
     h: float,
     occluded: Occlusion = Occlusion.VISIBLE,
-) -> tuple[BoundingBox, bool]:
+) -> BoundingBox:
     """Clamp raw geometry into the unit square.
 
     The center is clamped to [0,1], extents capped at 1, and the box edges
-    clipped so the whole rectangle stays inside the square. Returns the box
-    and a flag telling whether anything actually moved. Non-positive w or h
-    cannot be repaired here and must be rejected by the caller.
+    clipped so the whole rectangle stays inside the square. Non-positive w
+    or h cannot be repaired here and must be rejected by the caller.
     """
     ncx = min(max(cx, 0.0), 1.0)
     ncy = min(max(cy, 0.0), 1.0)
@@ -138,14 +135,7 @@ def clamp_box(
     x2 = min(ncx + nw / 2, 1.0)
     y1 = max(ncy - nh / 2, 0.0)
     y2 = min(ncy + nh / 2, 1.0)
-    out = BoundingBox(class_id, (x1 + x2) / 2, (y1 + y2) / 2, x2 - x1, y2 - y1, occluded)
-    changed = (
-        abs(out.cx - cx) > 1e-12
-        or abs(out.cy - cy) > 1e-12
-        or abs(out.w - w) > 1e-12
-        or abs(out.h - h) > 1e-12
-    )
-    return out, changed
+    return BoundingBox(class_id, (x1 + x2) / 2, (y1 + y2) / 2, x2 - x1, y2 - y1, occluded)
 
 
 @dataclass
@@ -256,12 +246,11 @@ class PoolState:
 
 @dataclass
 class LabelFile:
-    """Result of parsing one label file, with the lines that needed clamping."""
+    """Result of parsing one label file."""
 
     sequence_id: str
     frame_id: int
     boxes: list[BoundingBox]
-    clamped_lines: list[int] = field(default_factory=list)
 
 
 def parse_label_name(path_name: str) -> tuple[str, int]:
@@ -289,12 +278,10 @@ def parse_label_file(path_name: str, contents: str) -> LabelFile:
 
     Each non-empty line is ``class cx cy w h`` with an optional integer
     occlusion flag as a sixth field. Coordinates outside the unit square are
-    clamped and the line number recorded in the result. Unknown class ids are
-    kept.
+    clamped. Unknown class ids are kept.
     """
     sid, frame_id = parse_label_name(path_name)
     boxes: list[BoundingBox] = []
-    clamped: list[int] = []
     for lineno, raw in enumerate(contents.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -324,11 +311,8 @@ def parse_label_file(path_name: str, contents: str) -> LabelFile:
             raise LineFormatError(f"negative class id {class_id}", lineno)
         if w <= 0 or h <= 0:
             raise LineFormatError(f"non-positive box extent ({w}, {h})", lineno)
-        box, changed = clamp_box(class_id, cx, cy, w, h, occ)
-        if changed:
-            clamped.append(lineno)
-        boxes.append(box)
-    return LabelFile(sid, frame_id, boxes, clamped)
+        boxes.append(clamp_box(class_id, cx, cy, w, h, occ))
+    return LabelFile(sid, frame_id, boxes)
 
 
 def format_label_line(box: BoundingBox) -> str:

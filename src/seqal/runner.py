@@ -329,12 +329,14 @@ def run_experiment(
                 """(objectness, counts) per open sequence, read from the
                 seed's trace; a live run first fills the round in."""
                 if not cfg.replay:
-                    state = surrogate_state(rnd)
                     seqs = [pool.sequences[sid] for sid in open_ids]
+                    targets = [features[sid] for sid in open_ids]
+                    state = surrogate_state(rnd)
+                    qs = surrogate.quality(state, np.stack(targets)).tolist() if targets else []
                     noise = surrogate.frame_noise(noise_seed, rnd, seqs)
                     trace.rounds[rnd] = {
-                        sid: surrogate.frame_scores(state, seq, seq_noise)
-                        for sid, seq, seq_noise in zip(open_ids, seqs, noise)
+                        sid: surrogate.frame_scores(q, seq, seq_noise)
+                        for sid, q, seq, seq_noise in zip(open_ids, qs, seqs, noise)
                     }
                 where = f"trace seed {seed} round {rnd}"
                 table = trace.rounds.get(rnd)

@@ -8,15 +8,17 @@ smoothly as q drops. All randomness is keyed by (noise_seed, round,
 sequence, frame), so reruns are bit-identical and evaluation order is
 irrelevant.
 
-Each frame's key seeds its own numpy PCG64 stream (_frame_rng). Frame
-scoring draws one uniform and one integer from every such stream, but
-computes them for a whole round in one array pass (frame_noise) that
-re-derives the SeedSequence hash, PCG64 seeding and outputs, next_double
-and 32-bit Lemire bit for bit; it never builds the generators. Under
-numpy's NEP 19 the SeedSequence and PCG64 bit streams are stable across
-versions while the Generator.uniform and Generator.integers algorithms
-are not; the oracle tests against _frame_rng flag an upgrade that changes
-them. predict_test still draws from _frame_rng directly.
+Each frame's key seeds its own numpy PCG64 stream. _frame_states gives
+every frame's seeded state in one array pass that re-derives the
+SeedSequence hash and PCG64 seeding bit for bit, without building the
+generators. frame_noise steps those states as arrays for one uniform and
+one integer per frame (next_double and 32-bit Lemire, re-derived);
+predict_test and the rare Lemire redraw seat one reused Generator at a
+frame's state. Under numpy's NEP 19 the SeedSequence and PCG64 bit streams
+are stable across versions while the Generator.uniform and
+Generator.integers algorithms are not; the oracle tests against a
+per-frame generator flag an upgrade that changes them. The runner takes
+one quality matrix per round and hands each sequence's q to frame_scores.
 
 A ScoreTrace holds one seed's outputs; the runner reads every output from
 it, filled live or read back from the files write_traces wrote. Those are
@@ -103,43 +105,30 @@ class SurrogateState:
     labeled_weights: list[float] | None = None
 
 
-def quality(state: SurrogateState, target: np.ndarray) -> float:
-    """Detector quality q = 1 - exp(-kappa * sum of labeled similarities).
+def quality(state: SurrogateState, targets: np.ndarray) -> np.ndarray:
+    """Detector quality q = 1 - exp(-kappa * sum of labeled similarities),
+    one q per row of a (targets, features) matrix.
 
     Similarity is a Gaussian kernel over feature distance with bandwidth
     sigma. An empty labeled set gives exactly 0. Adding a labeled sequence
-    can only raise q (similarities are positive). The kernel total is a
-    left-to-right sum (cumsum, not np.sum's pairwise order) over the
-    labeled features in their given order.
+    can only raise q (similarities are positive). Each squared distance is
+    one np.sum along a contiguous feature row; the kernel total is a
+    left-to-right sum (cumsum, not np.sum's pairwise order).
     """
-    target = np.asarray(target, dtype=float)
-    if target.size == 0:
-        raise FeatureError("empty target feature vector")
+    targets = np.asarray(targets, dtype=float)
+    if targets.ndim != 2 or targets.shape[1] == 0:
+        raise FeatureError(f"expected a (targets, features) matrix, got shape {targets.shape}")
     if not state.labeled_features:
-        return 0.0
-    for feat in state.labeled_features:
-        if feat.size != target.size:
-            raise FeatureError(
-                f"feature length mismatch: {feat.size} vs {target.size}"
-            )
-    d2 = np.sum((np.stack(state.labeled_features) - target) ** 2, axis=1)
-    kernel = np.exp(-d2 / (2.0 * state.sigma**2))
+        return np.zeros(len(targets))
+    kernel = np.empty((len(targets), len(state.labeled_features)))
+    for j, feat in enumerate(state.labeled_features):
+        if feat.size != targets.shape[1]:
+            raise FeatureError(f"feature length mismatch: {feat.size} vs {targets.shape[1]}")
+        kernel[:, j] = np.sum((targets - feat) ** 2, axis=1)
+    kernel = np.exp(-kernel / (2.0 * state.sigma**2))
     if state.labeled_weights:
         kernel = np.asarray(state.labeled_weights, dtype=float) * kernel
-    total = np.cumsum(kernel)[-1]
-    return float(1.0 - np.exp(-state.kappa * total))
-
-
-def _frame_rng(
-    noise_seed: int, round_index: int, sequence_id: str, frame_id: int
-) -> np.random.Generator:
-    # Stable per-frame stream: the sequence id enters through crc32 so the
-    # key is independent of interpreter hash randomization.
-    key = zlib.crc32(sequence_id.encode("utf-8"))
-    seed = np.random.SeedSequence(
-        [noise_seed & 0xFFFFFFFFFFFFFFFF, round_index, key, frame_id]
-    )
-    return np.random.Generator(np.random.PCG64(seed))
+    return 1.0 - np.exp(-state.kappa * np.cumsum(kernel, axis=1)[:, -1])
 
 
 # The constants of numpy's SeedSequence hash (bit_generator.pyx) and of
@@ -243,19 +232,14 @@ def _xsl_rr(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return (x >> rot) | (x << ((_U64_64 - rot) & _U64_63))
 
 
-def frame_noise(
+def _frame_states(
     noise_seed: int, round_index: int, seqs: list[Sequence]
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each sequence's per-frame noise (eps float64, eta int64) for one round.
-
-    Bit-equal to drawing uniform(-0.05, 0.05) and then integers(-1, 2) from
-    every frame's _frame_rng, computed in one array pass over all frames:
-    the SeedSequence hash, PCG64 seeding and two outputs. A frame whose
-    Lemire draw would be redrawn (about one in 2**32) takes both values
-    from its _frame_rng instead.
-    """
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The freshly seeded PCG64 (state hi, state lo, inc hi, inc lo) of every
+    frame of seqs, in order, seeded from SeedSequence([noise_seed mod 2**64,
+    round_index, crc32(sequence id), frame id]); crc32, unlike hash(), does
+    not change from one interpreter to the next."""
     lengths = [seq.n_frames for seq in seqs]
-    offsets = np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)])
     keys = np.repeat(
         np.array(
             [zlib.crc32(seq.sequence_id.encode("utf-8")) for seq in seqs],
@@ -263,6 +247,7 @@ def frame_noise(
         ),
         lengths,
     )
+    offsets = np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)])
     frame_ids = (np.arange(offsets[-1]) - np.repeat(offsets[:-1], lengths)).astype(np.uint32)
     entropy = [
         *_uint32_words(noise_seed & 0xFFFFFFFFFFFFFFFF),
@@ -276,7 +261,29 @@ def frame_noise(
     # From the zero state one step leaves the increment; add the seed, step.
     lo = inc_lo + seed_lo
     hi = inc_hi + seed_hi + (lo < inc_lo).astype(np.uint64)
-    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    return (*_pcg_step(hi, lo, inc_hi, inc_lo), inc_hi, inc_lo)
+
+
+def _seat(rng: np.random.Generator, states, i: int) -> np.random.Generator:
+    """rng with its PCG64 set to frame i's seeded state from _frame_states."""
+    hi, lo, inc_hi, inc_lo = (int(a[i]) for a in states)
+    rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                               "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo}}
+    return rng
+
+
+def frame_noise(
+    noise_seed: int, round_index: int, seqs: list[Sequence]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each sequence's per-frame noise (eps float64, eta int64) for one round.
+
+    Bit-equal to drawing uniform(-0.05, 0.05) and then integers(-1, 2) from
+    every frame's stream: two PCG64 outputs stepped from the _frame_states
+    states in one array pass. A frame whose Lemire draw would be redrawn
+    (about one in 2**32) draws both from a Generator seated at its state.
+    """
+    states = _frame_states(noise_seed, round_index, seqs)
+    hi, lo, inc_hi, inc_lo = states
     hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
     first = _xsl_rr(hi, lo)
     hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
@@ -285,11 +292,12 @@ def frame_noise(
     eps = _EPS_LOW + _EPS_SPAN * ((first >> _U64_11).astype(np.float64) * (1.0 / 2.0**53))
     product = (second & _U64_LOW32) * _ETA_SPAN
     eta = (product >> _U64_32).astype(np.int64) + _ETA_LOW
+    rng = np.random.Generator(np.random.PCG64())  # seated before every draw
     for i in np.flatnonzero((product & _U64_LOW32) < _ETA_REJECT_BELOW):
-        s = int(np.searchsorted(offsets, i, side="right")) - 1
-        rng = _frame_rng(noise_seed, round_index, seqs[s].sequence_id, int(i - offsets[s]))
+        _seat(rng, states, i)
         eps[i] = rng.uniform(-EPSILON_HALF_WIDTH, EPSILON_HALF_WIDTH)
         eta[i] = rng.integers(_ETA_LOW, _ETA_HIGH)
+    offsets = np.cumsum([0, *(seq.n_frames for seq in seqs)])
     return [
         (eps[start:stop], eta[start:stop])
         for start, stop in zip(offsets[:-1], offsets[1:])
@@ -300,20 +308,19 @@ def target_quality(state: SurrogateState, seq: Sequence) -> float:
     feat = state.features.get(seq.sequence_id)
     if feat is None:
         raise FeatureError(f"no features for sequence {seq.sequence_id!r}")
-    return quality(state, feat)
+    return float(quality(state, feat[None, :])[0])
 
 
 def frame_scores(
-    state: SurrogateState, seq: Sequence, noise: tuple[np.ndarray, np.ndarray]
+    q: float, seq: Sequence, noise: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frame (objectness, predicted count) for one sequence, given its
-    (eps, eta) from frame_noise.
+    """Per-frame (objectness, predicted count) for one sequence of quality
+    q, given its (eps, eta) from frame_noise.
 
     Objectness is q + eps clamped to [0, 1]; the predicted count is the
     true count scaled by q plus the integer wobble eta in {-1, 0, 1},
     rounded half to even and floored at zero.
     """
-    q = target_quality(state, seq)
     eps, eta = noise
     boxes = np.fromiter((len(f.boxes) for f in seq.frames), dtype=np.int64, count=seq.n_frames)
     objectness = np.minimum(np.maximum(q + eps, 0.0), 1.0)
@@ -330,15 +337,17 @@ def predict_test(
     sd 0.08*(1-q), dropped with probability 0.5*(1-q), and given confidence
     clamp(q + eps, 0.05, 0.99). False positives arrive at Poisson rate
     0.3*(1-q) per frame with confidence at most 0.4. At q -> 1 the output
-    converges to the ground truth.
+    converges to the ground truth. Each frame draws from its own stream.
     """
     q = target_quality(state, seq)
     sd = JITTER_SD_SCALE * (1.0 - q)
     drop_p = DROP_PROB_SCALE * (1.0 - q)
     fp_rate = FALSE_POSITIVE_RATE * (1.0 - q)
+    states = _frame_states(state.noise_seed, state.round_index, [seq])
+    rng = np.random.Generator(np.random.PCG64())  # seated before every frame
     out: list[list[tuple[BoundingBox, float]]] = []
     for fid, frame in enumerate(seq.frames):
-        rng = _frame_rng(state.noise_seed, state.round_index, seq.sequence_id, fid)
+        _seat(rng, states, fid)
         dets: list[tuple[BoundingBox, float]] = []
         for box in frame.boxes:
             u_drop = float(rng.random())
@@ -348,7 +357,7 @@ def predict_test(
                 continue
             w = min(max(box.w + jitter[2], 1e-3), 1.0)
             h = min(max(box.h + jitter[3], 1e-3), 1.0)
-            jittered, _ = clamp_box(
+            jittered = clamp_box(
                 box.class_id, box.cx + jitter[0], box.cy + jitter[1], w, h, box.occluded
             )
             conf = min(max(q + eps, CONF_FLOOR), CONF_CEIL)
@@ -358,8 +367,7 @@ def predict_test(
             cx, cy = rng.uniform(0.0, 1.0, size=2)
             w, h = rng.uniform(0.02, 0.15, size=2)
             conf = float(rng.uniform(CONF_FLOOR, FALSE_POSITIVE_MAX_CONF))
-            fp_box, _ = clamp_box(cls, float(cx), float(cy), float(w), float(h))
-            dets.append((fp_box, conf))
+            dets.append((clamp_box(cls, float(cx), float(cy), float(w), float(h)), conf))
         out.append(dets)
     return out
 

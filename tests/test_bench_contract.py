@@ -1,0 +1,103 @@
+"""The benchmark under perfbench/ calls the package by name: its checks
+build SurrogateState and call predict_test and pool_feature_table, and its
+worker wraps module attributes and counts work from their arguments and
+results. These tests run its workloads' configs on a small pool through
+that code, unchanged, so an API change that would break a benchmark run
+fails here first."""
+
+from __future__ import annotations
+
+import csv
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from seqal import acquisition, flowproxy, metrics, runner, surrogate
+from seqal import pool as pool_mod
+from seqal.surrogate import SurrogateState
+from seqal.synth import GenConfig, generate_pool
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SMALL_POOL = GenConfig(rng_seed=0, n_sequences=30, frame_len_range=(20, 26))
+WRAPPED_MODULES = (acquisition, flowproxy, metrics, runner, surrogate, pool_mod)
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """perfbench's checks, workloads and worker modules; sys.path is put
+    back when the test ends."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import checks
+    import worker
+    import workloads
+
+    return checks, workloads, worker
+
+
+def csv_rows(path: Path) -> int:
+    return len(path.read_text().splitlines()) - 1
+
+
+def test_checks_pass_on_the_workload_configs(bench, tmp_path):
+    checks, workloads, _ = bench
+    entropy = replace(workloads.entropy_config(0), pool_source=SMALL_POOL)
+    runner.run_experiment(entropy, pool=generate_pool(SMALL_POOL), out_dir=tmp_path / "run")
+    assert checks.check_entropy(generate_pool(SMALL_POOL), 0, tmp_path / "run") == []
+
+    pool = generate_pool(SMALL_POOL)
+    live, again = tmp_path / "live", tmp_path / "replay"
+    runner.run_experiment(replace(workloads.gauss_config(0), pool_source=SMALL_POOL),
+                          pool=pool, out_dir=live)
+    replay = replace(workloads.gauss_config(0, replay_from=live), pool_source=SMALL_POOL)
+    runner.run_experiment(replay, pool=pool, out_dir=again)
+    assert checks.check_gauss(generate_pool(SMALL_POOL), 0, live, again) == []
+
+
+def test_worker_counters_match_the_run(bench, tmp_path):
+    _, workloads, worker = bench
+    entropy = replace(workloads.entropy_config(0), pool_source=SMALL_POOL)
+    gauss = replace(workloads.gauss_config(0), pool_source=SMALL_POOL)
+    saved = {mod: dict(vars(mod)) for mod in WRAPPED_MODULES}
+    tracer = worker.Tracer()
+    try:
+        worker.install(tracer, [])
+        runner.run_experiment(entropy, pool=generate_pool(SMALL_POOL), out_dir=tmp_path / "run")
+        runner.run_experiment(gauss, pool=generate_pool(SMALL_POOL), out_dir=tmp_path / "live")
+    finally:
+        for mod, attrs in saved.items():
+            for name, value in attrs.items():
+                if vars(mod)[name] is not value:
+                    setattr(mod, name, value)
+    for mod, attrs in saved.items():
+        assert all(vars(mod)[name] is value for name, value in attrs.items()), mod.__name__
+    values = tracer.values
+
+    # Every scored frame is one trace row; the entropy run alone evaluates.
+    assert values["surrogate.frames_scored"] == (
+        csv_rows(tmp_path / "run" / "trace.csv") + csv_rows(tmp_path / "live" / "trace.csv")
+    )
+    pool = generate_pool(SMALL_POOL)
+    runner.filter_small_boxes(pool, entropy.min_box_pixels, entropy.reference_resolution)
+    test_seqs = [pool.sequences[sid] for sid in pool.test_ids]
+    assert values["surrogate.test_frames"] == (
+        (entropy.rounds + 1) * sum(seq.n_frames for seq in test_seqs)
+    )
+    features, sigma = surrogate.pool_feature_table(pool)
+    labeled, detections = [], 0
+    with open(tmp_path / "run" / "records.csv", newline="") as fh:
+        records = list(csv.DictReader(fh))
+    assert [int(r["round"]) for r in records] == list(range(entropy.rounds + 1))
+    assert entropy.seeds == (0,)
+    for rnd, record in enumerate(records):
+        labeled += record["selected_ids"].split(";")
+        state = SurrogateState(
+            round_index=rnd,
+            labeled_features=[features[s] for s in labeled],
+            kappa=entropy.kappa,
+            noise_seed=0,
+            sigma=sigma,
+            features=features,
+        )
+        detections += sum(len(d) for seq in test_seqs for d in surrogate.predict_test(state, seq))
+    assert values["surrogate.detections"] == values["metrics.predictions"] == detections > 0

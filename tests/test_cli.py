@@ -8,14 +8,17 @@ from __future__ import annotations
 
 import csv
 import re
+import warnings
 from pathlib import Path
 
 import pytest
 
 import seqal.cli
 import seqal.runner
+from seqal import metrics
 from seqal.cli import main
 from seqal.pool import Split, load_pool, write_pool
+from seqal.tables import cell
 
 from conftest import count_calls, make_pool
 
@@ -444,6 +447,30 @@ def test_metrics_sweeps(finished_run, tmp_path):
         assert len(list(reader)) == 2 * 2
     assert_crlf_six_decimal(out / "car_sweep.csv", numeric_from=1)
     assert_crlf_six_decimal(out / "par_sweep.csv", numeric_from=1)
+
+
+def test_metrics_budget_past_best_map_warns_one_line_each(finished_run, tmp_path, capsys):
+    budgets = (0.5, 1.0)
+    curves = seqal.runner.read_curves(finished_run)
+    assert all(curve.max_map < 1.0 for curve in curves.values())
+    out = tmp_path / "sweeps"
+    capsys.readouterr()
+    argv = ["metrics", "--run", str(finished_run), "--car-budgets", "1",
+            "--par-budgets", "0.5,1", "--out", str(out)]
+    assert main(argv) == 0
+    lines = capsys.readouterr().err.splitlines()
+    past = [(s, b) for s, curve in curves.items() for b in budgets if b > curve.max_map]
+    assert len(lines) == len(past)
+    for line, (seed, budget) in zip(lines, past):
+        assert line == (
+            f"warning: performance budget {budget} exceeds best achieved mAP "
+            f"{curves[seed].max_map}; integrating to the achieved maximum"
+        )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = [[str(s), cell(b), cell(metrics.par(c, b))] for s, c in curves.items() for b in budgets]
+    with open(out / "par_sweep.csv", newline="") as fh:
+        assert list(csv.reader(fh))[1:] == want
 
 
 def test_metrics_defaults_to_run_directory(finished_run):

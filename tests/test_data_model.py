@@ -69,7 +69,8 @@ def test_parse_label_file_five_and_six_fields():
     assert [b.class_id for b in lf.boxes] == [0, 2]
     assert lf.boxes[0].occluded is Occlusion.VISIBLE
     assert lf.boxes[1].occluded is Occlusion.PARTIAL
-    assert lf.clamped_lines == []
+    b = lf.boxes[0]
+    assert (b.cx, b.cy, b.w, b.h) == pytest.approx((0.5, 0.5, 0.2, 0.2), abs=1e-12)
 
 
 def test_parse_label_file_skips_blank_lines():
@@ -77,11 +78,14 @@ def test_parse_label_file_skips_blank_lines():
     assert len(lf.boxes) == 1
 
 
-def test_parse_label_file_records_clamped_lines():
+def test_parse_label_file_clamps_out_of_square_lines():
     text = "0 0.5 0.5 0.2 0.2\n0 0.99 0.5 0.2 0.2\n"
     lf = parse_label_file("a_000000.txt", text)
-    assert lf.clamped_lines == [2]
-    lf.boxes[1].validate()  # clamped result is a legal box
+    legal, clipped = lf.boxes
+    assert (legal.cx, legal.w) == pytest.approx((0.5, 0.2), abs=1e-12)
+    # the right edge 1.09 is clipped to 1: the box spans [0.89, 1]
+    assert (clipped.cx, clipped.w) == pytest.approx((0.945, 0.11), abs=1e-12)
+    clipped.validate()  # clamped result is a legal box
 
 
 def test_parse_label_file_line_numbers_in_errors():
@@ -135,22 +139,22 @@ def test_corners():
 
 
 def test_clamp_box_identity_on_legal_input():
-    box, changed = clamp_box(1, 0.5, 0.5, 0.2, 0.2)
-    assert not changed
+    box = clamp_box(1, 0.5, 0.5, 0.2, 0.2)
     assert (box.cx, box.cy, box.w, box.h) == pytest.approx((0.5, 0.5, 0.2, 0.2))
 
 
 def test_clamp_box_pulls_edges_inside():
-    box, changed = clamp_box(0, 0.98, 0.5, 0.2, 0.2)
-    assert changed
+    box = clamp_box(0, 0.98, 0.5, 0.2, 0.2)
+    assert (box.cx, box.w) == pytest.approx((0.94, 0.12), abs=1e-12)
     x1, y1, x2, y2 = box.corners()
     assert x2 <= 1.0 + 1e-12 and x1 >= -1e-12
     box.validate()
 
 
 def test_clamp_box_center_outside_square():
-    box, changed = clamp_box(0, 1.4, -0.2, 0.5, 0.5)
-    assert changed
+    box = clamp_box(0, 1.4, -0.2, 0.5, 0.5)
+    # the center lands on the corner (1, 0); a quarter of the box is left
+    assert (box.cx, box.cy, box.w, box.h) == pytest.approx((0.875, 0.125, 0.25, 0.25), abs=1e-12)
     box.validate()
 
 

@@ -177,6 +177,26 @@ def test_conformal_run_never_calls_surrogate_scoring(monkeypatch):
     assert calls == []
 
 
+def test_one_quality_pass_per_live_scored_round(monkeypatch, tmp_path):
+    quality = count_calls(monkeypatch, sg, "quality")
+    scored = count_calls(monkeypatch, sg, "frame_scores")
+    seq_cfg = tiny_cfg(kind="entropy", rounds=3)
+    sing_cfg = singular_cfg(kind="gauss_switch", rounds=3, seeds=(0, 1))
+    for cfg, pool in ((seq_cfg, runner_pool()), (sing_cfg, singular_pool())):
+        run_experiment(cfg, pool=pool, out_dir=tmp_path / cfg.mode)
+        # rounds 1..R of every seed score; the seed draw does not
+        assert len(quality) == cfg.rounds * len(cfg.seeds)
+        assert sum(len(targets) for _, targets in quality) == len(scored)
+        del quality[:], scored[:]
+        replay = replace(
+            cfg,
+            trace_path=str(tmp_path / cfg.mode / "trace.csv"),
+            trace_metrics_path=str(tmp_path / cfg.mode / "trace_metrics.csv"),
+        )
+        run_experiment(replay, pool=pool)
+        assert quality == [] and scored == []
+
+
 def test_inferential_run_never_touches_flow():
     before = fp.computations()
     run_experiment(tiny_cfg(kind="entropy"), pool=runner_pool(raster_size=(16, 16)))

@@ -1,12 +1,13 @@
 import itertools
 import math
+import zlib
 
 import numpy as np
 import pytest
 
 import seqal.surrogate as sg
 from seqal.errors import FeatureError, TraceError
-from seqal.pool import PoolState, Season, Split
+from seqal.pool import PoolState, Season, Split, clamp_box
 from seqal.surrogate import (
     ScoreTrace,
     SurrogateState,
@@ -73,10 +74,16 @@ def test_sigma_floor_with_single_train_sequence():
     assert sigma == 1.0
 
 
+def quality_of(state, target):
+    """quality of one target vector."""
+    return float(quality(state, target[None, :])[0])
+
+
 def test_quality_empty_labeled_set_is_zero(six_pool):
     state = build_state(six_pool, [])
-    target = state.features[six_pool.train_ids[0]]
-    assert quality(state, target) == 0.0
+    targets = np.stack([state.features[s] for s in six_pool.train_ids[:3]])
+    got = quality(state, targets)
+    assert got.dtype == np.float64 and got.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_quality_single_labeled_closed_form(six_pool):
@@ -86,7 +93,7 @@ def test_quality_single_labeled_closed_form(six_pool):
     target = state.features[other]
     d2 = float(np.sum((state.features[sid] - target) ** 2))
     expected = 1.0 - math.exp(-0.5 * math.exp(-d2 / (2 * state.sigma**2)))
-    assert quality(state, target) == pytest.approx(expected, abs=1e-12)
+    assert quality_of(state, target) == pytest.approx(expected, abs=1e-12)
 
 
 def test_quality_grows_with_labeled_set(six_pool):
@@ -94,7 +101,7 @@ def test_quality_grows_with_labeled_set(six_pool):
     target = build_state(six_pool, []).features[ids[-1]]
     prev = 0.0
     for k in range(1, len(ids) + 1):
-        q = quality(build_state(six_pool, ids[:k]), target)
+        q = quality_of(build_state(six_pool, ids[:k]), target)
         assert q > prev
         assert q < 1.0
         prev = q
@@ -102,10 +109,12 @@ def test_quality_grows_with_labeled_set(six_pool):
 
 def test_quality_feature_length_mismatch(six_pool):
     state = build_state(six_pool, six_pool.train_ids[:1])
+    with pytest.raises(FeatureError, match="length mismatch"):
+        quality(state, np.zeros((3, 2)))
     with pytest.raises(FeatureError):
-        quality(state, np.zeros(2))
-    with pytest.raises(FeatureError):
-        quality(state, np.array([]))
+        quality(state, np.zeros((1, 0)))
+    with pytest.raises(FeatureError):  # one vector, not a matrix
+        quality(state, state.features[six_pool.train_ids[0]])
 
 
 def test_labeled_weights_scale_contributions(six_pool):
@@ -116,8 +125,8 @@ def test_labeled_weights_scale_contributions(six_pool):
     half = make_state([sid], 1, 0.35, 0, features, sigma, weights={sid: 0.5})
     t = features[target_id]
     # halving the weight halves the exponent
-    assert math.log(1 - quality(half, t)) == pytest.approx(
-        0.5 * math.log(1 - quality(full, t)), abs=1e-12
+    assert math.log(1 - quality_of(half, t)) == pytest.approx(
+        0.5 * math.log(1 - quality_of(full, t)), abs=1e-12
     )
 
 
@@ -128,8 +137,16 @@ def test_target_quality_unknown_sequence(six_pool):
 
 
 # --- oracles ------------------------------------------------------------
-# The scalar forms quality and frame_scores had before they were batched;
-# the array code must match them bit for bit.
+# The per-target and per-frame forms quality, frame_scores and predict_test
+# had before they were batched; the array code must match them bit for bit.
+
+
+def _frame_rng(noise_seed, round_index, sequence_id, frame_id):
+    """A frame's own stream, built the way the surrogate keys it: the
+    sequence id enters through crc32, the seed modulo 2**64."""
+    key = zlib.crc32(sequence_id.encode("utf-8"))
+    seed = np.random.SeedSequence([noise_seed & 0xFFFFFFFFFFFFFFFF, round_index, key, frame_id])
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 def quality_loop(state, target):
@@ -147,14 +164,13 @@ def quality_loop(state, target):
 
 def draws_loop(noise_seed, round_index, sequence_id, frame_id):
     """One frame's (eps, eta), drawn from its own PCG64 stream."""
-    rng = sg._frame_rng(noise_seed, round_index, sequence_id, frame_id)
+    rng = _frame_rng(noise_seed, round_index, sequence_id, frame_id)
     eps = float(rng.uniform(-sg.EPSILON_HALF_WIDTH, sg.EPSILON_HALF_WIDTH))
     return eps, int(rng.integers(-1, 2))
 
 
-def frame_scores_loop(state, seq):
+def frame_scores_loop(state, q, seq):
     """Objectness and counts frame by frame, each from draws_loop."""
-    q = sg.target_quality(state, seq)
     objectness = np.empty(seq.n_frames)
     counts = np.empty(seq.n_frames, dtype=np.int64)
     for fid, frame in enumerate(seq.frames):
@@ -164,27 +180,64 @@ def frame_scores_loop(state, seq):
     return objectness, counts
 
 
+def predict_test_loop(state, seq):
+    """Detections frame by frame, each frame from its own _frame_rng."""
+    q = sg.target_quality(state, seq)
+    sd = sg.JITTER_SD_SCALE * (1.0 - q)
+    drop_p = sg.DROP_PROB_SCALE * (1.0 - q)
+    fp_rate = sg.FALSE_POSITIVE_RATE * (1.0 - q)
+    out = []
+    for fid, frame in enumerate(seq.frames):
+        rng = _frame_rng(state.noise_seed, state.round_index, seq.sequence_id, fid)
+        dets = []
+        for box in frame.boxes:
+            u_drop = float(rng.random())
+            jitter = rng.normal(0.0, sd, size=4) if sd > 0 else np.zeros(4)
+            eps = float(rng.uniform(-sg.EPSILON_HALF_WIDTH, sg.EPSILON_HALF_WIDTH))
+            if u_drop < drop_p:
+                continue
+            w = min(max(box.w + jitter[2], 1e-3), 1.0)
+            h = min(max(box.h + jitter[3], 1e-3), 1.0)
+            jittered = clamp_box(
+                box.class_id, box.cx + jitter[0], box.cy + jitter[1], w, h, box.occluded
+            )
+            dets.append((jittered, min(max(q + eps, sg.CONF_FLOOR), sg.CONF_CEIL)))
+        for _ in range(int(rng.poisson(fp_rate))):
+            cls = int(rng.integers(0, 4))
+            cx, cy = rng.uniform(0.0, 1.0, size=2)
+            w, h = rng.uniform(0.02, 0.15, size=2)
+            conf = float(rng.uniform(sg.CONF_FLOOR, sg.FALSE_POSITIVE_MAX_CONF))
+            dets.append((clamp_box(cls, float(cx), float(cy), float(w), float(h)), conf))
+        out.append(dets)
+    return out
+
+
 def scores(state, seq):
-    """frame_scores fed the sequence's noise for the state's round."""
+    """frame_scores fed the sequence's quality and noise for the state's round."""
     noise = frame_noise(state.noise_seed, state.round_index, [seq])
-    return frame_scores(state, seq, noise[0])
+    return frame_scores(target_quality(state, seq), seq, noise[0])
 
 
 def test_quality_matches_loop_oracle():
+    # Feature lengths cross np.sum's 8-wide unrolling and its 128-element
+    # pairwise blocks.
     gen = np.random.default_rng(20)
-    for case in range(6000):
-        length = int(gen.integers(1, 41))
+    for case in range(1500):
+        length = int(gen.integers(1, 140)) if case % 5 == 0 else int(gen.integers(1, 41))
         n = int(gen.integers(1, 30))
+        n_targets = int(gen.integers(1, 12))
         scale = 10.0 ** gen.uniform(-3, 2)
         feats = [gen.normal(0.0, scale, length) for _ in range(n)]
-        target = gen.normal(0.0, scale, length)
+        targets = gen.normal(0.0, scale, (n_targets, length))
         if case % 7 == 0:
-            feats[int(gen.integers(n))] = target.copy()  # zero distance
+            targets[int(gen.integers(n_targets))] = feats[int(gen.integers(n))]  # zero distance
         sigma = sg._SIGMA_FLOOR if case % 11 == 0 else scale * 10.0 ** gen.uniform(-1, 1)
         kappa = 0.0 if case % 13 == 0 else 10.0 ** gen.uniform(-2, 1)
         weights = list(gen.uniform(0.0, 1.0, n)) if case % 2 else None
         state = SurrogateState(0, feats, kappa, 0, sigma, labeled_weights=weights)
-        assert quality(state, target) == quality_loop(state, target), case
+        got = quality(state, targets)
+        assert got.shape == (n_targets,)
+        assert got.tolist() == [quality_loop(state, t) for t in targets], case
 
 
 def test_frame_noise_matches_frame_rng():
@@ -212,7 +265,7 @@ def test_frame_noise_matches_frame_rng():
     assert frame_noise(5, 1, []) == []
 
 
-def test_frame_noise_lemire_rejection_falls_back_to_frame_rng(monkeypatch):
+def test_frame_noise_lemire_rejection_falls_back_to_seated_generator(monkeypatch):
     seqs = [make_sequence(f"s{i}", n_frames=n, boxes_per_frame=0) for i, n in enumerate((3, 6, 4))]
     plain = frame_noise(11, 2, seqs)
     forced = {(0, 0), (1, 4), (2, 3)}
@@ -231,15 +284,28 @@ def test_frame_noise_lemire_rejection_falls_back_to_frame_rng(monkeypatch):
         return out
 
     monkeypatch.setattr(sg, "_xsl_rr", rejecting)
-    calls = count_calls(monkeypatch, sg, "_frame_rng")
+    calls = count_calls(monkeypatch, sg, "_seat")
     got = frame_noise(11, 2, seqs)
     assert len(outputs) == 2
-    assert sorted((c[2], c[3]) for c in calls) == sorted((f"s{s}", f) for s, f in forced)
+    assert sorted(int(c[2]) for c in calls) == sorted(flat)
     for s, (seq, (eps, eta), (eps0, eta0)) in enumerate(zip(seqs, got, plain)):
         for fid in range(seq.n_frames):
             assert (eps[fid], eta[fid]) == (eps0[fid], eta0[fid])
             if (s, fid) in forced:
                 assert (eps[fid], eta[fid]) == draws_loop(11, 2, seq.sequence_id, fid)
+
+
+def test_seat_lands_on_each_frames_stream():
+    seqs = [make_sequence(f"q{i}", n_frames=n, boxes_per_frame=0) for i, n in enumerate((2, 5))]
+    states = sg._frame_states(-9, 3, seqs)
+    rng = np.random.Generator(np.random.PCG64())
+    flat = 0
+    for seq in seqs:
+        for fid in range(seq.n_frames):
+            fresh = _frame_rng(-9, 3, seq.sequence_id, fid)
+            assert sg._seat(rng, states, flat).bit_generator.state == fresh.bit_generator.state
+            assert rng.random(5).tolist() == fresh.random(5).tolist()
+            flat += 1
 
 
 # --- frame scores --------------------------------------------------------
@@ -278,7 +344,7 @@ def test_frame_scores_vary_with_round_and_seed(six_pool):
 
 
 @pytest.mark.parametrize("forced_q", [None, 0.0, 0.5, 0.25, 0.9999, 1.0])
-def test_frame_scores_match_loop_oracle(monkeypatch, forced_q):
+def test_frame_scores_match_loop_oracle(forced_q):
     # q = 0.5 puts odd box counts on a half: both sides round it to even.
     # q near 0 and 1 push objectness into the clamp.
     seqs = [
@@ -286,14 +352,13 @@ def test_frame_scores_match_loop_oracle(monkeypatch, forced_q):
         for i in range(10)
     ]
     pool = PoolState.from_sequences(seqs)
-    if forced_q is not None:
-        monkeypatch.setattr(sg, "target_quality", lambda state, seq: forced_q)
     for round_index, labeled in ((0, []), (1, pool.train_ids[:1]), (4, pool.train_ids[:6])):
         state = build_state(pool, labeled, round_index=round_index, noise_seed=round_index + 3)
         noise = frame_noise(state.noise_seed, round_index, seqs)
         for seq, seq_noise in zip(seqs, noise):
-            got = frame_scores(state, seq, seq_noise)
-            want = frame_scores_loop(state, seq)
+            q = target_quality(state, seq) if forced_q is None else forced_q
+            got = frame_scores(q, seq, seq_noise)
+            want = frame_scores_loop(state, q, seq)
             assert got[0].tolist() == want[0].tolist()
             assert got[1].tolist() == want[1].tolist()
             assert got[0].dtype == np.float64 and got[1].dtype == np.int64
@@ -308,6 +373,33 @@ def test_predict_test_does_not_touch_score_counter(six_pool, monkeypatch):
     calls = count_calls(monkeypatch, sg, "frame_scores")
     predict_test(state, seq)
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "forced_q, fp_rate",
+    [(None, sg.FALSE_POSITIVE_RATE), (0.0, sg.FALSE_POSITIVE_RATE), (1.0, sg.FALSE_POSITIVE_RATE),
+     (0.3, 6.0)],
+    ids=["actual-q", "q0", "q1-no-jitter", "many-false-positives"],
+)
+def test_predict_test_matches_frame_rng_oracle(monkeypatch, forced_q, fp_rate):
+    # Frames with 0 boxes draw only the false-positive count; q = 1 takes
+    # the sd == 0 branch, which draws no normals.
+    seqs = [
+        make_sequence(f"test{i}", n_frames=6 + i, boxes_per_frame=i % 4, split=Split.TEST, scene=i)
+        for i in range(5)
+    ]
+    pool = PoolState.from_sequences(seqs + [make_sequence(f"tr{i}", scene=i) for i in range(3)])
+    monkeypatch.setattr(sg, "FALSE_POSITIVE_RATE", fp_rate)
+    if forced_q is not None:
+        monkeypatch.setattr(sg, "target_quality", lambda state, seq: forced_q)
+    detections = 0
+    for round_index in (0, 3):
+        state = build_state(pool, pool.train_ids[:2], round_index=round_index, noise_seed=-4)
+        for seq in seqs:
+            got = predict_test(state, seq)
+            assert got == predict_test_loop(state, seq)
+            detections += sum(len(d) for d in got)
+    assert detections > 0
 
 
 def test_predict_test_deterministic(six_pool):
