@@ -77,6 +77,8 @@ PARITY_MIN_FIRST = "min_first"
 
 RESPONSIBILITY_CUTOFF = 0.5
 VARIANCE_FLOOR = 1e-12
+GMM_MAX_ITER = 200
+GMM_TOL = 1e-10
 
 
 @dataclass
@@ -161,7 +163,6 @@ class GmmFit:
     means: tuple[float, float]
     variances: tuple[float, float]
     iterations: int
-    log_likelihood: float
     degenerate: bool = False
 
     def responsibilities(self, values) -> np.ndarray:
@@ -180,27 +181,23 @@ class GmmFit:
         return weights / weights.sum(axis=1, keepdims=True)
 
 
-def fit_gmm2(values, max_iter: int = 200, tol: float = 1e-10) -> GmmFit:
+def fit_gmm2(values) -> GmmFit:
     """EM fit of a two-component 1-D Gaussian mixture.
 
     Means start at the 25th/75th percentiles with equal weights and pooled
-    variance; iteration stops when the log-likelihood moves less than tol.
+    variance; iteration stops after GMM_MAX_ITER iterations or when the
+    log-likelihood moves less than GMM_TOL.
     Constant input cannot be split and comes back flagged degenerate.
     """
     x = np.asarray(list(values), dtype=float)
     if x.size < 2:
         raise DomainError(f"need at least 2 values to fit, got {x.size}")
-    if tol <= 0 or max_iter < 1:
-        raise DomainError("tol must be positive and max_iter at least 1")
 
     spread = float(np.ptp(x))
     pooled = max(float(np.var(x)), VARIANCE_FLOOR)
     if spread == 0.0:
         mean = float(x[0])
-        ll = float(
-            np.sum(-0.5 * math.log(2.0 * math.pi * pooled) - 0.5 * (x - mean) ** 2 / pooled)
-        )
-        return GmmFit((0.5, 0.5), (mean, mean), (pooled, pooled), 0, ll, degenerate=True)
+        return GmmFit((0.5, 0.5), (mean, mean), (pooled, pooled), 0, degenerate=True)
 
     mu = np.array([np.percentile(x, 25), np.percentile(x, 75)], dtype=float)
     if mu[0] == mu[1]:
@@ -209,9 +206,7 @@ def fit_gmm2(values, max_iter: int = 200, tol: float = 1e-10) -> GmmFit:
     var = np.array([pooled, pooled])
 
     prev_ll = -np.inf
-    iterations = 0
-    ll = prev_ll
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, GMM_MAX_ITER + 1):
         log_p = (
             np.log(np.maximum(w, 1e-300))[None, :]
             - 0.5 * np.log(2.0 * math.pi * var)[None, :]
@@ -230,7 +225,7 @@ def fit_gmm2(values, max_iter: int = 200, tol: float = 1e-10) -> GmmFit:
         var = (resp * (x[:, None] - mu[None, :]) ** 2).sum(axis=0) / mass
         var = np.maximum(var, VARIANCE_FLOOR)
 
-        if abs(ll - prev_ll) < tol:
+        if abs(ll - prev_ll) < GMM_TOL:
             break
         prev_ll = ll
 
@@ -242,7 +237,6 @@ def fit_gmm2(values, max_iter: int = 200, tol: float = 1e-10) -> GmmFit:
         means=(float(mu[0]), float(mu[1])),
         variances=(float(var[0]), float(var[1])),
         iterations=iterations,
-        log_likelihood=ll,
         degenerate=degenerate,
     )
 

@@ -1,9 +1,10 @@
 """Annotation-cost and compute-overhead prices.
 
 Annotation cost is priced in hours. Sequential acquisition charges a
-sequence's full cost; singular (frame-level) acquisition divides the cost
-over its effective frames, ceil(N / interpolation_rate), so label
-interpolation at rate r makes each annotated keyframe stand for r frames.
+sequence's full cost_hours. Singular (frame-level) acquisition prices each
+labeled frame through frame_cost: the keyframes, every interpolation_rate-th
+frame from frame 0, split the cost evenly, cost_hours / ceil(N / r) apiece,
+and interpolated frames are free, so each keyframe stands for r frames.
 
 Compute overhead is priced in GFLOPS: detector_gflops_per_frame for each
 frame the refreshed detector scores, flow_gflops_per_pair for each frame of
@@ -18,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, PoolExhaustedError
-from .pool import SequenceMeta
+from .pool import Sequence
 
 MODE_SEQUENTIAL = "sequential"
 MODE_SINGULAR = "singular"
@@ -38,48 +39,15 @@ class OverheadModel:
                 raise DomainError(f"{name} must be finite and >= 0, got {price}")
 
 
-def effective_frames(n_frames: int, interpolation_rate: int) -> int:
-    """Frames actually annotated under interpolation: ceil(N / r)."""
+def frame_cost(seq: Sequence, frame_id: int, interpolation_rate: int) -> float:
+    """Hours charged for labeling one frame of seq: a keyframe (frame id
+    divisible by the rate) costs cost_hours / ceil(N / rate), an
+    interpolated frame nothing."""
     if interpolation_rate < 1:
         raise DomainError(f"interpolation_rate must be >= 1, got {interpolation_rate}")
-    if n_frames < 1:
-        raise DomainError(f"n_frames must be >= 1, got {n_frames}")
-    return math.ceil(n_frames / interpolation_rate)
-
-
-def sequence_cost(
-    meta: SequenceMeta,
-    mode: str = MODE_SEQUENTIAL,
-    interpolation_rate: int = 1,
-    frames_taken: int | None = None,
-    n_frames: int | None = None,
-) -> float:
-    """Hours charged for acquiring from one sequence.
-
-    Sequential mode charges the full cost regardless of the other arguments.
-    Singular mode charges frames_taken effective frames at
-    cost_hours / ceil(n_frames / interpolation_rate) apiece.
-    """
-    if mode == MODE_SEQUENTIAL:
-        return meta.cost_hours
-    if mode != MODE_SINGULAR:
-        raise DomainError(f"unknown costing mode {mode!r}")
-    if frames_taken is None or n_frames is None:
-        raise DomainError("singular mode needs frames_taken and n_frames")
-    eff = effective_frames(n_frames, interpolation_rate)
-    if not 0 <= frames_taken <= n_frames:
-        raise DomainError(
-            f"frames_taken {frames_taken} outside [0, {n_frames}]"
-        )
-    return frames_taken * meta.cost_hours / eff
-
-
-def is_keyframe(frame_id: int, interpolation_rate: int) -> bool:
-    """Keyframes (index divisible by the rate) carry the annotation charge;
-    interpolated frames ride free."""
-    if interpolation_rate < 1:
-        raise DomainError(f"interpolation_rate must be >= 1, got {interpolation_rate}")
-    return frame_id % interpolation_rate == 0
+    if frame_id % interpolation_rate:
+        return 0.0
+    return seq.meta.cost_hours / math.ceil(seq.n_frames / interpolation_rate)
 
 
 def theoretical_cost_bounds(

@@ -15,11 +15,11 @@ class NameFormatError(SeqalError):
 
 
 class LineFormatError(SeqalError):
-    """A label line is malformed. Carries the 1-based line number."""
+    """A label line is malformed; the message names the file and the 1-based
+    line number."""
 
-    def __init__(self, message: str, line_number: int):
-        super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
+    def __init__(self, message: str, path_name: str, line_number: int):
+        super().__init__(f"{path_name} line {line_number}: {message}")
 
 
 class ManifestError(SeqalError):

@@ -288,29 +288,29 @@ def parse_label_file(path_name: str, contents: str) -> LabelFile:
             continue
         fields = line.split()
         if len(fields) not in (5, 6):
-            raise LineFormatError(f"expected 5 or 6 fields, got {len(fields)}", lineno)
+            raise LineFormatError(f"expected 5 or 6 fields, got {len(fields)}", path_name, lineno)
         try:
             class_id = int(fields[0])
         except ValueError:
-            raise LineFormatError(f"bad class id {fields[0]!r}", lineno) from None
+            raise LineFormatError(f"bad class id {fields[0]!r}", path_name, lineno) from None
         try:
             cx, cy, w, h = (float(v) for v in fields[1:5])
         except ValueError:
-            raise LineFormatError("non-numeric coordinate", lineno) from None
+            raise LineFormatError("non-numeric coordinate", path_name, lineno) from None
         if not all(np.isfinite(v) for v in (cx, cy, w, h)):
-            raise LineFormatError("non-finite coordinate", lineno)
+            raise LineFormatError("non-finite coordinate", path_name, lineno)
         occ = Occlusion.VISIBLE
         if len(fields) == 6:
             try:
                 occ = Occlusion(int(fields[5]))
             except ValueError:
                 raise LineFormatError(
-                    f"bad occlusion flag {fields[5]!r}", lineno
+                    f"bad occlusion flag {fields[5]!r}", path_name, lineno
                 ) from None
         if class_id < 0:
-            raise LineFormatError(f"negative class id {class_id}", lineno)
+            raise LineFormatError(f"negative class id {class_id}", path_name, lineno)
         if w <= 0 or h <= 0:
-            raise LineFormatError(f"non-positive box extent ({w}, {h})", lineno)
+            raise LineFormatError(f"non-positive box extent ({w}, {h})", path_name, lineno)
         boxes.append(clamp_box(class_id, cx, cy, w, h, occ))
     return LabelFile(sid, frame_id, boxes)
 
@@ -417,7 +417,7 @@ def load_pool(root_dir: Path | str) -> PoolState:
         if not split_dir.is_dir():
             continue
         for label_path in sorted(split_dir.glob("*.txt")):
-            parsed = parse_label_file(label_path.name, label_path.read_text())
+            parsed = parse_label_file(str(label_path), label_path.read_text())
             meta = metas.get(parsed.sequence_id)
             if meta is None:
                 raise ManifestError(

@@ -28,12 +28,12 @@ A run's only record of what is labeled is its per-seed map from sequence id
 to labeled frame ids, in the order sequences were first touched.
 
 - sequential: the unit is a sequence id at full annotation cost.
-- singular: the unit is a (sequence id, frame id) pair; only every
-  interpolation_rate-th frame (a keyframe) carries a charge of
-  cost_hours / ceil(N / rate), interpolated frames are free. Seed draws
-  still label whole sequences. Frame scoring only makes sense for the
-  model-score strategies, so RunConfig rejects pool-statistic kinds and
-  coreset before any work.
+- singular: the unit is a (sequence id, frame id) pair priced by
+  costing.frame_cost: only every interpolation_rate-th frame (a keyframe)
+  carries a charge of cost_hours / ceil(N / rate), interpolated frames are
+  free. Seed draws still label whole sequences. Frame scoring only makes
+  sense for the model-score strategies, so RunConfig rejects pool-statistic
+  kinds and coreset before any work.
 
 Outputs: records.csv, ledger.csv, curves.csv and aggregate.csv are written
 here through tables.write_table, floats at six decimals; read_curves reads
@@ -116,6 +116,8 @@ class RunConfig:
             raise DomainError("need at least one seed")
         if len(set(self.seeds)) < len(self.seeds):
             raise DomainError(f"seeds must not repeat, got {list(self.seeds)}")
+        if min(self.seeds) < 0:
+            raise DomainError(f"seeds must be >= 0, got {list(self.seeds)}")
         if self.interpolation_rate < 1:
             raise DomainError(
                 f"interpolation_rate must be >= 1, got {self.interpolation_rate}"
@@ -401,25 +403,19 @@ def run_experiment(
                 return scores
 
             def acquire(units: list) -> tuple[list[str], float]:
-                """Label whole sequences (ids) or single frames ((id, frame)
-                pairs); returns their names and annotation hours."""
+                """Label whole sequences (ids) at their full cost or single
+                frames ((id, frame) pairs) at their frame_cost; returns their
+                names and annotation hours."""
                 names, cost = [], 0.0
                 for unit in units:
                     if isinstance(unit, str):
                         labeled_frames[unit] = set(range(n_frames[unit]))
-                        cost += costing.sequence_cost(pool.sequences[unit].meta)
+                        cost += pool.sequences[unit].meta.cost_hours
                         names.append(unit)
                         continue
                     sid, fid = unit
                     labeled_frames.setdefault(sid, set()).add(fid)
-                    if costing.is_keyframe(fid, rate):
-                        cost += costing.sequence_cost(
-                            pool.sequences[sid].meta,
-                            MODE_SINGULAR,
-                            rate,
-                            frames_taken=1,
-                            n_frames=n_frames[sid],
-                        )
+                    cost += costing.frame_cost(pool.sequences[sid], fid, rate)
                     names.append(f"{sid}:{fid}")
                 return names, cost
 

@@ -74,6 +74,8 @@ class GenConfig:
 
 def _validate(cfg: GenConfig) -> tuple[int, int]:
     """Check config invariants; returns the usable object side range."""
+    if cfg.rng_seed < 0:
+        raise GenError(f"rng_seed must be >= 0, got {cfg.rng_seed}")
     if cfg.n_sequences < 1:
         raise GenError("n_sequences must be at least 1")
     lo, hi = cfg.frame_len_range

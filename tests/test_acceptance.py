@@ -24,8 +24,8 @@ from seqal.acquisition import (
 )
 from seqal.costing import (
     OverheadModel,
+    frame_cost,
     overhead_conformal,
-    sequence_cost,
     theoretical_cost_bounds,
 )
 from seqal.flowproxy import FlowStats
@@ -34,7 +34,7 @@ from seqal.pool import BoundingBox, PoolState, load_pool, write_pool
 from seqal.runner import RunConfig, run_experiment
 from seqal.synth import GenConfig, generate_pool
 
-from conftest import make_meta, make_sequence, pools_match
+from conftest import make_sequence, pools_match
 
 
 def verdict(num: int, problems: list) -> None:
@@ -271,14 +271,18 @@ def test_criterion_01_conformal_overhead_value():
 
 
 def test_criterion_02_keyframe_price():
-    meta = make_meta("clip", cost=10.0)
-    per = sequence_cost(meta, mode="singular", interpolation_rate=10, frames_taken=1, n_frames=100)
-    full = sequence_cost(meta, mode="singular", interpolation_rate=10, frames_taken=10, n_frames=100)
+    # 10 hours over 100 frames at rate 10, priced one labeled frame at a
+    # time and summed from 0.0, as the runner's singular rounds charge them
+    clip = make_sequence("clip", n_frames=100, cost=10.0)
+    per = frame_cost(clip, 0, 10)
+    full = 0.0
+    for fid in range(100):
+        full += frame_cost(clip, fid, 10)
     problems = []
     if per != 1.0:
         problems.append(f"one keyframe priced at {per!r}, expected exactly 1.0")
     if full != 10.0:
-        problems.append(f"all keyframes priced at {full!r}, expected exactly 10.0")
+        problems.append(f"all 100 frames priced at {full!r}, expected exactly 10.0")
     verdict(2, problems)
 
 

@@ -129,6 +129,14 @@ def test_gen_rejects_non_synth_source(tmp_path):
     assert main(["gen", "--config", cfg, "--out", str(tmp_path / "p")]) == 2
 
 
+def test_gen_negative_rng_seed_is_validation_error(tmp_path, capsys):
+    cfg = write_ini(tmp_path, GEN_INI.replace("rng_seed = 9", "rng_seed = -1"))
+    out = tmp_path / "pool"
+    assert main(["gen", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: rng_seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 def test_gen_invalid_raster_is_validation_error(tmp_path, capsys):
     cfg = write_ini(tmp_path, GEN_INI.replace("raster_width = 24", "raster_width = 8"))
     rc = main(["gen", "--config", cfg, "--out", str(tmp_path / "p")])
@@ -252,6 +260,23 @@ def test_run_repeated_seeds_is_config_error(tmp_path, monkeypatch):
     assert main(["run", "--config", cfg, "--out", str(out)]) == 2
     cfg = write_ini(tmp_path, run_ini_text(), "other.ini")
     assert main(["run", "--config", cfg, "--out", str(out), "--seed", "3,1,3"]) == 2
+    assert generated == [] and not out.exists()
+
+
+def test_run_negative_seed_in_file_fails_before_any_work(tmp_path, monkeypatch, capsys):
+    generated = count_calls(monkeypatch, seqal.runner, "generate_pool")
+    cfg = write_ini(tmp_path, run_ini_text().replace("seeds = 0,1", "seeds = -1"))
+    out = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert "seeds must be >= 0, got [-1]" in capsys.readouterr().err
+    assert generated == [] and not out.exists()
+
+
+def test_run_negative_seed_override_fails_before_any_seed_runs(tmp_path, monkeypatch):
+    generated = count_calls(monkeypatch, seqal.runner, "generate_pool")
+    cfg = write_ini(tmp_path, run_ini_text())
+    out = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--out", str(out), "--seed", "0,-2"]) == 2
     assert generated == [] and not out.exists()
 
 

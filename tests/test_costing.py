@@ -7,15 +7,13 @@ import pytest
 from seqal.acquisition import StrategySpec
 from seqal.costing import (
     OverheadModel,
-    effective_frames,
-    is_keyframe,
+    frame_cost,
     overhead_conformal,
     overhead_inferential,
-    sequence_cost,
     theoretical_cost_bounds,
 )
 from seqal.errors import DomainError, PoolExhaustedError
-from seqal.pool import PoolState, Split
+from seqal.pool import Frame, PoolState, Sequence, Split
 from seqal.runner import RoundRecord, RunConfig, run_experiment, write_ledger
 from seqal.synth import GenConfig
 
@@ -29,52 +27,67 @@ def bounds_oracle(costs, n_rounds):
     return lower, upper
 
 
-def test_effective_frames():
-    assert effective_frames(100, 10) == 10
-    assert effective_frames(101, 10) == 11
-    assert effective_frames(7, 1) == 7
-    assert effective_frames(1, 100) == 1
-    with pytest.raises(DomainError):
-        effective_frames(10, 0)
-    with pytest.raises(DomainError):
-        effective_frames(0, 1)
+def bare_sequence(n_frames, cost):
+    """A sequence of n_frames box-free frames; frame_cost reads only its
+    length and cost."""
+    return Sequence(make_meta("s", cost=cost), [Frame(f, [], None) for f in range(n_frames)])
+
+
+def test_frame_cost_matches_closed_form():
+    import random
+
+    rnd = random.Random(13)
+    for _ in range(300):
+        n, rate = rnd.randint(1, 900), rnd.randint(1, 40)
+        cost = rnd.uniform(0.1, 50.0)
+        seq = bare_sequence(n, cost)
+        keyframes = range(0, n, rate)
+        for fid in range(n):
+            want = cost / len(keyframes) if fid in keyframes else 0.0
+            assert frame_cost(seq, fid, rate) == want, (n, rate, fid)
+
+
+def test_frame_cost_charges_keyframes_only():
+    seq = bare_sequence(10, 3.0)
+    assert [f for f in range(10) if frame_cost(seq, f, 4) > 0] == [0, 4, 8]
+    assert all(frame_cost(seq, f, 4) == 1.0 for f in (0, 4, 8))
+    # rate 1: every frame is a keyframe at cost / N
+    assert all(frame_cost(seq, f, 1) == 0.3 for f in range(10))
+    # a rate past the length leaves frame 0 the only keyframe, at full cost
+    assert frame_cost(bare_sequence(1, 3.0), 0, 100) == 3.0
 
 
 def test_sequential_cost_is_full_cost():
-    meta = make_meta("s", cost=3.25)
-    assert sequence_cost(meta) == 3.25
-    # interpolation arguments are irrelevant in sequential mode
-    assert sequence_cost(meta, interpolation_rate=10, frames_taken=1, n_frames=50) == 3.25
+    # a sequential round charges each picked sequence's cost_hours, whatever
+    # the interpolation rate
+    pool = make_pool(n_train=6, n_frames=4, boxes_per_frame=2, raster_size=(16, 16))
+    for rate in (1, 3):
+        for record in ledger_run("random", pool=pool, interpolation_rate=rate):
+            want = 0.0
+            for sid in record.selected:
+                want += pool.sequences[sid].meta.cost_hours
+            assert record.cost_hours == want
 
 
 def test_singular_keyframe_price():
     # 10 hours over 100 frames at rate 10: each of the 10 keyframes costs 1h
-    meta = make_meta("s", cost=10.0)
-    per = sequence_cost(
-        meta, mode="singular", interpolation_rate=10, frames_taken=1, n_frames=100
-    )
-    assert per == 1.0
-    full = sequence_cost(
-        meta, mode="singular", interpolation_rate=10, frames_taken=10, n_frames=100
-    )
-    assert full == 10.0
+    seq = bare_sequence(100, 10.0)
+    assert frame_cost(seq, 0, 10) == 1.0
+    assert frame_cost(seq, 90, 10) == 1.0
+    assert frame_cost(seq, 95, 10) == 0.0
+    total = 0.0
+    for fid in range(100):
+        total += frame_cost(seq, fid, 10)
+    assert total == 10.0
+    # 101 frames: an 11th keyframe at frame 100, each at 10/11 h
+    assert frame_cost(bare_sequence(101, 10.0), 100, 10) == 10.0 / 11
 
 
 def test_singular_cost_validation():
-    meta = make_meta("s")
-    with pytest.raises(DomainError):
-        sequence_cost(meta, mode="singular")
-    with pytest.raises(DomainError):
-        sequence_cost(meta, mode="singular", frames_taken=5, n_frames=4)
-    with pytest.raises(DomainError):
-        sequence_cost(meta, mode="batch")
-
-
-def test_is_keyframe():
-    assert [f for f in range(10) if is_keyframe(f, 4)] == [0, 4, 8]
-    assert all(is_keyframe(f, 1) for f in range(5))
-    with pytest.raises(DomainError):
-        is_keyframe(3, 0)
+    seq = bare_sequence(4, 1.0)
+    for rate in (0, -1):
+        with pytest.raises(DomainError):
+            frame_cost(seq, 0, rate)
 
 
 # --- annotation cost bounds ----------------------------------------------

@@ -330,6 +330,16 @@ def test_load_pool_second_file_for_a_frame(tmp_path):
         load_pool(tmp_path)
 
 
+def test_load_pool_bad_label_line_names_its_file(tmp_path):
+    pool = make_pool(n_train=2, n_val=0, n_test=0, n_frames=3, boxes_per_frame=2)
+    write_pool(pool, tmp_path)
+    bad = tmp_path / "labels" / "training" / "seq001_000002.txt"
+    bad.write_text(bad.read_text() + "0 0.5 0.5\n")
+    with pytest.raises(LineFormatError) as info:
+        load_pool(tmp_path)
+    assert str(info.value) == f"{bad} line 3: expected 5 or 6 fields, got 3"
+
+
 @pytest.mark.parametrize(
     "row",
     [

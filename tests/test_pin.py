@@ -2,10 +2,13 @@
 
 Each config runs two seeds for six rounds on a generated 20-sequence pool
 of 20-30 frame sequences and compares the SHA-256 of every CSV it writes
-with ``pin_digests.json``. The raw flow statistics are pinned the same way:
-the ``<id>.flow.csv`` that ``write_flow_cache`` writes for every sequence of
-that pool at each ``FLOW_PARAMS`` pair. A change that means to alter output
-rewrites the digests in the same commit and says why in CHANGES.md:
+with ``pin_digests.json``. Each ``CLI_CONFIGS`` entry runs ``seqal run`` on
+the same pool written to disk, so manifest costs at six decimals, label
+files, PGMs and INI parsing are pinned too. The raw flow statistics are
+pinned the same way: the ``<id>.flow.csv`` that ``write_flow_cache`` writes
+for every sequence of that pool at each ``FLOW_PARAMS`` pair. A change that
+means to alter output rewrites the digests in the same commit and says why
+in CHANGES.md:
 
     PYTHONPATH=src python tests/test_pin.py --write
 """
@@ -19,8 +22,10 @@ from pathlib import Path
 
 import pytest
 
+from seqal import cli
 from seqal.acquisition import StrategySpec
 from seqal.flowproxy import compute_flow_stats, write_flow_cache
+from seqal.pool import write_pool
 from seqal.runner import RunConfig, run_experiment
 from seqal.synth import GenConfig, generate_pool
 
@@ -74,6 +79,19 @@ CONFIGS = {
     ),
 }
 
+# name -> the INI sections after [pool] of a `seqal run` over the written pool
+CLI_CONFIGS = {
+    "cli_sing_entropy_eval": (
+        "[strategy]\nkind = entropy\n[costing]\ninterpolation_rate = 5\n"
+        "[eval]\nevaluate = true\n"
+        "[run]\nmode = singular\nseed_sequences = 2\nrounds = 6\nseeds = 0,1\n"
+    ),
+    "cli_seq_min_max_motion": (
+        "[strategy]\nkind = min_max_motion\n[eval]\nevaluate = false\n"
+        "[run]\nseed_sequences = 2\nrounds = 6\nseeds = 0,1\n"
+    ),
+}
+
 
 def digests(out: Path, pattern: str) -> dict[str, str]:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.glob(pattern))}
@@ -92,6 +110,19 @@ def run_config(name: str, root: Path) -> dict[str, str]:
     cfg = RunConfig(**{**base, **kw})
     out = root / name
     run_experiment(cfg, pool=generate_pool(POOL), out_dir=out)
+    return digests(out, "*.csv")
+
+
+def cli_run(name: str, root: Path) -> dict[str, str]:
+    """Run one CLI config on the pin pool written under root; returns the
+    SHA-256 of each CSV it wrote."""
+    pool_dir = root / "pool"
+    if not pool_dir.is_dir():
+        write_pool(generate_pool(POOL), pool_dir)
+    ini = root / f"{name}.ini"
+    ini.write_text(f"[pool]\nsource = {pool_dir}\n" + CLI_CONFIGS[name])
+    out = root / name
+    assert cli.main(["run", "--config", str(ini), "--out", str(out)]) == 0
     return digests(out, "*.csv")
 
 
@@ -115,6 +146,12 @@ def test_output_bytes_pinned(name, tmp_path):
     assert run_config(name, tmp_path) == expected
 
 
+@pytest.mark.parametrize("name", sorted(CLI_CONFIGS))
+def test_cli_output_bytes_pinned(name, tmp_path):
+    expected = json.loads(DIGESTS.read_text())[name]
+    assert cli_run(name, tmp_path) == expected
+
+
 @pytest.mark.parametrize("threshold,min_area", FLOW_PARAMS)
 def test_flow_cache_bytes_pinned(threshold, min_area, tmp_path):
     expected = json.loads(DIGESTS.read_text())[flow_name(threshold, min_area)]
@@ -128,6 +165,7 @@ if __name__ == "__main__":
         sys.exit(__doc__)
     with tempfile.TemporaryDirectory() as tmp:
         pinned = {name: run_config(name, Path(tmp)) for name in sorted(CONFIGS)}
+        pinned.update((name, cli_run(name, Path(tmp))) for name in sorted(CLI_CONFIGS))
         for threshold, min_area in FLOW_PARAMS:
             pinned[flow_name(threshold, min_area)] = flow_caches(threshold, min_area, Path(tmp))
     DIGESTS.write_text(json.dumps(pinned, indent=2, sort_keys=True) + "\n")
