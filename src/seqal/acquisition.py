@@ -13,7 +13,8 @@ the smallest id, making selection invariant to enumeration order.
 
 Randomness (the random baseline and the GauSS component draw) comes from a
 PCG64 generator seeded with the caller's rng_seed, so a fixed seed fixes the
-pick.
+pick. The GauSS 2-GMM is fitted by EM over the distinct switch scores, each
+weighted by its count: O(distinct values) per iteration, not O(frames).
 """
 
 from __future__ import annotations
@@ -186,12 +187,16 @@ def fit_gmm2(values) -> GmmFit:
 
     Means start at the 25th/75th percentiles with equal weights and pooled
     variance; iteration stops after GMM_MAX_ITER iterations or when the
-    log-likelihood moves less than GMM_TOL.
-    Constant input cannot be split and comes back flagged degenerate.
+    log-likelihood moves less than GMM_TOL. EM runs on the distinct values,
+    each weighted by its count (grouped-data EM, McLachlan & Jones 1988).
+    Constant input cannot be split and comes back flagged degenerate; a
+    non-finite value raises DomainError.
     """
     x = np.asarray(list(values), dtype=float)
     if x.size < 2:
         raise DomainError(f"need at least 2 values to fit, got {x.size}")
+    if not np.isfinite(x).all():
+        raise DomainError("cannot fit a mixture to non-finite values")
 
     spread = float(np.ptp(x))
     pooled = max(float(np.var(x)), VARIANCE_FLOOR)
@@ -205,24 +210,24 @@ def fit_gmm2(values) -> GmmFit:
     w = np.array([0.5, 0.5])
     var = np.array([pooled, pooled])
 
+    u, c = np.unique(x, return_counts=True)
     prev_ll = -np.inf
     for iterations in range(1, GMM_MAX_ITER + 1):
         log_p = (
             np.log(np.maximum(w, 1e-300))[None, :]
             - 0.5 * np.log(2.0 * math.pi * var)[None, :]
-            - 0.5 * (x[:, None] - mu[None, :]) ** 2 / var[None, :]
+            - 0.5 * (u[:, None] - mu[None, :]) ** 2 / var[None, :]
         )
         peak = log_p.max(axis=1, keepdims=True)
         shifted = np.exp(log_p - peak)
         norm = shifted.sum(axis=1, keepdims=True)
-        resp = shifted / norm
-        ll = float(np.sum(peak.ravel() + np.log(norm.ravel())))
+        resp = shifted / norm * c[:, None]
+        ll = float(np.sum(c * (peak.ravel() + np.log(norm.ravel()))))
 
-        mass = resp.sum(axis=0)
-        mass = np.maximum(mass, 1e-300)
+        mass = np.maximum(resp.sum(axis=0), 1e-300)
         w = mass / x.size
-        mu = (resp * x[:, None]).sum(axis=0) / mass
-        var = (resp * (x[:, None] - mu[None, :]) ** 2).sum(axis=0) / mass
+        mu = (resp * u[:, None]).sum(axis=0) / mass
+        var = (resp * (u[:, None] - mu[None, :]) ** 2).sum(axis=0) / mass
         var = np.maximum(var, VARIANCE_FLOOR)
 
         if abs(ll - prev_ll) < GMM_TOL:
@@ -263,8 +268,10 @@ def _gauss_switch_select(ids: list, scores: dict, b: int, rng_seed: int) -> list
     fit = fit_gmm2(values)
     if fit.degenerate:
         return _top_by_score(ids, scores, b)
-    resp = fit.responsibilities(values)
-    members = [i for i, r in zip(ids, resp[:, 1]) if r > RESPONSIBILITY_CUTOFF]
+    # responsibilities is elementwise: once per distinct score, mapped back
+    distinct = np.unique(values)
+    high = fit.responsibilities(distinct)[:, 1] > RESPONSIBILITY_CUTOFF
+    members = [i for i, m in zip(ids, high[np.searchsorted(distinct, values)]) if m]
     if len(members) < b:
         return _top_by_score(ids, scores, b)
     return _draw(members, b, rng_seed)

@@ -8,7 +8,10 @@ import pytest
 from seqal.acquisition import (
     ALL_KINDS,
     CONFORMAL_KINDS,
+    GMM_MAX_ITER,
+    GMM_TOL,
     SCORE_KINDS,
+    VARIANCE_FLOOR,
     GmmFit,
     StrategySpec,
     _coreset_greedy,
@@ -77,6 +80,58 @@ def kcenter_oracle(unlabeled, centers, features, b):
         pool.remove(best[1])
         cents.append(best[1])
     return chosen
+
+
+def fit_gmm2_loop(values) -> GmmFit:
+    """Reference 2-GMM: EM over every value, one row per value. fit_gmm2
+    runs the same EM over the distinct values weighted by their counts."""
+    x = np.asarray(list(values), dtype=float)
+    spread = float(np.ptp(x))
+    pooled = max(float(np.var(x)), VARIANCE_FLOOR)
+    if spread == 0.0:
+        mean = float(x[0])
+        return GmmFit((0.5, 0.5), (mean, mean), (pooled, pooled), 0, degenerate=True)
+
+    mu = np.array([np.percentile(x, 25), np.percentile(x, 75)], dtype=float)
+    if mu[0] == mu[1]:
+        mu = np.array([float(x.min()), float(x.max())])
+    w = np.array([0.5, 0.5])
+    var = np.array([pooled, pooled])
+
+    prev_ll = -np.inf
+    for iterations in range(1, GMM_MAX_ITER + 1):
+        log_p = (
+            np.log(np.maximum(w, 1e-300))[None, :]
+            - 0.5 * np.log(2.0 * math.pi * var)[None, :]
+            - 0.5 * (x[:, None] - mu[None, :]) ** 2 / var[None, :]
+        )
+        peak = log_p.max(axis=1, keepdims=True)
+        shifted = np.exp(log_p - peak)
+        norm = shifted.sum(axis=1, keepdims=True)
+        resp = shifted / norm
+        ll = float(np.sum(peak.ravel() + np.log(norm.ravel())))
+
+        mass = resp.sum(axis=0)
+        mass = np.maximum(mass, 1e-300)
+        w = mass / x.size
+        mu = (resp * x[:, None]).sum(axis=0) / mass
+        var = (resp * (x[:, None] - mu[None, :]) ** 2).sum(axis=0) / mass
+        var = np.maximum(var, VARIANCE_FLOOR)
+
+        if abs(ll - prev_ll) < GMM_TOL:
+            break
+        prev_ll = ll
+
+    order = np.argsort(mu, kind="stable")
+    w, mu, var = w[order], mu[order], var[order]
+    degenerate = bool(abs(mu[1] - mu[0]) < 1e-12)
+    return GmmFit(
+        weights=(float(w[0]), float(w[1])),
+        means=(float(mu[0]), float(mu[1])),
+        variances=(float(var[0]), float(var[1])),
+        iterations=iterations,
+        degenerate=degenerate,
+    )
 
 
 # --- strategy spec -------------------------------------------------------
@@ -183,6 +238,12 @@ def test_fit_gmm2_constant_input_degenerate():
 def test_fit_gmm2_validation():
     with pytest.raises(DomainError):
         fit_gmm2([1.0])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_fit_gmm2_rejects_non_finite(bad):
+    with pytest.raises(DomainError, match="non-finite"):
+        fit_gmm2([0.0, 1.0, bad, 2.0])
 
 
 def test_responsibilities_rows_sum_to_one():
@@ -373,3 +434,65 @@ def test_gauss_switch_small_component_falls_back():
 
 def test_gauss_switch_single_candidate():
     assert select("gauss_switch", ["a"], {"a": 1.0}, 1, 0) == ["a"]
+
+
+def gmm_instances():
+    """(family, values) for the grouped-EM oracle test: 300 instances."""
+    rng = np.random.default_rng(20231)
+    for _ in range(60):  # switch scores |count change|, a handful of distinct values
+        n, lam = int(rng.integers(500, 4001)), rng.uniform(0.3, 6.0)
+        yield "poisson", np.abs(rng.poisson(lam, n) - rng.poisson(lam, n)).astype(float)
+    for _ in range(60):  # continuous, almost no repeats
+        n1, n2 = rng.integers(20, 200, size=2)
+        d, s = rng.uniform(0.0, 6.0), rng.uniform(0.2, 3.0)
+        yield "continuous", np.concatenate([rng.normal(0.0, 1.0, n1), rng.normal(d, s, n2)])
+    for _ in range(60):  # exactly two distinct values
+        a, gap = rng.uniform(-5.0, 5.0), rng.uniform(1e-3, 10.0)
+        na, nb = rng.integers(1, 300, size=2)
+        yield "two-values", rng.permutation(np.repeat([a, a + gap], [na, nb]))
+    for _ in range(60):  # one value holds more than 95% of the mass
+        n = int(rng.integers(500, 3001))
+        rest = max(1, int(n * rng.uniform(0.001, 0.045)))
+        tail = np.abs(rng.poisson(2.0, rest) - rng.poisson(2.0, rest)) + 1.0
+        yield "dominant", rng.permutation(np.concatenate([np.zeros(n - rest), tail]))
+    for i in range(60):  # the mixtures of acceptance criteria 09 and 12
+        n = int(rng.integers(6, 400))
+        if i % 3 == 0:
+            k = int(rng.integers(1, n))
+            yield "acceptance", np.array([0.1 + 0.01 * j if j < k else 1.0 + 0.01 * j for j in range(n)])
+        elif i % 3 == 1:
+            yield "acceptance", np.where(rng.random(n) < 0.3, 5.0, 0.0) + rng.random(n)
+        else:
+            m = int(rng.integers(1, 40))
+            yield "acceptance", np.array([0.099, 0.1, 0.101] * m + [10.099, 10.1, 10.101] * m)
+
+
+def oracle_gauss_pick(values, fit, b, seed):
+    """The GauSS recipe over ids 0..n-1 with the given scores and reference
+    fit: high-component members by responsibility over every value, then a
+    seeded draw, else score order."""
+    by_score = sorted(range(values.size), key=lambda i: (-values[i], i))[:b]
+    if fit.degenerate:
+        return by_score
+    members = np.flatnonzero(fit.responsibilities(values)[:, 1] > 0.5).tolist()
+    if len(members) < b:
+        return by_score
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    return [members[i] for i in rng.choice(len(members), size=b, replace=False)]
+
+
+def test_fit_gmm2_membership_matches_loop_oracle():
+    mismatches, families = [], set()
+    for index, (family, values) in enumerate(gmm_instances()):
+        families.add(family)
+        fit, want = fit_gmm2(values), fit_gmm2_loop(values)
+        same_members = fit.degenerate == want.degenerate and np.array_equal(
+            fit.responsibilities(values)[:, 1] > 0.5, want.responsibilities(values)[:, 1] > 0.5
+        )
+        scores = dict(enumerate(values.tolist()))
+        b = 1 + index % 6
+        picks = select("gauss_switch", list(scores), scores, b, index)
+        if not same_members or picks != oracle_gauss_pick(values, want, b, index):
+            mismatches.append((index, family))
+    assert index + 1 >= 300 and len(families) == 5
+    assert mismatches == []

@@ -368,7 +368,12 @@ def corrupt_field(path: Path, line: int, column: str, value: str) -> None:
 
 @pytest.mark.parametrize(
     "name, column, value",
-    [("trace.csv", "round", "x"), ("trace_metrics.csv", "map50", "0.5.1")],
+    [
+        ("trace.csv", "round", "x"),
+        ("trace_metrics.csv", "map50", "0.5.1"),
+        ("trace.csv", "uncertainty", "nan"),
+        ("trace_metrics.csv", "map50", "7.5"),
+    ],
 )
 def test_run_malformed_trace_is_validation_error(tmp_path, capsys, name, column, value):
     live = live_run(tmp_path)

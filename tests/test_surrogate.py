@@ -494,6 +494,46 @@ def test_read_traces_names_file_line_and_field(tmp_path, scores, metrics, where)
         read_traces(sp, mp)
 
 
+@pytest.mark.parametrize(
+    "column, value",
+    [
+        ("uncertainty", "nan"),
+        ("uncertainty", "inf"),
+        ("uncertainty", "7.5"),
+        ("uncertainty", "-0.1"),
+        ("pred_count", "-1"),
+        ("map50", "nan"),
+        ("map50", "7.5"),
+        ("map5095", "-inf"),
+        ("map5095", "1.5"),
+    ],
+)
+def test_read_traces_refuses_out_of_domain_values(tmp_path, column, value):
+    scores = {"seed": "0", "round": "1", "sequence_id": "a", "frame_id": "0",
+              "uncertainty": "1.0", "pred_count": "0"}
+    metrics = {"seed": "0", "round": "1", "map50": "0.0", "map5095": ""}
+    for row in (scores, metrics):
+        if column in row:
+            row[column] = value
+    sp, mp = tmp_path / "t.csv", tmp_path / "m.csv"
+    for path, row in ((sp, scores), (mp, metrics)):
+        path.write_text(",".join(row) + "\n" + ",".join(row.values()) + "\n")
+    name = "m" if column.startswith("map") else "t"
+    with pytest.raises(TraceError, match=rf"{name}\.csv line 2: bad {column} '{value}'"):
+        read_traces(sp, mp)
+
+
+def test_read_traces_accepts_domain_bounds(tmp_path):
+    sp, mp = tmp_path / "t.csv", tmp_path / "m.csv"
+    sp.write_text("seed,round,sequence_id,frame_id,uncertainty,pred_count\n"
+                  "0,1,a,0,0.0,0\n0,1,a,1,1.0,7\n")
+    mp.write_text("seed,round,map50,map5095\n0,0,,\n0,1,1.0,0.0\n")
+    back = read_traces(sp, mp)[0]
+    assert back.rounds[1]["a"][0].tolist() == [0.0, 1.0]
+    assert back.rounds[1]["a"][1].tolist() == [0, 7]
+    assert back.test_metrics == {0: (None, None), 1: (1.0, 0.0)}
+
+
 def test_read_traces_requires_full_frame_coverage(tmp_path):
     sp = tmp_path / "scores.csv"
     sp.write_text(
