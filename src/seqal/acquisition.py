@@ -1,15 +1,19 @@
 """Sequence acquisition strategies.
 
 Twelve strategy kinds share one selection entry point, ``select``. Its
-scores come from a score source: inferential kinds consume detector outputs
-(per-sequence scores reduced from frame scores, per-frame scores, or a
-feature table for coreset); conformal kinds rank by pool statistics through
+scores come from a score source: model-score kinds read the detector's
+per-frame outputs through ``model_scores``, which applies
+``frame_criterion`` to a round's table as arrays and reduces each
+sequence to its mean frame score, or keeps one score per frame; coreset
+reads a feature table; conformal kinds rank by pool statistics through
 ``catalog_scores``; random reads none. Every criterion is expressed so that
 higher is better and selection is a single argmax; ties always break toward
 the smallest id, making selection invariant to enumeration order.
 
 ``select`` works over any comparable candidate ids: sequence ids, or
-(sequence id, frame id) pairs when the runner acquires single frames.
+(sequence id, frame id) pairs when the runner acquires single frames. It
+sorts them, holds their scores as one value array and ranks indices into
+it: a stable argsort for the top rule, index draws for random and GauSS.
 
 Randomness (the random baseline and the GauSS component draw) comes from a
 PCG64 generator seeded with the caller's rng_seed, so a fixed seed fixes the
@@ -24,13 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    EmptyScoreError,
-    MissingScoresError,
-    PoolExhaustedError,
-    ShapeError,
-)
+from .errors import DomainError, MissingScoresError, PoolExhaustedError, ShapeError
 from .flowproxy import FlowStats
 from .pool import PoolState
 
@@ -100,60 +98,52 @@ class StrategySpec:
             raise DomainError(f"unknown parity_phase {self.parity_phase!r}")
 
 
-def sequence_score(frame_values) -> float:
-    """Arithmetic mean of per-frame scores; the sequence-level summary."""
-    values = list(frame_values)
-    if not values:
-        raise EmptyScoreError("cannot summarize an empty score list")
-    return float(sum(values) / len(values))
+def frame_criterion(kind: str, objectness, counts, prev_counts) -> np.ndarray:
+    """Every frame's criterion for a model-score kind, higher = more
+    informative. entropy, least_confidence and margin read the objectness
+    p in [0, 1]; the switch kinds read |counts - prev_counts|, all zero in
+    the first acquisition round (prev_counts None), which pushes selection
+    onto the tie-break rule."""
+    if kind in SWITCH_KINDS:
+        curr = np.asarray(counts, dtype=float)
+        if prev_counts is None:
+            return np.zeros(curr.size)
+        prev = np.asarray(prev_counts, dtype=float)
+        if prev.shape != curr.shape:
+            raise ShapeError(f"count lengths differ: {prev.size} vs {curr.size}")
+        return np.abs(curr - prev)
+    p = np.asarray(objectness, dtype=float)
+    if not ((p >= 0.0) & (p <= 1.0)).all():
+        raise DomainError("objectness outside [0, 1]")
+    if kind == KIND_ENTROPY:
+        # Binary entropy, natural log, 0 * log(0) = 0. math.log, once per
+        # value: np.log differs from it in the last bit on some inputs.
+        both = np.concatenate([p, 1.0 - p])
+        terms = both * np.array([math.log(v) if v > 0.0 else 0.0 for v in both.tolist()])
+        return (0.0 - terms[: p.size]) - terms[p.size :]
+    if kind == KIND_LEAST_CONFIDENCE:
+        return 1.0 - np.maximum(p, 1.0 - p)
+    if kind == KIND_MARGIN:
+        # Negated margin between the two class posteriors.
+        return -np.abs(2.0 * p - 1.0)
+    raise DomainError(f"not a model-score kind: {kind!r}")
 
 
-def _check_probability(p: float) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"objectness {p} outside [0, 1]")
-
-
-def score_entropy(p: float) -> float:
-    """Binary entropy of the objectness, natural log, with 0*log(0) = 0."""
-    _check_probability(p)
-    total = 0.0
-    for v in (p, 1.0 - p):
-        if v > 0.0:
-            total -= v * math.log(v)
-    return total
-
-
-def score_least_confidence(p: float) -> float:
-    _check_probability(p)
-    return 1.0 - max(p, 1.0 - p)
-
-
-def score_margin(p: float) -> float:
-    """Negated margin between the two class posteriors, so higher = less sure."""
-    _check_probability(p)
-    return -abs(2.0 * p - 1.0)
-
-
-FRAME_TRANSFORMS = {
-    KIND_ENTROPY: score_entropy,
-    KIND_LEAST_CONFIDENCE: score_least_confidence,
-    KIND_MARGIN: score_margin,
-}
-
-
-def score_switch(prev_counts, curr_counts) -> list[float]:
-    """Per-frame absolute change in predicted count between rounds.
-
-    With no previous round (prev_counts None) the scores are all zero, which
-    pushes selection onto the tie-break rule.
-    """
-    curr = list(curr_counts)
-    if prev_counts is None:
-        return [0.0] * len(curr)
-    prev = list(prev_counts)
-    if len(prev) != len(curr):
-        raise ShapeError(f"count lengths differ: {len(prev)} vs {len(curr)}")
-    return [abs(float(c) - float(p)) for p, c in zip(prev, curr)]
+def model_scores(kind: str, table: dict, previous: dict, frame_level: bool) -> dict:
+    """select's scores from one round's detector table, {sid: (objectness,
+    counts)}: each sequence's mean frame criterion, or one score per
+    (sid, fid) when frame_level. previous is the previous round's table,
+    which the switch kinds diff against; {} in the first acquisition round.
+    The mean adds left to right (cumsum, not np.sum's pairwise order)."""
+    scores: dict = {}
+    for sid, (objectness, counts) in table.items():
+        prev = previous[sid][1] if previous else None
+        values = frame_criterion(kind, objectness, counts, prev)
+        if frame_level:
+            scores.update(((sid, fid), v) for fid, v in enumerate(values.tolist()))
+        else:
+            scores[sid] = float(np.cumsum(values)[-1]) / values.size
+    return scores
 
 
 @dataclass
@@ -246,35 +236,36 @@ def fit_gmm2(values) -> GmmFit:
     )
 
 
-def _top_by_score(ids: list, scores: dict, b: int) -> list:
-    return sorted(ids, key=lambda i: (-scores[i], i))[:b]
+def _top(values: np.ndarray, b: int) -> np.ndarray:
+    """Indices of the b highest values, ties to the smaller index."""
+    return np.argsort(-values, kind="stable")[:b]
 
 
-def _draw(ids: list, b: int, rng_seed: int | list[int]) -> list:
-    """Seeded uniform draw of b ids without replacement."""
+def _draw(n: int, b: int, rng_seed: int | list[int]) -> np.ndarray:
+    """Seeded uniform draw of b of the indices 0..n-1 without replacement."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(rng_seed)))
-    return [ids[i] for i in rng.choice(len(ids), size=b, replace=False)]
+    return rng.choice(n, size=b, replace=False)
 
 
-def _gauss_switch_select(ids: list, scores: dict, b: int, rng_seed: int) -> list:
+def _gauss_switch_select(values: np.ndarray, b: int, rng_seed: int) -> np.ndarray:
     """Sample from the higher-mean component of a 2-GMM over switch scores.
 
     Membership is posterior responsibility above 0.5. Degenerate fits and
     undersized components fall back to plain score ordering (the FALSE rule).
+    Returns indices into values.
     """
-    values = np.array([scores[i] for i in ids], dtype=float)
-    if len(ids) < 2 or float(np.ptp(values)) == 0.0:
-        return _top_by_score(ids, scores, b)
+    if values.size < 2 or float(np.ptp(values)) == 0.0:
+        return _top(values, b)
     fit = fit_gmm2(values)
     if fit.degenerate:
-        return _top_by_score(ids, scores, b)
+        return _top(values, b)
     # responsibilities is elementwise: once per distinct score, mapped back
     distinct = np.unique(values)
     high = fit.responsibilities(distinct)[:, 1] > RESPONSIBILITY_CUTOFF
-    members = [i for i, m in zip(ids, high[np.searchsorted(distinct, values)]) if m]
-    if len(members) < b:
-        return _top_by_score(ids, scores, b)
-    return _draw(members, b, rng_seed)
+    members = np.flatnonzero(high[np.searchsorted(distinct, values)])
+    if members.size < b:
+        return _top(values, b)
+    return members[_draw(members.size, b, rng_seed)]
 
 
 def catalog_scores(
@@ -366,7 +357,7 @@ def select(
     if len(ids) < b:
         raise PoolExhaustedError(f"need {b} candidates, only {len(ids)} remain")
     if kind == KIND_RANDOM:
-        return _draw(ids, b, rng_seed)
+        return [ids[i] for i in _draw(len(ids), b, rng_seed)]
     if scores is None:
         raise MissingScoresError(f"{kind} requires scores")
     if kind == KIND_CORESET:
@@ -374,6 +365,7 @@ def select(
     missing = [i for i in ids if i not in scores]
     if missing:
         raise MissingScoresError(f"no scores for candidates {missing[:4]}")
+    values = np.array([scores[i] for i in ids], dtype=float)
     if kind == KIND_GAUSS_SWITCH:
-        return _gauss_switch_select(ids, scores, b, rng_seed)
-    return _top_by_score(ids, scores, b)
+        return [ids[i] for i in _gauss_switch_select(values, b, rng_seed)]
+    return [ids[i] for i in _top(values, b)]

@@ -51,10 +51,6 @@ class TraceError(SeqalError):
     requested round, seed, or sequence."""
 
 
-class EmptyScoreError(SeqalError):
-    """A per-frame score list is empty where a mean is required."""
-
-
 class DomainError(SeqalError):
     """A scalar argument is outside its documented domain."""
 

@@ -231,11 +231,18 @@ def mean_ap(
         assert ap is not None
         class_ap.append(dict(zip(grid, ap.tolist())))
 
-    map50 = sum(ap[0.5] for ap in class_ap) / len(class_ap)
-    total = 0.0
-    for ap in class_ap:
-        total += sum(ap[t] for t in iou_thresholds) / len(iou_thresholds)
-    return map50, total / len(class_ap)
+    map50 = ordered_sum([ap[0.5] for ap in class_ap]) / len(class_ap)
+    per_class = [
+        ordered_sum([ap[t] for t in iou_thresholds]) / len(iou_thresholds) for ap in class_ap
+    ]
+    return map50, ordered_sum(per_class) / len(class_ap)
+
+
+def ordered_sum(values) -> float:
+    """0.0 + values[0] + values[1] + ..., in that order, as the builtin sum
+    adds floats up to Python 3.11; from 3.12 on it compensates rounding,
+    which would move the bytes of every mean written from it."""
+    return float(np.cumsum([0.0, *values])[-1])
 
 
 @dataclass
@@ -249,8 +256,8 @@ class PerfCostCurve:
         for cost, value in self.points:
             if not 0.0 <= value <= 1.0:
                 raise DomainError(f"map value {value} outside [0, 1]")
-            if cost < 0:
-                raise DomainError(f"negative cost {cost}")
+            if not 0.0 <= cost < math.inf:
+                raise DomainError(f"cost {cost} is negative or not finite")
             if prev is not None and cost <= prev:
                 raise DomainError("curve costs must strictly increase")
             prev = cost

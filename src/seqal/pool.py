@@ -224,7 +224,7 @@ class PoolState:
             ids = [f.frame_id for f in seq.frames]
             if ids != list(range(len(ids))):
                 raise ContinuityError(
-                    f"sequence {sid!r} frame ids are not consecutive from 0"
+                    f"sequence {sid!r} has frame ids {ids[:4]}..., expected 0..{len(ids) - 1}"
                 )
             table[sid] = seq
         return cls(sequences=table)
@@ -400,8 +400,9 @@ def load_pool(root_dir: Path | str) -> PoolState:
     """Load a pool directory into memory.
 
     Validates that every label file's sequence has a manifest row on the
-    matching split, that frame ids are gapless from zero with one file each,
-    and that costs are positive. Rasters are attached when a matching PGM
+    matching split, that each frame id has one file, that frame ids are
+    gapless from zero (PoolState.from_sequences checks that) and that costs
+    are positive. Rasters are attached when a matching PGM
     exists.
     """
     root = Path(root_dir)
@@ -446,16 +447,12 @@ def load_pool(root_dir: Path | str) -> PoolState:
             f"manifest lists sequences with no label files: {', '.join(missing)}"
         )
 
-    sequences = []
-    for sid in sorted(frames_by_seq):
-        by_id = frames_by_seq[sid]
-        ids = sorted(by_id)
-        if ids != list(range(len(ids))):
-            raise ContinuityError(
-                f"sequence {sid!r} has frame ids {ids[:4]}..., expected 0..{len(ids) - 1}"
-            )
-        sequences.append(Sequence(metas[sid], [by_id[i] for i in ids]))
-    return PoolState.from_sequences(sequences)
+    return PoolState.from_sequences(
+        [
+            Sequence(metas[sid], [by_id[i] for i in sorted(by_id)])
+            for sid, by_id in sorted(frames_by_seq.items())
+        ]
+    )
 
 
 def write_pool(pool: PoolState, root_dir: Path | str) -> None:

@@ -20,7 +20,9 @@ Detector outputs: each seed has one surrogate.ScoreTrace, and the round
 loop reads every frame score and test mAP from it. A live run fills each
 round in first and saves the traces as trace.csv and trace_metrics.csv; a
 replay reads those files before the pool is built, so a malformed or
-seed-short trace fails before any work.
+seed-short trace fails before any work. acquisition.model_scores turns a
+round's table into candidate scores; the switch kinds' previous counts are
+the trace's table of the round before.
 
 The acquisition unit depends on the mode; both modes share one round loop
 that makes one acquisition.select call per record, the seed draw included.
@@ -52,11 +54,9 @@ from . import acquisition, costing, flowproxy, metrics, surrogate
 from .acquisition import (
     CONFORMAL_KINDS,
     FLOW_KINDS,
-    FRAME_TRANSFORMS,
     KIND_CORESET,
     KIND_RANDOM,
     SCORE_KINDS,
-    SWITCH_KINDS,
     StrategySpec,
 )
 from .costing import MODE_SEQUENTIAL, MODE_SINGULAR, OverheadModel
@@ -64,7 +64,7 @@ from .errors import DomainError, EmptyCurveError, ModeError, PoolExhaustedError,
 from .pool import Frame, PoolState, load_pool
 from .surrogate import ScoreTrace, SurrogateState
 from .synth import GenConfig, generate_pool
-from .tables import cell, optional_float, parsed_rows, write_table
+from .tables import cell, hours, optional_unit, parsed_rows, write_table
 
 DEFAULT_SEEDS = (0, 1, 2)
 DEFAULT_MIN_BOX_PIXELS = 50
@@ -307,7 +307,6 @@ def run_experiment(
             # The run's record of acquisition: labeled frames per sequence,
             # in the order the sequences were first touched.
             labeled_frames: dict[str, set[int]] = {}
-            prev_counts: dict[str, np.ndarray] = {}
 
             def surrogate_state(rnd: int) -> SurrogateState:
                 """The detector trained on whole sequences in acquisition
@@ -385,22 +384,13 @@ def run_experiment(
                     )
                 if kind not in SCORE_KINDS:
                     return None
-                scores = {}
-                for sid, (objectness, counts) in detector_scores(rnd, open_ids).items():
-                    if kind in SWITCH_KINDS:
-                        per_frame = acquisition.score_switch(
-                            prev_counts.get(sid), counts
-                        )
-                        prev_counts[sid] = counts
-                    else:
-                        transform = FRAME_TRANSFORMS[kind]
-                        per_frame = [transform(float(p)) for p in objectness]
-                    if singular:
-                        for fid, value in enumerate(per_frame):
-                            scores[(sid, fid)] = float(value)
-                    else:
-                        scores[sid] = acquisition.sequence_score(per_frame)
-                return scores
+                # A sequence open now was open in the round before, whose
+                # table holds its previous counts; round 1 has none, even
+                # when a replayed trace holds round-0 rows.
+                previous = trace.rounds[rnd - 1] if rnd > 1 else {}
+                return acquisition.model_scores(
+                    kind, detector_scores(rnd, open_ids), previous, singular
+                )
 
             def acquire(units: list) -> tuple[list[str], float]:
                 """Label whole sequences (ids) at their full cost or single
@@ -496,10 +486,10 @@ class AggregateRow:
 
 def _mean_se(values: list[float]) -> tuple[float, float | None]:
     n = len(values)
-    mean = sum(values) / n
+    mean = metrics.ordered_sum(values) / n
     if n == 1:
         return mean, None
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
+    var = metrics.ordered_sum([(v - mean) ** 2 for v in values]) / (n - 1)
     return mean, math.sqrt(var) / math.sqrt(n)
 
 
@@ -542,7 +532,7 @@ RECORD_COLUMNS = (
     "map5095",
 )
 # (column, parser) of the records.csv columns read_curves reads.
-_RECORD_FIELDS = (("seed", int), ("cum_cost_hours", float), ("map50", optional_float))
+_RECORD_FIELDS = (("seed", int), ("cum_cost_hours", hours), ("map50", optional_unit))
 
 
 def write_records(records: list[RoundRecord], path: Path | str) -> None:

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import FeatureError, TraceError
 from .pool import BoundingBox, PoolState, Sequence, clamp_box
-from .tables import parsed_rows, write_table
+from .tables import count, optional_unit, parsed_rows, unit, write_table
 
 EPSILON_HALF_WIDTH = 0.05
 JITTER_SD_SCALE = 0.08
@@ -389,29 +389,11 @@ class ScoreTrace:
     )
 
 
-def _unit(raw: str) -> float:
-    """A probability or mAP cell; a non-finite value or one outside [0, 1]
-    raises ValueError, which parsed_rows reports as a bad field."""
-    if not 0.0 <= (value := float(raw)) <= 1.0:
-        raise ValueError(raw)
-    return value
-
-
-def _optional_unit(raw: str) -> float | None:
-    return _unit(raw) if raw else None
-
-
-def _count(raw: str) -> int:
-    if (value := int(raw)) < 0:
-        raise ValueError(raw)
-    return value
-
-
 # (column, parser) of each trace file, in file order.
 _SCORE_FIELDS = (("seed", int), ("round", int), ("sequence_id", str), ("frame_id", int),
-                 ("uncertainty", _unit), ("pred_count", _count))
-_METRIC_FIELDS = (("seed", int), ("round", int), ("map50", _optional_unit),
-                  ("map5095", _optional_unit))
+                 ("uncertainty", unit), ("pred_count", count))
+_METRIC_FIELDS = (("seed", int), ("round", int), ("map50", optional_unit),
+                  ("map5095", optional_unit))
 
 
 def write_traces(

@@ -9,6 +9,7 @@ which must replay bit for bit, write full ``repr`` floats instead.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 from typing import Iterable
 
@@ -26,8 +27,29 @@ def cell(value: float | None) -> str:
     return "" if value is None else "%.6f" % value
 
 
-def optional_float(raw: str) -> float | None:
-    return float(raw) if raw else None
+def unit(raw: str) -> float:
+    """A probability or mAP cell; a non-finite value or one outside [0, 1]
+    raises ValueError, which parsed_rows reports as a bad field."""
+    if not 0.0 <= (value := float(raw)) <= 1.0:
+        raise ValueError(raw)
+    return value
+
+
+def optional_unit(raw: str) -> float | None:
+    return unit(raw) if raw else None
+
+
+def hours(raw: str) -> float:
+    """A finite cost cell >= 0."""
+    if not 0.0 <= (value := float(raw)) < math.inf:
+        raise ValueError(raw)
+    return value
+
+
+def count(raw: str) -> int:
+    if (value := int(raw)) < 0:
+        raise ValueError(raw)
+    return value
 
 
 def parsed_rows(path: Path | str, fields):

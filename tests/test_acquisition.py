@@ -1,4 +1,6 @@
-"""Strategy selection tests: transforms, GMM, conformal criteria, tie rules."""
+"""Strategy selection tests: frame criteria, model scores, GMM, conformal
+criteria, tie rules. The scalar criteria, the per-frame score loop and the
+tuple-sort ranking that the array code replaced are kept here as oracles."""
 
 import math
 
@@ -17,24 +19,109 @@ from seqal.acquisition import (
     _coreset_greedy,
     catalog_scores,
     fit_gmm2,
-    score_entropy,
-    score_least_confidence,
-    score_margin,
-    score_switch,
+    frame_criterion,
+    model_scores,
     select,
-    sequence_score,
 )
-from seqal.errors import (
-    DomainError,
-    EmptyScoreError,
-    MissingScoresError,
-    PoolExhaustedError,
-    ShapeError,
-)
+from seqal.errors import DomainError, MissingScoresError, PoolExhaustedError, ShapeError
 from seqal.flowproxy import FlowStats
 from seqal.pool import PoolState
 
 from conftest import make_sequence
+
+
+def _check_probability(p: float) -> None:
+    if not 0.0 <= p <= 1.0:
+        raise DomainError(f"objectness {p} outside [0, 1]")
+
+
+def score_entropy(p: float) -> float:
+    """Binary entropy of the objectness, natural log, with 0*log(0) = 0."""
+    _check_probability(p)
+    total = 0.0
+    for v in (p, 1.0 - p):
+        if v > 0.0:
+            total -= v * math.log(v)
+    return total
+
+
+def score_least_confidence(p: float) -> float:
+    _check_probability(p)
+    return 1.0 - max(p, 1.0 - p)
+
+
+def score_margin(p: float) -> float:
+    _check_probability(p)
+    return -abs(2.0 * p - 1.0)
+
+
+FRAME_TRANSFORMS = {
+    "entropy": score_entropy,
+    "least_confidence": score_least_confidence,
+    "margin": score_margin,
+}
+
+
+def score_switch(prev_counts, curr_counts) -> list[float]:
+    """Per-frame |change in predicted count|; all zero without a previous round."""
+    curr = list(curr_counts)
+    if prev_counts is None:
+        return [0.0] * len(curr)
+    prev = list(prev_counts)
+    if len(prev) != len(curr):
+        raise ShapeError(f"count lengths differ: {len(prev)} vs {len(curr)}")
+    return [abs(float(c) - float(p)) for p, c in zip(prev, curr)]
+
+
+def sequence_score(frame_values) -> float:
+    values = list(frame_values)
+    return float(sum(values) / len(values))
+
+
+def round_scores_loop(kind, table, prev_counts, singular):
+    """The runner's per-float score loop: prev_counts maps each sequence to
+    the counts it had when last scored and is updated in place."""
+    scores = {}
+    for sid, (objectness, counts) in table.items():
+        if kind in ("false_switch", "gauss_switch"):
+            per_frame = score_switch(prev_counts.get(sid), counts)
+            prev_counts[sid] = counts
+        else:
+            per_frame = [FRAME_TRANSFORMS[kind](float(p)) for p in objectness]
+        if singular:
+            for fid, value in enumerate(per_frame):
+                scores[(sid, fid)] = float(value)
+        else:
+            scores[sid] = sequence_score(per_frame)
+    return scores
+
+
+def top_by_score(ids, scores, b):
+    return sorted(ids, key=lambda i: (-scores[i], i))[:b]
+
+
+def select_oracle(kind, ids, scores, b, rng_seed):
+    """select's random, top and GauSS rules by tuple sort and id lists."""
+    ids = sorted(ids)
+
+    def draw(pool):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(rng_seed)))
+        return [pool[i] for i in rng.choice(len(pool), size=b, replace=False)]
+
+    if kind == "random":
+        return draw(ids)
+    if kind != "gauss_switch":
+        return top_by_score(ids, scores, b)
+    values = np.array([scores[i] for i in ids], dtype=float)
+    if len(ids) < 2 or float(np.ptp(values)) == 0.0:
+        return top_by_score(ids, scores, b)
+    fit = fit_gmm2(values)
+    if fit.degenerate:
+        return top_by_score(ids, scores, b)
+    members = [i for i, r in zip(ids, fit.responsibilities(values)[:, 1]) if r > 0.5]
+    if len(members) < b:
+        return top_by_score(ids, scores, b)
+    return draw(members)
 
 
 def pool_of(lengths):
@@ -168,49 +255,174 @@ def test_strategy_spec_validation(kw):
         StrategySpec(**kw)
 
 
-# --- frame transforms ----------------------------------------------------
+# --- frame criteria and model scores ------------------------------------
+
+
+def criterion(kind, objectness):
+    return frame_criterion(kind, np.asarray(objectness, dtype=float), None, None).tolist()
 
 
 def test_entropy_values():
-    assert score_entropy(0.9) == 0.3250829733914482
-    assert score_entropy(0.5) == pytest.approx(math.log(2), abs=1e-15)
-    assert score_entropy(0.0) == 0.0
-    assert score_entropy(1.0) == 0.0
+    got = criterion("entropy", [0.9, 0.5, 0.0, 1.0])
+    assert got[0] == 0.3250829733914482
+    assert got[1] == pytest.approx(math.log(2), abs=1e-15)
+    assert got[2:] == [0.0, 0.0]
 
 
 def test_entropy_symmetric():
-    for p in (0.1, 0.25, 0.4):
-        assert score_entropy(p) == pytest.approx(score_entropy(1 - p), abs=1e-15)
+    p = [0.1, 0.25, 0.4]
+    assert criterion("entropy", p) == pytest.approx(
+        criterion("entropy", [1 - v for v in p]), abs=1e-15
+    )
 
 
 def test_least_confidence_and_margin():
-    assert score_least_confidence(0.9) == pytest.approx(0.1)
-    assert score_least_confidence(0.5) == pytest.approx(0.5)
-    assert score_margin(0.9) == pytest.approx(-0.8)
-    assert score_margin(0.5) == pytest.approx(0.0)
+    assert criterion("least_confidence", [0.9, 0.5]) == pytest.approx([0.1, 0.5])
+    assert criterion("margin", [0.9, 0.5]) == pytest.approx([-0.8, 0.0])
     # both already point the maximize-selects-uncertain direction
-    assert score_least_confidence(0.5) > score_least_confidence(0.9)
-    assert score_margin(0.5) > score_margin(0.9)
+    for kind in ("least_confidence", "margin"):
+        at_half, at_nine = criterion(kind, [0.5, 0.9])
+        assert at_half > at_nine
 
 
 @pytest.mark.parametrize("fn", [score_entropy, score_least_confidence, score_margin])
 @pytest.mark.parametrize("p", [-0.1, 1.1, float("nan")])
 def test_transforms_reject_bad_probability(fn, p):
+    kind = next(k for k, f in FRAME_TRANSFORMS.items() if f is fn)
     with pytest.raises(DomainError):
         fn(p)
+    with pytest.raises(DomainError, match=r"objectness outside \[0, 1\]"):
+        criterion(kind, [0.5, p])
 
 
 def test_sequence_score_is_mean():
-    assert sequence_score([0.2, 0.4, 0.9]) == pytest.approx(0.5)
-    with pytest.raises(EmptyScoreError):
-        sequence_score([])
+    objectness = np.full(3, 0.5)
+    table = {"a": (objectness, np.array([2, 4, 9]))}
+    previous = {"a": (objectness, np.zeros(3, dtype=np.int64))}
+    assert model_scores("false_switch", table, previous, False) == {"a": 5.0}
+    assert sequence_score([2.0, 4.0, 9.0]) == 5.0
+    values = [0.2, 0.4, 0.9]
+    table = {"b": (np.array([0.5 - v / 2 for v in values]), np.zeros(3, dtype=np.int64))}
+    assert model_scores("margin", table, {}, False) == {
+        "b": sequence_score(score_margin(0.5 - v / 2) for v in values)
+    }
 
 
 def test_score_switch():
-    assert score_switch(None, [3, 1, 4]) == [0.0, 0.0, 0.0]
-    assert score_switch([1, 5, 2], [3, 1, 4]) == [2.0, 4.0, 2.0]
+    counts = np.array([3, 1, 4])
+    assert frame_criterion("false_switch", None, counts, None).tolist() == [0.0, 0.0, 0.0]
+    got = frame_criterion("gauss_switch", None, counts, np.array([1, 5, 2]))
+    assert got.tolist() == [2.0, 4.0, 2.0] == score_switch([1, 5, 2], counts)
     with pytest.raises(ShapeError):
-        score_switch([1, 2], [1, 2, 3])
+        frame_criterion("false_switch", None, np.array([1, 2, 3]), np.array([1, 2]))
+
+
+def test_frame_criterion_rejects_other_kinds():
+    with pytest.raises(DomainError, match="not a model-score kind"):
+        criterion("coreset", [0.5])
+
+
+def objectness_sample():
+    """Over 1,000 objectness values: 0, 1, 0.5, their neighbours, values
+    where np.log(p) or np.log(1 - p) differs from math.log, and uniforms."""
+    rng = np.random.default_rng(15)
+    wide = rng.random(200_000)
+    log_differs = (np.log(wide) != [math.log(v) for v in wide.tolist()]) | (
+        np.log(1.0 - wide) != [math.log(v) for v in (1.0 - wide).tolist()]
+    )
+    edges = [0.0, 1.0, 0.5, 5e-324, np.nextafter(1.0, 0.0), np.nextafter(0.5, 0.0)]
+    return np.concatenate([edges, wide[log_differs][:300], rng.random(1000)]), log_differs.sum()
+
+
+def test_frame_criterion_matches_scalar_oracles():
+    p, n_differs = objectness_sample()
+    assert p.size >= 1000 and n_differs >= 300
+    for kind, fn in FRAME_TRANSFORMS.items():
+        got = frame_criterion(kind, p, None, None)
+        assert got.tolist() == [fn(v) for v in p.tolist()], kind
+    # np.log in place of math.log would move entropy on this sample
+    both = np.concatenate([p, 1.0 - p])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(both > 0.0, both * np.log(both), 0.0)
+    np_entropy = (0.0 - terms[: p.size]) - terms[p.size :]
+    assert (np_entropy != frame_criterion("entropy", p, None, None)).any()
+
+
+def test_frame_criterion_switch_matches_oracle():
+    rng = np.random.default_rng(16)
+    for _ in range(200):
+        n = int(rng.integers(1, 60))
+        curr = rng.integers(0, 12, n)
+        prev = rng.integers(0, 12, n)
+        for kind in ("false_switch", "gauss_switch"):
+            assert frame_criterion(kind, None, curr, None).tolist() == score_switch(None, curr)
+            assert frame_criterion(kind, None, curr, prev).tolist() == score_switch(prev, curr)
+
+
+def detector_rounds(rng, n_rounds=4):
+    """Per round, {sid: (objectness, counts)} over a shrinking open set,
+    as a run's trace holds them; objectness hits 0, 0.5 and 1 now and then."""
+    lengths = {f"s{i:02d}": int(rng.integers(1, 30)) for i in range(12)}
+    open_ids = sorted(lengths)
+    rounds = {}
+    for rnd in range(1, n_rounds + 1):
+        table = {}
+        for sid in open_ids:
+            p = rng.random(lengths[sid])
+            p[rng.random(p.size) < 0.1] = rng.choice([0.0, 0.5, 1.0])
+            table[sid] = (p, rng.integers(0, 8, lengths[sid]))
+        rounds[rnd] = table
+        open_ids = [s for s in open_ids if rng.random() < 0.8]
+    return rounds
+
+
+@pytest.mark.parametrize("singular", [False, True])
+def test_model_scores_matches_runner_loop(singular):
+    rng = np.random.default_rng(17 + singular)
+    for _ in range(20):
+        rounds = detector_rounds(rng)
+        for kind in sorted(SCORE_KINDS):
+            prev_counts = {}
+            for rnd, table in rounds.items():
+                want = round_scores_loop(kind, table, prev_counts, singular)
+                previous = rounds[rnd - 1] if rnd > 1 else {}
+                got = model_scores(kind, table, previous, singular)
+                assert list(got) == list(want) and got == want, (kind, rnd)
+                assert all(type(v) is float for v in got.values())
+
+
+def test_model_scores_switch_history_is_the_previous_table():
+    table = detector_rounds(np.random.default_rng(18), n_rounds=1)[1]
+    shifted = {s: (p, c + 5) for s, (p, c) in table.items()}
+    assert set(model_scores("false_switch", table, {}, False).values()) == {0.0}
+    assert set(model_scores("false_switch", table, shifted, False).values()) == {5.0}
+
+
+def score_dicts(rng, pairs):
+    """Random candidate ids (sequence ids or (id, frame) pairs) with scores
+    from a small set, so ties are common, ±0.0 among them."""
+    ids = [f"s{i:02d}" for i in range(int(rng.integers(1, 40)))]
+    if pairs:
+        ids = [(s, int(f)) for s in ids[:8] for f in range(int(rng.integers(1, 6)))]
+    choices = np.array([-0.0, 0.0, 0.0, 1.0, 1.0, 2.0, 3.0, 7.5, -1.0])
+    values = rng.choice(choices, len(ids)) if rng.random() < 0.7 else rng.random(len(ids))
+    order = rng.permutation(len(ids))
+    return {ids[i]: float(values[i]) for i in order}
+
+
+def test_select_matches_tuple_sort_oracle():
+    rng = np.random.default_rng(19)
+    kinds = ("entropy", "false_switch", "gauss_switch", "random")
+    drew = 0
+    for trial in range(200):
+        scores = score_dicts(rng, pairs=trial % 2 == 1)
+        ids = list(scores)
+        b = int(rng.integers(1, len(ids) + 1))
+        for kind in kinds:
+            got = select(kind, ids, None if kind == "random" else scores, b, trial)
+            assert got == select_oracle(kind, ids, scores, b, trial), (kind, trial)
+        drew += select("gauss_switch", ids, scores, b, trial) != top_by_score(ids, scores, b)
+    assert drew > 0  # the GauSS draw, not only its fallback, was compared
 
 
 # --- GMM -----------------------------------------------------------------

@@ -573,6 +573,11 @@ def test_metrics_bad_budget_list(finished_run):
     [
         ("seed", "x", "line 3: bad seed 'x'"),
         ("cum_cost_hours", "abc", "line 3: bad cum_cost_hours 'abc'"),
+        ("cum_cost_hours", "nan", "line 3: bad cum_cost_hours 'nan'"),
+        ("cum_cost_hours", "inf", "line 3: bad cum_cost_hours 'inf'"),
+        ("cum_cost_hours", "-1.0", "line 3: bad cum_cost_hours '-1.0'"),
+        ("map50", "nan", "line 3: bad map50 'nan'"),
+        ("map50", "1.5", "line 3: bad map50 '1.5'"),
         ("map50", None, "line 1: no map50 column"),
     ],
 )

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -207,7 +208,9 @@ def test_from_sequences_rejects_duplicates():
 def test_from_sequences_rejects_frame_gap():
     frames = [Frame(0, []), Frame(2, [])]
     seq = Sequence(make_meta("gap"), frames)
-    with pytest.raises(ContinuityError):
+    with pytest.raises(
+        ContinuityError, match=re.escape("'gap' has frame ids [0, 2]..., expected 0..1")
+    ):
         PoolState.from_sequences([seq])
 
 
@@ -317,7 +320,9 @@ def test_load_pool_frame_gap(tmp_path):
     pool = make_pool(n_train=1, n_val=0, n_test=0, n_frames=3)
     write_pool(pool, tmp_path)
     (tmp_path / "labels" / "training" / "seq000_000001.txt").unlink()
-    with pytest.raises(ContinuityError):
+    with pytest.raises(
+        ContinuityError, match=re.escape("'seq000' has frame ids [0, 2]..., expected 0..1")
+    ):
         load_pool(tmp_path)
 
 

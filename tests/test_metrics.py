@@ -527,6 +527,36 @@ def test_mean_ap_matches_scalar_oracle_randomized():
     assert kinds == {tuple, DomainError, EmptyTestError}
 
 
+def test_mean_ap_class_means_add_left_to_right():
+    """Ten classes, each with one truth and nine higher-ranked false
+    positives, so every class AP is exactly 0.1 at every threshold. Added
+    left to right, ten 0.1s make 0.9999999999999999; math.fsum (and the
+    builtin sum from Python 3.12 on) makes 1.0."""
+    truths, preds = [], []
+    for c in range(10):
+        truth = box(0.5, 0.5, 0.2, 0.2, c)
+        truths.append([truth])
+        misses = [(box(0.1, 0.1, 0.05, 0.05, c), 0.5 + 0.01 * k) for k in range(9)]
+        preds.append(misses + [(truth, 0.1)])
+    thresholds = (0.5, 0.75, 0.95)
+    class_ap = [
+        [average_precision(p, t, th) for th in thresholds] for p, t in zip(preds, truths)
+    ]
+    assert {ap for row in class_ap for ap in row} == {0.1}
+
+    def left_to_right_mean(values):
+        total = 0.0
+        for v in values:
+            total += v
+        return total / len(values)
+
+    map50, map5095 = mean_ap(preds, truths, thresholds)
+    assert map50 == left_to_right_mean([row[0] for row in class_ap])
+    assert map5095 == left_to_right_mean([left_to_right_mean(row) for row in class_ap])
+    assert map50 != math.fsum(row[0] for row in class_ap) / len(class_ap)
+    assert map5095 != math.fsum(math.fsum(row) / 3 for row in class_ap) / len(class_ap)
+
+
 def test_map5095_grid():
     assert len(MAP5095_THRESHOLDS) == 10
     assert MAP5095_THRESHOLDS[0] == 0.5
@@ -545,6 +575,9 @@ def test_curve_validation():
         PerfCostCurve([(1.0, 1.5)])
     with pytest.raises(DomainError):
         PerfCostCurve([(-1.0, 0.5)])
+    for cost in (float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="negative or not finite"):
+            PerfCostCurve([(0.0, 0.5), (cost, 0.6)])
 
 
 def test_from_points_collapses_equal_costs_keeping_last():

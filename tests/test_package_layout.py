@@ -1,0 +1,45 @@
+"""Package-wide guard: no helper in src/ that only the tests call."""
+
+import ast
+from pathlib import Path
+
+import seqal
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "seqal"
+
+
+def names_in(node) -> set[str]:
+    """Every name node reads: bare names, attribute names and imported names."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name.rsplit(".", 1)[-1])
+    return out
+
+
+def test_every_src_definition_has_a_user_outside_the_tests():
+    """Each module-level def and class in src/seqal is named in src/seqal
+    outside its own body, exported in seqal.__all__, or named by the
+    benchmark in perfbench/."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    statements = [node for tree in trees.values() for node in tree.body]
+    exported = set(seqal.__all__)
+    bench = set().union(
+        *(names_in(ast.parse(p.read_text())) for p in (ROOT / "perfbench").glob("*.py"))
+    )
+    unused = []
+    for module, tree in trees.items():
+        for top in tree.body:
+            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if top.name in exported or top.name in bench:
+                continue
+            if not any(top.name in names_in(node) for node in statements if node is not top):
+                unused.append(f"{module}:{top.name}")
+    assert len(trees) > 10
+    assert unused == []

@@ -293,6 +293,35 @@ def test_replay_reproduces_records(tmp_path):
     assert not (replay_dir / "trace.csv").exists()
 
 
+def test_replay_ignores_round_zero_rows(tmp_path):
+    """Round 1 has no switch history: rows for round 0, which no run writes,
+    must not become it. The added rows give each seed's last open sequence a
+    far-off count, so reading them would change round 1's pick."""
+    live_dir = tmp_path / "live"
+    cfg = tiny_cfg(kind="false_switch", rounds=3)
+    run_experiment(cfg, pool=runner_pool(), out_dir=live_dir)
+    trace = live_dir / "trace.csv"
+    with open(trace, newline="") as fh:
+        round_one = [row for row in csv.DictReader(fh) if row["round"] == "1"]
+    last = {}
+    for row in round_one:
+        last[row["seed"]] = max(last.get(row["seed"], ""), row["sequence_id"])
+    with open(trace, "a", newline="") as fh:
+        csv.writer(fh).writerows(
+            [row["seed"], 0, row["sequence_id"], row["frame_id"], row["uncertainty"],
+             50 if row["sequence_id"] == last[row["seed"]] else row["pred_count"]]
+            for row in round_one
+        )
+    assert all(0 in t.rounds for t in sg.read_traces(trace, live_dir / "trace_metrics.csv").values())
+
+    replay = replace(cfg, trace_path=str(trace),
+                     trace_metrics_path=str(live_dir / "trace_metrics.csv"))
+    run_experiment(replay, pool=runner_pool(), out_dir=tmp_path / "replay")
+    assert (tmp_path / "replay" / "records.csv").read_bytes() == (
+        live_dir / "records.csv"
+    ).read_bytes()
+
+
 def test_replay_rejects_trace_of_other_frame_counts(tmp_path):
     live = tiny_cfg(kind="entropy", rounds=2)
     run_experiment(live, pool=runner_pool(n_frames=4), out_dir=tmp_path / "seq")
@@ -510,6 +539,8 @@ def test_mean_se_known_values():
     assert se == pytest.approx(0.05773502691896258, abs=1e-12)
     mean1, se1 = _mean_se([2.0])
     assert mean1 == 2.0 and se1 is None
+    # left to right on every Python: ten 0.1s add to 0.9999999999999999
+    assert _mean_se([0.1] * 10)[0] == 0.9999999999999999 / 10
 
 
 def test_aggregate_groups_and_sorts():
