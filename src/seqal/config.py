@@ -117,11 +117,11 @@ KEYS = {
 def read_config(path: Path | str) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}")
     for section in parser.sections():
         if section not in KEYS:

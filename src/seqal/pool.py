@@ -5,12 +5,20 @@ A pool directory holds plain-text box annotations under
 ``<sequence>_<frame>.txt``, optional 8-bit grayscale rasters under
 ``frames/<split>`` as binary PGM, and a ``manifest.csv`` sidecar listing
 per-sequence annotation cost and metadata. Box coordinates are normalized
-center-format (cx, cy, w, h) in the unit square.
+center-format (cx, cy, w, h) in the unit square. Text files are UTF-8.
+
+load_pool lists each split's label and frame directories once and joins
+file names as strings. A loaded raster is a read-only uint8 view over its
+PGM file's bytes.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import math
+import os
+import re
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from pathlib import Path
@@ -259,7 +267,7 @@ def parse_label_name(path_name: str) -> tuple[str, int]:
     The frame id is the final underscore-separated token, ASCII digits only;
     everything before the last underscore belongs to the sequence id.
     """
-    name = Path(path_name).name
+    name = os.path.basename(path_name)
     if not name.endswith(".txt"):
         raise NameFormatError(f"{name!r} does not end in .txt")
     stem = name[: -len(".txt")]
@@ -297,7 +305,7 @@ def parse_label_file(path_name: str, contents: str) -> LabelFile:
             cx, cy, w, h = (float(v) for v in fields[1:5])
         except ValueError:
             raise LineFormatError("non-numeric coordinate", path_name, lineno) from None
-        if not all(np.isfinite(v) for v in (cx, cy, w, h)):
+        if not all(map(math.isfinite, (cx, cy, w, h))):
             raise LineFormatError("non-finite coordinate", path_name, lineno)
         occ = Occlusion.VISIBLE
         if len(fields) == 6:
@@ -323,76 +331,82 @@ def format_label_line(box: BoundingBox) -> str:
     return line
 
 
-def read_pgm(path: Path) -> np.ndarray:
-    """Read a binary (P5) graymap with maxval 255 into a uint8 array."""
-    data = Path(path).read_bytes()
-    tokens: list[bytes] = []
-    pos = 0
-    while len(tokens) < 4 and pos < len(data):
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if pos > start:
-            tokens.append(data[start:pos])
-    if len(tokens) < 4 or tokens[0] != b"P5":
+def read_pgm(path: Path | str) -> np.ndarray:
+    """Read a binary (P5) graymap with maxval 255 as a read-only uint8 view
+    over the file's bytes."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # Magic, width, height and maxval, then the one whitespace byte before
+    # the payload, whose first pixel may itself be a whitespace byte.
+    header = re.match(rb"\s*(\S+)\s+(\S+)\s+(\S+)\s+(\S+)\s?", data)
+    if header is None or header[1] != b"P5":
         raise ManifestError(f"{path}: not a binary P5 graymap")
     try:
-        width, height, maxval = (int(t) for t in tokens[1:4])
+        width, height, maxval = (int(t) for t in header.groups()[1:])
     except ValueError:
         raise ManifestError(f"{path}: malformed PGM header") from None
     if maxval != 255:
         raise ManifestError(f"{path}: unsupported maxval {maxval}")
-    pos += 1  # single whitespace byte after maxval
-    raster = np.frombuffer(data[pos : pos + width * height], dtype=np.uint8)
-    if raster.size != width * height:
+    if width < 0 or height < 0:
+        raise ManifestError(f"{path}: malformed PGM header")
+    if len(data) - header.end() < width * height:
         raise ManifestError(f"{path}: truncated raster payload")
-    return raster.reshape(height, width).copy()
+    return np.frombuffer(data, np.uint8, width * height, header.end()).reshape(height, width)
 
 
-def write_pgm(path: Path, raster: np.ndarray) -> None:
+def write_pgm(path: Path | str, raster: np.ndarray) -> None:
     if raster.ndim != 2 or raster.dtype != np.uint8:
         raise ValueError("raster must be a 2-D uint8 array")
     height, width = raster.shape
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + raster.tobytes())
+    with open(path, "wb") as fh:
+        fh.write(header + raster.tobytes())
+
+
+def _read_text(path: Path | str, newline: str | None = None) -> str:
+    """A UTF-8 text file's contents; a byte that does not decode raises
+    ManifestError naming the file."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError:
+            raise ManifestError(f"{path}: not UTF-8 text") from None
 
 
 def _parse_manifest(manifest_path: Path) -> dict[str, SequenceMeta]:
     if not manifest_path.is_file():
         raise ManifestError(f"manifest not found at {manifest_path}")
     rows: dict[str, SequenceMeta] = {}
-    with open(manifest_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in _MANIFEST_COLUMNS if c not in header]
-        if missing:
-            raise ManifestError(f"manifest missing columns: {', '.join(missing)}")
-        for lineno, row in enumerate(reader, start=2):
-            sid = (row["sequence_id"] or "").strip()
-            if not sid:
-                raise ManifestError(f"manifest row {lineno}: empty sequence_id")
-            if sid in rows:
-                raise ManifestError(f"manifest row {lineno}: duplicate id {sid!r}")
-            try:
-                cost = float(row["cost_hours"])
-            except (TypeError, ValueError):
-                raise ManifestError(
-                    f"manifest row {lineno}: bad cost {row['cost_hours']!r}"
-                ) from None
-            if not np.isfinite(cost) or cost <= 0:
-                raise ManifestError(
-                    f"manifest row {lineno}: cost_hours must be positive, got {cost}"
-                )
-            try:
-                scene = int(row["scene_id"])
-                season = Season[row["season"].strip().upper()]
-                tod = TimeOfDay[row["time_of_day"].strip().upper()]
-                split = Split(row["split"].strip().lower())
-            except (KeyError, ValueError, AttributeError):
-                raise ManifestError(f"manifest row {lineno}: bad metadata field") from None
-            rows[sid] = SequenceMeta(sid, cost, scene, season, tod, split)
+    reader = csv.DictReader(io.StringIO(_read_text(manifest_path, newline=""), newline=""))
+    header = reader.fieldnames or []
+    missing = [c for c in _MANIFEST_COLUMNS if c not in header]
+    if missing:
+        raise ManifestError(f"manifest missing columns: {', '.join(missing)}")
+    for lineno, row in enumerate(reader, start=2):
+        sid = (row["sequence_id"] or "").strip()
+        if not sid:
+            raise ManifestError(f"manifest row {lineno}: empty sequence_id")
+        if sid in rows:
+            raise ManifestError(f"manifest row {lineno}: duplicate id {sid!r}")
+        try:
+            cost = float(row["cost_hours"])
+        except (TypeError, ValueError):
+            raise ManifestError(
+                f"manifest row {lineno}: bad cost {row['cost_hours']!r}"
+            ) from None
+        if not np.isfinite(cost) or cost <= 0:
+            raise ManifestError(
+                f"manifest row {lineno}: cost_hours must be positive, got {cost}"
+            )
+        try:
+            scene = int(row["scene_id"])
+            season = Season[row["season"].strip().upper()]
+            tod = TimeOfDay[row["time_of_day"].strip().upper()]
+            split = Split(row["split"].strip().lower())
+        except (KeyError, ValueError, AttributeError, TypeError):
+            # TypeError: a row shorter than the header reads None fields.
+            raise ManifestError(f"manifest row {lineno}: bad metadata field") from None
+        rows[sid] = SequenceMeta(sid, cost, scene, season, tod, split)
     return rows
 
 
@@ -402,8 +416,8 @@ def load_pool(root_dir: Path | str) -> PoolState:
     Validates that every label file's sequence has a manifest row on the
     matching split, that each frame id has one file, that frame ids are
     gapless from zero (PoolState.from_sequences checks that) and that costs
-    are positive. Rasters are attached when a matching PGM
-    exists.
+    are positive. Label files are read in name order; a frame gets a raster
+    when its PGM is a regular file in the split's frame directory.
     """
     root = Path(root_dir)
     metas = _parse_manifest(root / "manifest.csv")
@@ -417,28 +431,28 @@ def load_pool(root_dir: Path | str) -> PoolState:
         split_dir = labels_root / dirname
         if not split_dir.is_dir():
             continue
-        for label_path in sorted(split_dir.glob("*.txt")):
-            parsed = parse_label_file(str(label_path), label_path.read_text())
+        frame_dir, pgms = str(root / "frames" / dirname), set()
+        if os.path.isdir(frame_dir):
+            with os.scandir(frame_dir) as entries:
+                pgms = {entry.name for entry in entries if entry.is_file()}
+        for name in sorted(n for n in os.listdir(split_dir) if n.endswith(".txt")):
+            label_path = os.path.join(split_dir, name)
+            parsed = parse_label_file(label_path, _read_text(label_path))
             meta = metas.get(parsed.sequence_id)
             if meta is None:
-                raise ManifestError(
-                    f"{label_path.name}: sequence {parsed.sequence_id!r} not in manifest"
-                )
+                raise ManifestError(f"{name}: sequence {parsed.sequence_id!r} not in manifest")
             if meta.split is not split:
                 raise ManifestError(
-                    f"{label_path.name}: filed under {dirname!r} but manifest says "
-                    f"{meta.split.value!r}"
+                    f"{name}: filed under {dirname!r} but manifest says {meta.split.value!r}"
                 )
             frames = frames_by_seq.setdefault(parsed.sequence_id, {})
             if parsed.frame_id in frames:
                 raise ContinuityError(
-                    f"{label_path.name}: sequence {parsed.sequence_id!r} already has a "
+                    f"{name}: sequence {parsed.sequence_id!r} already has a "
                     f"label file for frame {parsed.frame_id}"
                 )
-            raster = None
-            pgm = root / "frames" / dirname / (label_path.stem + ".pgm")
-            if pgm.is_file():
-                raster = read_pgm(pgm)
+            pgm = name[: -len(".txt")] + ".pgm"
+            raster = read_pgm(os.path.join(frame_dir, pgm)) if pgm in pgms else None
             frames[parsed.frame_id] = Frame(parsed.frame_id, parsed.boxes, raster)
 
     missing = sorted(set(metas) - set(frames_by_seq))
@@ -469,19 +483,18 @@ def write_pool(pool: PoolState, root_dir: Path | str) -> None:
     for sid in sorted(pool.sequences):
         seq = pool.sequences[sid]
         dirname = SPLIT_DIRS[seq.meta.split]
-        label_dir = root / "labels" / dirname
+        label_dir = os.path.join(root, "labels", dirname)
+        frame_dir = os.path.join(root, "frames", dirname)
         for frame in seq.frames:
             for box in frame.boxes:
                 box.validate()
             stem = f"{sid}_{frame.frame_id:0{FRAME_ID_DIGITS}d}"
             lines = [format_label_line(b) for b in frame.boxes]
-            (label_dir / f"{stem}.txt").write_text(
-                "\n".join(lines) + ("\n" if lines else "")
-            )
+            with open(os.path.join(label_dir, f"{stem}.txt"), "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + ("\n" if lines else ""))
             if frame.raster is not None:
-                frame_dir = root / "frames" / dirname
-                frame_dir.mkdir(parents=True, exist_ok=True)
-                write_pgm(frame_dir / f"{stem}.pgm", frame.raster)
+                os.makedirs(frame_dir, exist_ok=True)
+                write_pgm(os.path.join(frame_dir, f"{stem}.pgm"), frame.raster)
 
     rows = (
         [sid, cell(seq.meta.cost_hours), seq.meta.scene_id, seq.meta.season.name.lower(),

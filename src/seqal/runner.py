@@ -170,29 +170,31 @@ def filter_small_boxes(
     pool: PoolState,
     min_pixels: int = DEFAULT_MIN_BOX_PIXELS,
     reference_resolution: int = DEFAULT_REFERENCE_RESOLUTION,
-) -> int:
-    """Drop boxes whose width and height both land under min_pixels at the
-    reference resolution. Each sequence gets a new frame list in which a
-    frame that lost boxes is a new frame over the kept boxes and the same
-    raster; frame objects are never edited. Returns how many were dropped."""
-    dropped = 0
-    for seq in pool.sequences.values():
-        frames = []
-        for frame in seq.frames:
-            kept = [
-                b
-                for b in frame.boxes
-                if not (
-                    b.w * reference_resolution < min_pixels
-                    and b.h * reference_resolution < min_pixels
-                )
-            ]
-            if len(kept) < len(frame.boxes):
-                dropped += len(frame.boxes) - len(kept)
-                frame = Frame(frame.frame_id, kept, frame.raster)
-            frames.append(frame)
-        seq.frames = frames
-    return dropped
+) -> PoolState:
+    """The run-local pool: boxes whose width and height both land under
+    min_pixels at the reference resolution are dropped. Every sequence is a
+    new Sequence, and a frame that lost boxes a new Frame over the kept
+    boxes and the same raster; nothing the caller passed is edited."""
+
+    def kept(frame: Frame) -> Frame:
+        boxes = [
+            b
+            for b in frame.boxes
+            if not (
+                b.w * reference_resolution < min_pixels
+                and b.h * reference_resolution < min_pixels
+            )
+        ]
+        if len(boxes) == len(frame.boxes):
+            return frame
+        return Frame(frame.frame_id, boxes, frame.raster)
+
+    return PoolState(
+        sequences={
+            sid: replace(seq, frames=[kept(f) for f in seq.frames])
+            for sid, seq in pool.sequences.items()
+        }
+    )
 
 
 def _select_rng_seed(seed: int, round_index: int) -> int:
@@ -233,14 +235,6 @@ def _load_traces(cfg: RunConfig) -> dict[int, ScoreTrace]:
         if missing:
             raise TraceError(f"trace files lack seeds {missing}")
     return {seed: traces.get(seed, ScoreTrace()) for seed in cfg.seeds}
-
-
-def _run_pool(pool: PoolState) -> PoolState:
-    """Run-local copy of the pool: new sequence objects over the caller's
-    frames, so the box filter leaves the caller's pool as it was."""
-    return PoolState(
-        sequences={sid: replace(seq) for sid, seq in pool.sequences.items()}
-    )
 
 
 def run_experiment(
@@ -285,8 +279,7 @@ def run_experiment(
         front_charge = costing.overhead_conformal(
             cfg.overhead, pool.total_train_frames()
         )
-    pool = _run_pool(pool)
-    filter_small_boxes(pool, cfg.min_box_pixels, cfg.reference_resolution)
+    pool = filter_small_boxes(pool, cfg.min_box_pixels, cfg.reference_resolution)
     # Only live scoring, live evaluation and coreset read the feature table.
     features, sigma, coreset_feats = None, None, None
     if kind == KIND_CORESET or (

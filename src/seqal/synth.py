@@ -90,14 +90,14 @@ def _validate(cfg: GenConfig) -> tuple[int, int]:
     if omin < 0 or omax < omin:
         raise GenError(f"bad objects_per_seq_range {cfg.objects_per_seq_range}")
     smin, smax = cfg.speed_range
-    if smin < 0 or smax < smin:
+    if not 0 <= smin <= smax < math.inf:
         raise GenError(f"bad speed_range {cfg.speed_range}")
     if not 0.0 <= cfg.occlusion_rate <= 1.0:
         raise GenError(f"occlusion_rate {cfg.occlusion_rate} outside [0,1]")
     cc = cfg.cost_coeffs
     for name in ("alpha_boxes", "beta_motion", "gamma_occlusion", "delta_length", "noise_sd"):
-        if getattr(cc, name) < 0:
-            raise GenError(f"cost coefficient {name} must be non-negative")
+        if not 0 <= getattr(cc, name) < math.inf:
+            raise GenError(f"cost coefficient {name} must be finite and non-negative")
     # Objects must fit with room to move: at least 2 px of travel per axis.
     side_max = min(OBJECT_SIDE_MAX, width - 2, height - 2)
     if side_max < OBJECT_SIDE_MIN:

@@ -17,7 +17,7 @@ from .errors import TraceError
 
 
 def write_table(path: Path | str, header: Iterable, rows: Iterable[Iterable]) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -55,23 +55,29 @@ def count(raw: str) -> int:
 def parsed_rows(path: Path | str, fields):
     """Each data row of a run's CSV file (a trace or records.csv) as a list
     of parsed fields. A missing column, a short row or an unparsable field
-    raises TraceError naming the file, the line and the field."""
-    with open(path, newline="") as fh:
+    raises TraceError naming the file, the line and the field; a byte that
+    is not UTF-8 raises TraceError naming the file."""
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        for name, _ in fields:
-            if name not in header:
-                raise TraceError(f"{path} line 1: no {name} column")
-        columns = [(name, header.index(name), parse) for name, parse in fields]
-        for row in filter(None, reader):
-            values = []
-            for name, index, parse in columns:
-                try:
-                    values.append(parse(row[index]))
-                except IndexError:
-                    raise TraceError(f"{path} line {reader.line_num}: no {name} field") from None
-                except ValueError:
-                    raise TraceError(
-                        f"{path} line {reader.line_num}: bad {name} {row[index]!r}"
-                    ) from None
-            yield values
+        try:
+            header = next(reader, [])
+            for name, _ in fields:
+                if name not in header:
+                    raise TraceError(f"{path} line 1: no {name} column")
+            columns = [(name, header.index(name), parse) for name, parse in fields]
+            for row in filter(None, reader):
+                values = []
+                for name, index, parse in columns:
+                    try:
+                        values.append(parse(row[index]))
+                    except IndexError:
+                        raise TraceError(
+                            f"{path} line {reader.line_num}: no {name} field"
+                        ) from None
+                    except ValueError:
+                        raise TraceError(
+                            f"{path} line {reader.line_num}: bad {name} {row[index]!r}"
+                        ) from None
+                yield values
+        except UnicodeDecodeError:
+            raise TraceError(f"{path}: not UTF-8 text") from None

@@ -78,7 +78,7 @@ def test_worker_counters_match_the_run(bench, tmp_path):
         csv_rows(tmp_path / "run" / "trace.csv") + csv_rows(tmp_path / "live" / "trace.csv")
     )
     pool = generate_pool(SMALL_POOL)
-    runner.filter_small_boxes(pool, entropy.min_box_pixels, entropy.reference_resolution)
+    pool = runner.filter_small_boxes(pool, entropy.min_box_pixels, entropy.reference_resolution)
     test_seqs = [pool.sequences[sid] for sid in pool.test_ids]
     assert values["surrogate.test_frames"] == (
         (entropy.rounds + 1) * sum(seq.n_frames for seq in test_seqs)

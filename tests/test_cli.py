@@ -208,6 +208,45 @@ def test_run_from_pool_directory(tmp_path):
     assert (out / "records.csv").is_file()
 
 
+def test_run_on_pgm_with_negative_dimensions_is_validation_error(tmp_path, capsys):
+    gen_cfg = write_ini(tmp_path, GEN_INI, "gen.ini")
+    pool_dir = tmp_path / "pool"
+    assert main(["gen", "--config", gen_cfg, "--out", str(pool_dir)]) == 0
+    pgm = sorted((pool_dir / "frames").rglob("*.pgm"))[0]
+    pgm.write_bytes(b"P5\n-2 -2\n255\n" + bytes(4))
+    run_cfg = write_ini(
+        tmp_path,
+        f"[pool]\nsource = {pool_dir}\n\n" + RUN_TAIL.format(evaluate="false"),
+        "run.ini",
+    )
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["run", "--config", run_cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {pgm}: malformed PGM header\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "run"])
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("alpha_boxes = nan", "cost coefficient alpha_boxes"),
+        ("cost_noise_sd = inf", "cost coefficient noise_sd"),
+        ("speed_max = inf", "bad speed_range"),
+        ("speed_min = nan", "bad speed_range"),
+    ],
+)
+def test_non_finite_generator_setting_is_validation_error(
+    tmp_path, capsys, command, setting, message
+):
+    text = GEN_INI + setting + "\n\n" + RUN_TAIL.format(evaluate="false")
+    out = tmp_path / "out"
+    assert main([command, "--config", write_ini(tmp_path, text), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not out.exists()
+
+
 def test_run_requires_strategy_kind(tmp_path):
     cfg = write_ini(tmp_path, GEN_INI + "\n[run]\nrounds = 2\n")
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
@@ -384,6 +423,26 @@ def test_run_malformed_trace_is_validation_error(tmp_path, capsys, name, column,
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert name in err and "line 3" in err and column in err and value in err
+    assert not out.exists()
+
+
+def spoil(path: Path) -> None:
+    """Put one byte that does not decode as UTF-8 into a text file."""
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\xff\n", 1))
+
+
+@pytest.mark.parametrize("name", ["records.csv", "trace.csv"])
+def test_run_file_that_is_not_utf8_is_validation_error(tmp_path, capsys, name):
+    live = live_run(tmp_path)
+    spoil(live / name)
+    out = tmp_path / "out"
+    if name == "records.csv":
+        argv = ["metrics", "--run", str(live), "--car-budgets", "1", "--par-budgets", "0.1"]
+    else:
+        argv = ["run", "--config", replay_ini(tmp_path, live)]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {live / name}: not UTF-8 text\n"
     assert not out.exists()
 
 
@@ -673,6 +732,26 @@ def test_bad_label_file_name_is_validation_error(tmp_path, capsys, name):
     argv = ["bounds", "--pool", str(tmp_path / "pool"), "--rounds", "1", "--out", str(out)]
     assert main(argv) == 3
     assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "target, code",
+    [("cfg.ini", 2), ("manifest.csv", 3), ("labels/training/seq001_000000.txt", 3)],
+)
+def test_input_that_is_not_utf8_names_its_file(tmp_path, capsys, target, code):
+    write_pool(make_pool(n_train=2, n_val=0, n_test=0), tmp_path)
+    cfg = write_ini(tmp_path, GEN_INI)
+    spoil(tmp_path / target)
+    out = tmp_path / "out"
+    if target == "cfg.ini":
+        argv = ["gen", "--config", cfg, "--out", str(out)]
+    else:
+        argv = ["bounds", "--pool", str(tmp_path), "--rounds", "1", "--out", str(out)]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(tmp_path / target) in err
     assert not out.exists()
 
 

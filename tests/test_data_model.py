@@ -352,6 +352,7 @@ def test_load_pool_bad_label_line_names_its_file(tmp_path):
         "a,oops,0,winter,noon,train",      # unparseable cost
         "a,1.0,0,monsoon,noon,train",      # unknown season
         "a,1.0,0,winter,noon,holdout",     # unknown split
+        "a,1.0",                           # shorter than the header
     ],
 )
 def test_manifest_bad_rows(tmp_path, row):
@@ -359,7 +360,7 @@ def test_manifest_bad_rows(tmp_path, row):
         "sequence_id,cost_hours,scene_id,season,time_of_day,split\n" + row + "\n"
     )
     (tmp_path / "labels" / "training").mkdir(parents=True)
-    with pytest.raises(ManifestError):
+    with pytest.raises(ManifestError, match="^manifest row 2: "):
         load_pool(tmp_path)
 
 

@@ -43,3 +43,40 @@ def test_every_src_definition_has_a_user_outside_the_tests():
                 unused.append(f"{module}:{top.name}")
     assert len(trees) > 10
     assert unused == []
+
+
+def text_io_without_encoding(tree) -> list[int]:
+    """Lines of the text-mode open, read_text and write_text calls in tree
+    that pass no encoding; an open whose mode is not a literal counts as
+    text mode."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        keywords = {k.arg: k.value for k in node.keywords}
+        if name not in ("open", "read_text", "write_text") or "encoding" in keywords:
+            continue
+        if name == "open":
+            mode = node.args[1] if len(node.args) > 1 else keywords.get("mode")
+            if isinstance(mode, ast.Constant) and "b" in mode.value:
+                continue
+        lines.append(node.lineno)
+    return lines
+
+
+def test_every_text_read_and_write_names_its_encoding():
+    """One text encoding: each text-mode file access in src/seqal passes
+    encoding=, so a run reads and writes UTF-8 whatever the locale."""
+    missing = {
+        path.name: lines
+        for path in sorted(SRC.glob("*.py"))
+        if (lines := text_io_without_encoding(ast.parse(path.read_text())))
+    }
+    assert missing == {}
+    guard = ast.parse(
+        "open(p)\nopen(p, 'w')\nopen(p, mode)\np.read_text()\np.write_text(t)\n"
+        "open(p, 'rb')\nopen(p, encoding='utf-8')\np.read_bytes()\n"
+    )
+    assert text_io_without_encoding(guard) == [1, 2, 3, 4, 5]

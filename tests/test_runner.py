@@ -416,9 +416,12 @@ def test_filter_small_boxes_and_rule():
     big = BoundingBox(0, 0.5, 0.5, 0.2, 0.2)
     seq.frames[0].boxes = [tiny, wide, tall, big]
     pool = PoolState.from_sequences([seq])
-    dropped = filter_small_boxes(pool, min_pixels=50, reference_resolution=640)
-    assert dropped == 1
-    assert seq.frames[0].boxes == [wide, tall, big]
+    kept = filter_small_boxes(pool, min_pixels=50, reference_resolution=640)
+    assert sum(s.total_boxes() for s in kept.sequences.values()) == 3
+    assert kept.sequences["s"].frames[0].boxes == [wide, tall, big]
+    # the input pool is unchanged, down to its sequence objects
+    assert pool.sequences["s"] is seq and kept.sequences["s"] is not seq
+    assert seq.frames[0].boxes == [tiny, wide, tall, big]
 
 
 def test_filter_small_boxes_threshold_boundary():
@@ -427,7 +430,9 @@ def test_filter_small_boxes_threshold_boundary():
     edge = BoundingBox(0, 0.5, 0.5, 50 / 640, 50 / 640)
     seq.frames[0].boxes = [edge]
     pool = PoolState.from_sequences([seq])
-    assert filter_small_boxes(pool, 50, 640) == 0
+    kept = filter_small_boxes(pool, 50, 640)
+    assert kept.sequences["s"].frames[0].boxes == [edge]
+    assert kept.sequences["s"] is not seq and seq.frames[0].boxes == [edge]
 
 
 def test_run_leaves_caller_boxes_alone():

@@ -1,5 +1,7 @@
 """Generator checks: determinism, split/scene layout, geometry, cost model."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -245,6 +247,12 @@ def test_cost_exact_for_empty_noise_free_scenes():
         dict(speed_range=(2.0, 1.0)),
         dict(occlusion_rate=1.5),
         dict(cost_coeffs=CostCoeffs(alpha_boxes=-0.1)),
+        dict(speed_range=(0.5, math.inf)),
+        dict(speed_range=(math.nan, 1.0)),
+        dict(speed_range=(0.5, math.nan)),
+        dict(cost_coeffs=CostCoeffs(alpha_boxes=math.nan)),
+        dict(cost_coeffs=CostCoeffs(beta_motion=math.inf)),
+        dict(cost_coeffs=CostCoeffs(noise_sd=math.nan)),
     ],
 )
 def test_generate_pool_rejects_bad_config(kw):
