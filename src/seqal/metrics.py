@@ -156,10 +156,7 @@ def average_precision(
     preds = np.array(
         [(0, b.cx, b.cy, b.w, b.h, conf) for b, conf in predictions], dtype=float
     ).reshape(-1, 6)
-    truth_rows = np.array(
-        [(0, b.cx, b.cy, b.w, b.h) for b in truths], dtype=float
-    ).reshape(-1, 5)
-    ap = _pooled_ap(preds, truth_rows, (iou_thresh,))
+    ap = _pooled_ap(preds, truth_rows([truths])[:, :5], (iou_thresh,))
     return None if ap is None else float(ap[0])
 
 
@@ -173,24 +170,21 @@ def check_thresholds(iou_thresholds: Sequence[float]) -> None:
             raise DomainError(f"iou threshold {t} outside the 0.50..0.95 grid")
 
 
+def truth_rows(frames: Sequence[Sequence[BoundingBox]]) -> np.ndarray:
+    """Rows (frame, cx, cy, w, h, class) of frames[i]'s boxes, in order."""
+    return np.array(
+        [(i, b.cx, b.cy, b.w, b.h, b.class_id) for i, frame in enumerate(frames) for b in frame],
+        dtype=float,
+    ).reshape(-1, 6)
+
+
 def mean_ap(
     predictions: Sequence[Sequence[Prediction]],
     truths: Sequence[Sequence[BoundingBox]],
     iou_thresholds: Sequence[float] = MAP5095_THRESHOLDS,
 ) -> tuple[float, float]:
-    """Pooled (map50, map_mean) over a test split.
-
-    predictions[i] and truths[i] belong to frame i. Boxes are pooled per
-    class across every frame before AP, map50 is the class mean at IoU 0.5
-    and the second value averages classes over iou_thresholds. Classes
-    without any truth box are left out entirely.
-
-    Per class, predictions are ranked by confidence over all frames (a
-    stable sort) and matched greedily in that order, each taking the first
-    untaken truth of highest IoU in its own frame. One IoU matrix per
-    (class, frame) serves every threshold, and step k of the match runs for
-    every frame and every distinct threshold (0.5 included) at once.
-    """
+    """mean_ap_rows over per-frame lists: predictions[i] and truths[i]
+    belong to frame i."""
     if len(predictions) != len(truths):
         raise ShapeError(
             f"{len(predictions)} prediction frames vs {len(truths)} truth frames"
@@ -198,35 +192,36 @@ def mean_ap(
     check_thresholds(iou_thresholds)
     if not truths:
         raise EmptyTestError("no test frames")
+    preds = np.array([
+        (i, b.cx, b.cy, b.w, b.h, p, b.class_id) for i, f in enumerate(predictions) for b, p in f
+    ], dtype=float).reshape(-1, 7)
+    return mean_ap_rows(preds, truth_rows(truths), iou_thresholds)
 
-    # Rows (frame, cx, cy, w, h[, conf], class), in frame order.
-    truth_rows = np.array(
-        [
-            (i, b.cx, b.cy, b.w, b.h, b.class_id)
-            for i, frame in enumerate(truths)
-            for b in frame
-        ],
-        dtype=float,
-    ).reshape(-1, 6)
-    if len(truth_rows) == 0:
+
+def mean_ap_rows(
+    preds: np.ndarray,
+    truths: np.ndarray,
+    iou_thresholds: Sequence[float] = MAP5095_THRESHOLDS,
+) -> tuple[float, float]:
+    """Pooled (map50, map_mean) over a test split of prediction rows (frame,
+    cx, cy, w, h, conf, class) and truth rows (frame, cx, cy, w, h, class)
+    in frame order. Boxes are pooled per class across every frame before
+    AP, map50 is the class mean at IoU 0.5 and the second value averages
+    classes over iou_thresholds. Classes without any truth box are left out.
+
+    Per class, predictions are ranked by confidence over all frames (a
+    stable sort, so row order breaks ties) and matched greedily in that
+    order, each taking the first untaken truth of highest IoU in its own
+    frame. One IoU matrix per (class, frame) serves every threshold.
+    """
+    check_thresholds(iou_thresholds)
+    if len(truths) == 0:
         raise EmptyTestError("test split has no truth boxes")
-    pred_rows = np.array(
-        [
-            (i, b.cx, b.cy, b.w, b.h, conf, b.class_id)
-            for i, frame in enumerate(predictions)
-            for b, conf in frame
-        ],
-        dtype=float,
-    ).reshape(-1, 7)
 
     grid = tuple(sorted({0.5, *iou_thresholds}))
     class_ap: list[dict[float, float]] = []
-    for c in np.unique(truth_rows[:, 5]):
-        ap = _pooled_ap(
-            pred_rows[pred_rows[:, 6] == c, :6],
-            truth_rows[truth_rows[:, 5] == c, :5],
-            grid,
-        )
+    for c in np.unique(truths[:, 5]):
+        ap = _pooled_ap(preds[preds[:, 6] == c, :6], truths[truths[:, 5] == c, :5], grid)
         # The class has truths by construction, so AP is never None here.
         assert ap is not None
         class_ap.append(dict(zip(grid, ap.tolist())))

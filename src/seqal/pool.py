@@ -480,6 +480,7 @@ def write_pool(pool: PoolState, root_dir: Path | str) -> None:
     for dirname in SPLIT_DIRS.values():
         (root / "labels" / dirname).mkdir(parents=True, exist_ok=True)
 
+    frame_dirs: set[str] = set()  # made once, at a split's first raster
     for sid in sorted(pool.sequences):
         seq = pool.sequences[sid]
         dirname = SPLIT_DIRS[seq.meta.split]
@@ -493,7 +494,9 @@ def write_pool(pool: PoolState, root_dir: Path | str) -> None:
             with open(os.path.join(label_dir, f"{stem}.txt"), "w", encoding="utf-8") as fh:
                 fh.write("\n".join(lines) + ("\n" if lines else ""))
             if frame.raster is not None:
-                os.makedirs(frame_dir, exist_ok=True)
+                if frame_dir not in frame_dirs:
+                    os.makedirs(frame_dir, exist_ok=True)
+                    frame_dirs.add(frame_dir)
                 write_pgm(os.path.join(frame_dir, f"{stem}.pgm"), frame.raster)
 
     rows = (

@@ -288,6 +288,10 @@ def run_experiment(
         features, sigma = surrogate.pool_feature_table(pool)
     if kind == KIND_CORESET:
         coreset_feats = _coreset_features(pool, features)
+    if cfg.evaluate and not cfg.replay:
+        test_seqs = [pool.sequences[sid] for sid in pool.test_ids]
+        test_targets = np.array([features[sid] for sid in pool.test_ids])
+        test_truths = metrics.truth_rows([f.boxes for seq in test_seqs for f in seq.frames])
     rate = cfg.interpolation_rate
     n_frames = {sid: pool.sequences[sid].n_frames for sid in train_ids}
     pays_detector = kind in SCORE_KINDS or kind == KIND_CORESET
@@ -315,7 +319,6 @@ def run_experiment(
                     kappa=cfg.kappa,
                     noise_seed=noise_seed,
                     sigma=sigma,
-                    features=features,
                     labeled_weights=weights,
                 )
 
@@ -354,14 +357,10 @@ def run_experiment(
                     return None, None
                 if not cfg.replay:
                     state = surrogate_state(rnd)
-                    preds: list[list[tuple]] = []
-                    truths: list[list] = []
-                    for sid in pool.test_ids:
-                        seq = pool.sequences[sid]
-                        preds.extend(surrogate.predict_test(state, seq))
-                        truths.extend(f.boxes for f in seq.frames)
-                    trace.test_metrics[rnd] = metrics.mean_ap(
-                        preds, truths, cfg.iou_thresholds
+                    qs = surrogate.quality(state, test_targets).tolist() if test_seqs else []
+                    preds, _ = surrogate.detection_rows(noise_seed, rnd, test_seqs, qs)
+                    trace.test_metrics[rnd] = metrics.mean_ap_rows(
+                        preds, test_truths, cfg.iou_thresholds
                     )
                 if rnd not in trace.test_metrics:
                     raise TraceError(f"trace seed {seed} round {rnd}: no test metrics")

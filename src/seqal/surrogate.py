@@ -12,13 +12,13 @@ Each frame's key seeds its own numpy PCG64 stream. _frame_states gives
 every frame's seeded state in one array pass that re-derives the
 SeedSequence hash and PCG64 seeding bit for bit, without building the
 generators. frame_noise steps those states as arrays for one uniform and
-one integer per frame (next_double and 32-bit Lemire, re-derived);
-predict_test and the rare Lemire redraw seat one reused Generator at a
-frame's state. Under numpy's NEP 19 the SeedSequence and PCG64 bit streams
-are stable across versions while the Generator.uniform and
-Generator.integers algorithms are not; the oracle tests against a
-per-frame generator flag an upgrade that changes them. The runner takes
-one quality matrix per round and hands each sequence's q to frame_scores.
+one integer per frame (next_double and 32-bit Lemire, re-derived).
+detection_rows seats one reused Generator at each frame's state and draws
+random() and standard_normal(4) per box: numpy's uniform(a, b) is a +
+(b - a) * random() and normal(0, sd) is 0.0 + sd * standard_normal(), so
+the rest of a round's test detections is arithmetic on one row array.
+Under NEP 19 the bit streams are stable across numpy versions, the
+Generator algorithms are not; the per-frame oracle tests flag a change.
 
 A ScoreTrace holds one seed's outputs; the runner reads every output from
 it, filled live or read back from the files write_traces wrote. Those are
@@ -35,13 +35,13 @@ conformal runs pay for.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import FeatureError, TraceError
-from .pool import BoundingBox, PoolState, Sequence, clamp_box
+from .pool import BoundingBox, PoolState, Sequence
 from .tables import count, optional_unit, parsed_rows, unit, write_table
 
 EPSILON_HALF_WIDTH = 0.05
@@ -328,47 +328,70 @@ def frame_scores(
     return objectness, counts
 
 
+def detection_rows(
+    noise_seed: int, round_index: int, seqs: list[Sequence], qs: list[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Detections for every frame of seqs, qs[i] the quality of seqs[i], as
+    rows (frame, cx, cy, w, h, conf, class), frames counted across seqs,
+    and each row's source: its box's index among seqs' boxes, -1 for a false
+    positive. Boxes are jittered with Gaussian noise of sd 0.08*(1-q),
+    dropped with probability 0.5*(1-q) and given confidence clamp(q + eps,
+    0.05, 0.99); after them come the frame's false positives, at Poisson
+    rate 0.3*(1-q) and with confidence at most 0.4. At q -> 1 the rows
+    converge to the truth."""
+    states = [a.tolist() for a in _frame_states(noise_seed, round_index, seqs)]
+    rng = np.random.Generator(np.random.PCG64())  # seated before every frame
+    truths, normals, fps = [], [], []  # (frame, cx, cy, w, h, q, class, u, u) per box
+    frame = 0
+    for seq, q in zip(seqs, qs):
+        jitters = JITTER_SD_SCALE * (1.0 - q) > 0
+        for f in seq.frames:
+            _seat(rng, states, frame)
+            for b in f.boxes:
+                u_drop = rng.random()
+                normals.append(rng.standard_normal(4) if jitters else np.zeros(4))
+                truths.append((frame, b.cx, b.cy, b.w, b.h, q, b.class_id, u_drop, rng.random()))
+            for _ in range(int(rng.poisson(FALSE_POSITIVE_RATE * (1.0 - q)))):
+                cls = int(rng.integers(0, 4))
+                cx, cy = rng.uniform(0.0, 1.0, size=2)
+                w, h = rng.uniform(0.02, 0.15, size=2)
+                conf = rng.uniform(CONF_FLOOR, FALSE_POSITIVE_MAX_CONF)
+                fps.append((frame, cx, cy, w, h, conf, cls))
+            frame += 1
+
+    rows = np.array(truths, dtype=float).reshape(-1, 9)
+    q = rows[:, 5]
+    kept = ~(rows[:, 7] < DROP_PROB_SCALE * (1.0 - q))
+    # normal(0, sd) and uniform(-0.05, 0.05), as numpy computes them.
+    sd = JITTER_SD_SCALE * (1.0 - q)
+    rows[:, 1:5] += 0.0 + sd[:, None] * np.array(normals).reshape(-1, 4)
+    rows[:, 3:5] = np.minimum(np.maximum(rows[:, 3:5], 1e-3), 1.0)
+    eps = _EPS_LOW + _EPS_SPAN * rows[:, 8]
+    rows[:, 5] = np.minimum(np.maximum(q + eps, CONF_FLOOR), CONF_CEIL)
+    rows = np.concatenate([rows[kept, :7], np.array(fps, dtype=float).reshape(-1, 7)])
+    order = np.argsort(rows[:, 0], kind="stable")
+    rows = rows[order]
+    # clamp_box's arithmetic: center into [0, 1], extents capped, edges clipped.
+    center = np.minimum(np.maximum(rows[:, 1:3], 0.0), 1.0)
+    half = np.minimum(rows[:, 3:5], 1.0) / 2
+    low, high = np.maximum(center - half, 0.0), np.minimum(center + half, 1.0)
+    rows[:, 1:3], rows[:, 3:5] = (low + high) / 2, high - low
+    return rows, np.concatenate([np.flatnonzero(kept), np.full(len(fps), -1)])[order]
+
+
 def predict_test(
     state: SurrogateState, seq: Sequence
 ) -> list[list[tuple[BoundingBox, float]]]:
-    """Simulated detections for every frame of a (test) sequence.
-
-    Ground-truth boxes are jittered with per-coordinate Gaussian noise of
-    sd 0.08*(1-q), dropped with probability 0.5*(1-q), and given confidence
-    clamp(q + eps, 0.05, 0.99). False positives arrive at Poisson rate
-    0.3*(1-q) per frame with confidence at most 0.4. At q -> 1 the output
-    converges to the ground truth. Each frame draws from its own stream.
-    """
+    """detection_rows for one sequence as a list per frame of (BoundingBox,
+    confidence); a kept truth box keeps its class and occlusion flag."""
     q = target_quality(state, seq)
-    sd = JITTER_SD_SCALE * (1.0 - q)
-    drop_p = DROP_PROB_SCALE * (1.0 - q)
-    fp_rate = FALSE_POSITIVE_RATE * (1.0 - q)
-    states = _frame_states(state.noise_seed, state.round_index, [seq])
-    rng = np.random.Generator(np.random.PCG64())  # seated before every frame
-    out: list[list[tuple[BoundingBox, float]]] = []
-    for fid, frame in enumerate(seq.frames):
-        _seat(rng, states, fid)
-        dets: list[tuple[BoundingBox, float]] = []
-        for box in frame.boxes:
-            u_drop = float(rng.random())
-            jitter = rng.normal(0.0, sd, size=4) if sd > 0 else np.zeros(4)
-            eps = float(rng.uniform(-EPSILON_HALF_WIDTH, EPSILON_HALF_WIDTH))
-            if u_drop < drop_p:
-                continue
-            w = min(max(box.w + jitter[2], 1e-3), 1.0)
-            h = min(max(box.h + jitter[3], 1e-3), 1.0)
-            jittered = clamp_box(
-                box.class_id, box.cx + jitter[0], box.cy + jitter[1], w, h, box.occluded
-            )
-            conf = min(max(q + eps, CONF_FLOOR), CONF_CEIL)
-            dets.append((jittered, conf))
-        for _ in range(int(rng.poisson(fp_rate))):
-            cls = int(rng.integers(0, 4))
-            cx, cy = rng.uniform(0.0, 1.0, size=2)
-            w, h = rng.uniform(0.02, 0.15, size=2)
-            conf = float(rng.uniform(CONF_FLOOR, FALSE_POSITIVE_MAX_CONF))
-            dets.append((clamp_box(cls, float(cx), float(cy), float(w), float(h)), conf))
-        out.append(dets)
+    rows, source = detection_rows(state.noise_seed, state.round_index, [seq], [q])
+    boxes = [b for f in seq.frames for b in f.boxes]
+    out: list[list[tuple[BoundingBox, float]]] = [[] for _ in seq.frames]
+    for (frame, cx, cy, w, h, conf, cls), i in zip(rows.tolist(), source.tolist()):
+        geom = {"cx": cx, "cy": cy, "w": w, "h": h}
+        box = replace(boxes[i], **geom) if i >= 0 else BoundingBox(int(cls), **geom)
+        out[int(frame)].append((box, conf))
     return out
 
 

@@ -1,9 +1,11 @@
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import seqal.pool as pool_mod
 from seqal.errors import (
     ContinuityError,
     LineFormatError,
@@ -28,7 +30,7 @@ from seqal.pool import (
     write_pool,
 )
 
-from conftest import make_meta, make_pool, make_sequence, pools_match
+from conftest import count_calls, make_meta, make_pool, make_sequence, pools_match
 
 
 # --- names ---------------------------------------------------------------
@@ -267,6 +269,28 @@ def test_write_load_round_trip(tmp_path):
         b"seq003,2.500000,1,winter,noon,validation\r\n"
         b"seq004,3.000000,2,winter,noon,test\r\n"
     )
+
+
+def test_write_pool_makes_each_frame_directory_once(tmp_path, monkeypatch):
+    # One directory per split that holds rasters, made at its first PGM; a
+    # raster-less split gets no frames directory, a raster-less pool none.
+    seqs = [
+        make_sequence("a", n_frames=3, split=Split.TRAIN, raster_size=(4, 4)),
+        make_sequence("b", n_frames=2, split=Split.TRAIN, raster_size=(4, 4)),
+        make_sequence("c", n_frames=2, split=Split.VALIDATION),
+        make_sequence("d", n_frames=4, split=Split.TEST, raster_size=(4, 4)),
+    ]
+    calls = count_calls(monkeypatch, pool_mod.os, "makedirs")
+    write_pool(PoolState.from_sequences(seqs), tmp_path / "rasters")
+    frames = tmp_path / "rasters" / "frames"
+    made = [Path(c[0]) for c in calls]  # os.makedirs also calls itself for parents
+    assert len(made) == len(set(made))
+    assert sorted(p.name for p in made if p.parent == frames) == ["test", "training"]
+    assert sorted(p.name for p in frames.iterdir()) == ["test", "training"]
+    assert len(list((frames / "training").iterdir())) == 5
+    calls.clear()
+    write_pool(make_pool(), tmp_path / "bare")
+    assert calls == [] and not (tmp_path / "bare" / "frames").exists()
 
 
 def test_round_trip_preserves_occlusion_and_classes(tmp_path):

@@ -18,6 +18,7 @@ from seqal.metrics import (
     correlations,
     iou,
     mean_ap,
+    mean_ap_rows,
     par,
     write_correlation_csv,
 )
@@ -251,6 +252,19 @@ def outcome(fn, *args):
         return fn(*args)
     except (DomainError, EmptyTestError) as exc:
         return type(exc)
+
+
+def split_rows(preds, truths):
+    """A split's per-frame lists as mean_ap_rows' prediction rows (frame,
+    cx, cy, w, h, conf, class) and truth rows (frame, cx, cy, w, h, class)."""
+    pred_rows = [
+        (i, b.cx, b.cy, b.w, b.h, conf, b.class_id) for i, f in enumerate(preds) for b, conf in f
+    ]
+    truth_rows = [(i, b.cx, b.cy, b.w, b.h, b.class_id) for i, f in enumerate(truths) for b in f]
+    return (
+        np.array(pred_rows, dtype=float).reshape(-1, 7),
+        np.array(truth_rows, dtype=float).reshape(-1, 6),
+    )
 
 
 def riemann_car(points, budget, steps=200_000):
@@ -499,17 +513,36 @@ def test_mean_ap_pools_across_frames():
 
 
 def test_mean_ap_validation():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match=r"^1 prediction frames vs 2 truth frames$"):
         mean_ap([[]], [[], []])
-    with pytest.raises(EmptyTestError):
+    with pytest.raises(EmptyTestError, match="^no test frames$"):
         mean_ap([], [])
-    with pytest.raises(EmptyTestError):
+    with pytest.raises(EmptyTestError, match="^test split has no truth boxes$"):
         mean_ap([[], []], [[], []])
     truths = [[box(0.5, 0.5, 0.2, 0.2)]]
-    with pytest.raises(DomainError):
+    off_grid = r"^iou threshold 0\.62 outside the 0\.50\.\.0\.95 grid$"
+    with pytest.raises(DomainError, match=off_grid):
         mean_ap([[]], truths, iou_thresholds=(0.62,))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^need at least one iou threshold$"):
         mean_ap([[]], truths, iou_thresholds=())
+    with pytest.raises(DomainError, match=r"^confidence 1\.5 outside \[0, 1\]$"):
+        mean_ap([[(box(0.5, 0.5, 0.2, 0.2), 1.5)]], truths)
+
+
+def test_mean_ap_rows_validation():
+    # The row core raises what mean_ap raises, with the same messages.
+    preds, truths = split_rows([[(box(0.5, 0.5, 0.2, 0.2), 0.5)]], [[box(0.5, 0.5, 0.2, 0.2)]])
+    with pytest.raises(EmptyTestError, match="^test split has no truth boxes$"):
+        mean_ap_rows(preds, np.zeros((0, 6)))
+    off_grid = r"^iou threshold 0\.62 outside the 0\.50\.\.0\.95 grid$"
+    with pytest.raises(DomainError, match=off_grid):
+        mean_ap_rows(preds, truths, iou_thresholds=(0.62,))
+    with pytest.raises(DomainError, match="^need at least one iou threshold$"):
+        mean_ap_rows(preds, truths, iou_thresholds=())
+    preds[0, 5] = float("nan")
+    with pytest.raises(DomainError, match=r"^confidence nan outside \[0, 1\]$"):
+        mean_ap_rows(preds, truths)
+    assert mean_ap_rows(np.zeros((0, 7)), truths) == (0.0, 0.0)
 
 
 def test_mean_ap_matches_scalar_oracle_randomized():
@@ -520,6 +553,7 @@ def test_mean_ap_matches_scalar_oracle_randomized():
         got = outcome(mean_ap, preds, truths, thresholds)
         want = outcome(mean_ap_oracle, preds, truths, thresholds)
         assert got == want, (preds, truths, thresholds)
+        assert outcome(mean_ap_rows, *split_rows(preds, truths), thresholds) == want
         if isinstance(got, tuple):
             assert all(type(v) is float for v in got)
         kinds.add(want if isinstance(want, type) else tuple)

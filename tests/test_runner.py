@@ -387,6 +387,28 @@ def test_failed_evaluation_still_flushes_ledger(tmp_path):
     )
 
 
+def test_evaluation_fails_when_the_filter_empties_the_test_split(tmp_path):
+    # The test split's boxes are all under the small-box filter (32 px at
+    # the 640 px reference). The run builds its test truth rows once, but
+    # still fails at round 0's evaluation, after that round is charged.
+    seqs = [
+        make_sequence(f"t{i}", n_frames=4, cost=1.0 + 0.25 * i, boxes_per_frame=2)
+        for i in range(6)
+    ]
+    test = make_sequence("test0", n_frames=3, boxes_per_frame=2, split=Split.TEST)
+    for frame in test.frames:
+        frame.boxes = [BoundingBox(b.class_id, b.cx, b.cy, 0.05, 0.05) for b in frame.boxes]
+    pool = PoolState.from_sequences(seqs + [test])
+    with pytest.raises(EmptyTestError, match="^test split has no truth boxes$"):
+        run_experiment(tiny_cfg(evaluate=True), pool=pool, out_dir=tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ledger.csv"]
+    assert (tmp_path / "ledger.csv").read_bytes() == (
+        b"seed,round,selected_ids,round_cost_h,cum_cost_h,round_gflops,cum_gflops\r\n"
+        b"0,0,t3,1.750000,1.750000,82.000000,82.000000\r\n"
+    )
+    assert all(len(f.boxes) == 2 for f in test.frames)
+
+
 def test_output_files(tmp_path):
     run_experiment(tiny_cfg(evaluate=True), pool=runner_pool(), out_dir=tmp_path)
     for name in ("records.csv", "ledger.csv", "curves.csv", "aggregate.csv", "trace.csv", "trace_metrics.csv"):

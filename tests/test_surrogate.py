@@ -7,7 +7,16 @@ import pytest
 
 import seqal.surrogate as sg
 from seqal.errors import FeatureError, TraceError
-from seqal.pool import PoolState, Season, Split, clamp_box
+from seqal.pool import (
+    BoundingBox,
+    Frame,
+    Occlusion,
+    PoolState,
+    Season,
+    Sequence,
+    Split,
+    clamp_box,
+)
 from seqal.surrogate import (
     ScoreTrace,
     SurrogateState,
@@ -22,7 +31,7 @@ from seqal.surrogate import (
     write_traces,
 )
 
-from conftest import count_calls, make_pool, make_sequence
+from conftest import count_calls, make_meta, make_pool, make_sequence
 
 
 def make_state(labeled, round_index, kappa, noise_seed, features, sigma, weights=None):
@@ -400,6 +409,64 @@ def test_predict_test_matches_frame_rng_oracle(monkeypatch, forced_q, fp_rate):
             assert got == predict_test_loop(state, seq)
             detections += sum(len(d) for d in got)
     assert detections > 0
+
+
+def oracle_rows(state, seqs):
+    """predict_test_loop over seqs as detection_rows' rows, frames counted
+    across seqs."""
+    rows, first = [], 0
+    for seq in seqs:
+        for fid, dets in enumerate(predict_test_loop(state, seq)):
+            rows += [(first + fid, b.cx, b.cy, b.w, b.h, conf, b.class_id) for b, conf in dets]
+        first += seq.n_frames
+    return np.array(rows, dtype=float).reshape(-1, 7)
+
+
+@pytest.mark.parametrize("fp_rate", [sg.FALSE_POSITIVE_RATE, 6.0], ids=["default", "many-fp"])
+def test_detection_rows_match_frame_rng_oracle(monkeypatch, fp_rate):
+    # Several sequences of different lengths per call, so frame numbers run
+    # on across sequence boundaries; q at 0, at 1 (the sd == 0 branch, which
+    # draws no normals) and between; frames without boxes; boxes on the
+    # unit square's edges and under the extent floor; negative noise seeds.
+    gen = np.random.default_rng(31)
+    monkeypatch.setattr(sg, "FALSE_POSITIVE_RATE", fp_rate)
+    quality_of = {}
+    monkeypatch.setattr(sg, "target_quality", lambda state, seq: quality_of[seq.sequence_id])
+    edges = (0.0, 1e-4, 0.5, 0.999, 1.0)
+    rows_seen = fp_seen = 0
+    for case in range(60):
+        seqs = []
+        for i in range(int(gen.integers(1, 6))):
+            frames = []
+            for fid in range(int(gen.integers(1, 9))):
+                n = int(gen.choice([0, 0, 1, 2, 5]))
+                coords = gen.random((n, 4))
+                coords = np.where(gen.random((n, 4)) < 0.2, gen.choice(edges, (n, 4)), coords)
+                boxes = [
+                    BoundingBox(int(gen.integers(0, 6)), cx, cy, max(w, 1e-4), max(h, 1e-4),
+                                Occlusion(int(gen.integers(0, 3))))
+                    for cx, cy, w, h in coords.tolist()
+                ]
+                frames.append(Frame(fid, boxes))
+            seq = Sequence(make_meta(f"c{case}s{i}", split=Split.TEST), frames)
+            quality_of[seq.sequence_id] = float(gen.choice([0.0, 1.0, gen.random(), 0.9999]))
+            seqs.append(seq)
+        noise_seed = int(gen.integers(-(2**40), 2**40)) if case % 3 else -int(gen.integers(1, 9))
+        round_index = int(gen.integers(0, 20))
+        state = SurrogateState(round_index, [], 0.35, noise_seed, 1.0)
+        qs = [quality_of[seq.sequence_id] for seq in seqs]
+        rows, source = sg.detection_rows(noise_seed, round_index, seqs, qs)
+        assert np.array_equal(rows, oracle_rows(state, seqs)), case
+        boxes = [b for seq in seqs for f in seq.frames for b in f.boxes]
+        truth = source >= 0
+        assert rows[truth, 6].tolist() == [boxes[i].class_id for i in source[truth]]
+        assert np.all(np.diff(source[truth]) > 0)
+        for seq in seqs:
+            assert predict_test(state, seq) == predict_test_loop(state, seq)
+        rows_seen += len(rows)
+        fp_seen += int(np.sum(~truth))
+    assert rows_seen > 500 and fp_seen > 0
+    assert sg.detection_rows(3, 1, [], [])[0].shape == (0, 7)
 
 
 def test_predict_test_deterministic(six_pool):
