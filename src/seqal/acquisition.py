@@ -4,16 +4,18 @@ Twelve strategy kinds share one selection entry point, ``select``. Its
 scores come from a score source: model-score kinds read the detector's
 per-frame outputs through ``model_scores``, which applies
 ``frame_criterion`` to a round's table as arrays and reduces each
-sequence to its mean frame score, or keeps one score per frame; coreset
-reads a feature table; conformal kinds rank by pool statistics through
-``catalog_scores``; random reads none. Every criterion is expressed so that
-higher is better and selection is a single argmax; ties always break toward
-the smallest id, making selection invariant to enumeration order.
+sequence to its mean frame score; coreset reads a feature table;
+conformal kinds rank by pool statistics through ``catalog_scores``; random
+reads none. Every criterion is expressed so that higher is better and
+selection is a single argmax; ties always break toward the smallest id,
+making selection invariant to enumeration order.
 
-``select`` works over any comparable candidate ids: sequence ids, or
-(sequence id, frame id) pairs when the runner acquires single frames. It
-sorts them, holds their scores as one value array and ranks indices into
-it: a stable argsort for the top rule, index draws for random and GauSS.
+``select`` works over any comparable candidate ids, such as sequence ids
+or (sequence id, frame id) pairs. It sorts them, holds their scores as one
+value array and ranks indices into it through ``_rank``: a stable argsort
+for the top rule, index draws for random and GauSS. The runner's frame
+rounds call ``_rank`` on their own: their candidates are already sorted
+index arrays, each unlabeled frame scored by ``frame_criterion``.
 
 Randomness (the random baseline and the GauSS component draw) comes from a
 PCG64 generator seeded with the caller's rng_seed, so a fixed seed fixes the
@@ -129,20 +131,17 @@ def frame_criterion(kind: str, objectness, counts, prev_counts) -> np.ndarray:
     raise DomainError(f"not a model-score kind: {kind!r}")
 
 
-def model_scores(kind: str, table: dict, previous: dict, frame_level: bool) -> dict:
+def model_scores(kind: str, table: dict, previous: dict) -> dict[str, float]:
     """select's scores from one round's detector table, {sid: (objectness,
-    counts)}: each sequence's mean frame criterion, or one score per
-    (sid, fid) when frame_level. previous is the previous round's table,
-    which the switch kinds diff against; {} in the first acquisition round.
-    The mean adds left to right (cumsum, not np.sum's pairwise order)."""
-    scores: dict = {}
+    counts)}: each sequence's mean frame criterion. previous is the
+    previous round's table, which the switch kinds diff against; {} in the
+    first acquisition round. The mean adds left to right (cumsum, not
+    np.sum's pairwise order)."""
+    scores = {}
     for sid, (objectness, counts) in table.items():
         prev = previous[sid][1] if previous else None
         values = frame_criterion(kind, objectness, counts, prev)
-        if frame_level:
-            scores.update(((sid, fid), v) for fid, v in enumerate(values.tolist()))
-        else:
-            scores[sid] = float(np.cumsum(values)[-1]) / values.size
+        scores[sid] = float(np.cumsum(values)[-1]) / values.size
     return scores
 
 
@@ -268,6 +267,21 @@ def _gauss_switch_select(values: np.ndarray, b: int, rng_seed: int) -> np.ndarra
     return members[_draw(members.size, b, rng_seed)]
 
 
+def _rank(
+    kind: str, values: np.ndarray | None, n: int, b: int, rng_seed: int | list[int]
+) -> np.ndarray:
+    """Indices of b of n sorted candidates, in order of selection preference:
+    a uniform draw for random (values unread), the GauSS draw for
+    gauss_switch, else the b highest values with ties to the smaller index."""
+    if n < b:
+        raise PoolExhaustedError(f"need {b} candidates, only {n} remain")
+    if kind == KIND_RANDOM:
+        return _draw(n, b, rng_seed)
+    if kind == KIND_GAUSS_SWITCH:
+        return _gauss_switch_select(values, b, rng_seed)
+    return _top(values, b)
+
+
 def catalog_scores(
     strategy: StrategySpec,
     pool: PoolState,
@@ -353,19 +367,14 @@ def select(
     highest scores with ties to the smallest id. rng_seed is the
     SeedSequence entropy of the draws.
     """
-    ids = sorted(ids)
-    if len(ids) < b:
-        raise PoolExhaustedError(f"need {b} candidates, only {len(ids)} remain")
-    if kind == KIND_RANDOM:
-        return [ids[i] for i in _draw(len(ids), b, rng_seed)]
-    if scores is None:
-        raise MissingScoresError(f"{kind} requires scores")
-    if kind == KIND_CORESET:
-        return _coreset_greedy(ids, list(centers), scores, b)
-    missing = [i for i in ids if i not in scores]
-    if missing:
-        raise MissingScoresError(f"no scores for candidates {missing[:4]}")
-    values = np.array([scores[i] for i in ids], dtype=float)
-    if kind == KIND_GAUSS_SWITCH:
-        return [ids[i] for i in _gauss_switch_select(values, b, rng_seed)]
-    return [ids[i] for i in _top(values, b)]
+    ids, values = sorted(ids), None
+    if kind != KIND_RANDOM and len(ids) >= b:  # else _rank draws or refuses
+        if scores is None:
+            raise MissingScoresError(f"{kind} requires scores")
+        if kind == KIND_CORESET:
+            return _coreset_greedy(ids, list(centers), scores, b)
+        missing = [i for i in ids if i not in scores]
+        if missing:
+            raise MissingScoresError(f"no scores for candidates {missing[:4]}")
+        values = np.array([scores[i] for i in ids], dtype=float)
+    return [ids[i] for i in _rank(kind, values, len(ids), b, rng_seed)]

@@ -4,6 +4,9 @@ A table is a header row then data rows, in ``csv.writer``'s default dialect:
 comma-separated, minimal quoting, every line ended by CRLF. A float cell is
 written at six decimals and a missing value as an empty cell; trace files,
 which must replay bit for bit, write full ``repr`` floats instead.
+surrogate.write_traces writes trace.csv in this dialect without
+``csv.writer`` and reads it back by columns; a trace.csv in any other shape
+still reads through parsed_rows.
 """
 
 from __future__ import annotations
@@ -52,11 +55,14 @@ def count(raw: str) -> int:
     return value
 
 
-def parsed_rows(path: Path | str, fields):
+def parsed_rows(path: Path | str, fields, unique: int = 0):
     """Each data row of a run's CSV file (a trace or records.csv) as a list
     of parsed fields. A missing column, a short row or an unparsable field
     raises TraceError naming the file, the line and the field; a byte that
-    is not UTF-8 raises TraceError naming the file."""
+    is not UTF-8 raises TraceError naming the file. With unique=k, a row
+    whose first k fields repeat an earlier row's raises TraceError naming
+    the file and its line."""
+    seen = set()
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -78,6 +84,12 @@ def parsed_rows(path: Path | str, fields):
                         raise TraceError(
                             f"{path} line {reader.line_num}: bad {name} {row[index]!r}"
                         ) from None
+                if unique:
+                    key = tuple(values[:unique])
+                    if key in seen:
+                        named = ", ".join(f"{name} {v}" for (name, _), v in zip(fields, key))
+                        raise TraceError(f"{path} line {reader.line_num}: repeats {named}")
+                    seen.add(key)
                 yield values
         except UnicodeDecodeError:
             raise TraceError(f"{path}: not UTF-8 text") from None

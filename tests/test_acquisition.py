@@ -1,6 +1,7 @@
 """Strategy selection tests: frame criteria, model scores, GMM, conformal
-criteria, tie rules. The scalar criteria, the per-frame score loop and the
-tuple-sort ranking that the array code replaced are kept here as oracles."""
+criteria, tie rules. The scalar criteria, the per-frame score loop, the
+frame-level score dict and the tuple-sort ranking that the array code
+replaced are kept here as oracles."""
 
 import math
 
@@ -17,6 +18,7 @@ from seqal.acquisition import (
     GmmFit,
     StrategySpec,
     _coreset_greedy,
+    _rank,
     catalog_scores,
     fit_gmm2,
     frame_criterion,
@@ -26,6 +28,7 @@ from seqal.acquisition import (
 from seqal.errors import DomainError, MissingScoresError, PoolExhaustedError, ShapeError
 from seqal.flowproxy import FlowStats
 from seqal.pool import PoolState
+from seqal.runner import _frame_candidates
 
 from conftest import make_sequence
 
@@ -94,6 +97,28 @@ def round_scores_loop(kind, table, prev_counts, singular):
         else:
             scores[sid] = sequence_score(per_frame)
     return scores
+
+
+def frame_model_scores(kind, table, previous):
+    """One score per (sid, fid) of a round's detector table, as model_scores
+    gave them in frame rounds before the runner scored frames as arrays."""
+    scores = {}
+    for sid, (objectness, counts) in table.items():
+        prev = previous[sid][1] if previous else None
+        values = frame_criterion(kind, objectness, counts, prev)
+        scores.update(((sid, fid), v) for fid, v in enumerate(values.tolist()))
+    return scores
+
+
+def round_scores(kind, table, previous, singular):
+    """model_scores, or in frame rounds the runner's frame candidates with
+    no frame labeled, as {(sid, fid): value}."""
+    if not singular:
+        return model_scores(kind, table, previous)
+    ids = list(table)
+    n_frames = {sid: len(table[sid][0]) for sid in ids}
+    sid_index, fids, values = _frame_candidates(kind, ids, n_frames, {}, table, previous)
+    return {(ids[i], f): v for i, f, v in zip(sid_index.tolist(), fids.tolist(), values.tolist())}
 
 
 def top_by_score(ids, scores, b):
@@ -299,11 +324,11 @@ def test_sequence_score_is_mean():
     objectness = np.full(3, 0.5)
     table = {"a": (objectness, np.array([2, 4, 9]))}
     previous = {"a": (objectness, np.zeros(3, dtype=np.int64))}
-    assert model_scores("false_switch", table, previous, False) == {"a": 5.0}
+    assert model_scores("false_switch", table, previous) == {"a": 5.0}
     assert sequence_score([2.0, 4.0, 9.0]) == 5.0
     values = [0.2, 0.4, 0.9]
     table = {"b": (np.array([0.5 - v / 2 for v in values]), np.zeros(3, dtype=np.int64))}
-    assert model_scores("margin", table, {}, False) == {
+    assert model_scores("margin", table, {}) == {
         "b": sequence_score(score_margin(0.5 - v / 2) for v in values)
     }
 
@@ -386,16 +411,86 @@ def test_model_scores_matches_runner_loop(singular):
             for rnd, table in rounds.items():
                 want = round_scores_loop(kind, table, prev_counts, singular)
                 previous = rounds[rnd - 1] if rnd > 1 else {}
-                got = model_scores(kind, table, previous, singular)
+                got = round_scores(kind, table, previous, singular)
                 assert list(got) == list(want) and got == want, (kind, rnd)
                 assert all(type(v) is float for v in got.values())
+                if singular:
+                    assert frame_model_scores(kind, table, previous) == want
+
+
+def labeled_in_rounds(rng, n_frames):
+    """A run's labeled_frames after some rounds: sequences in the order they
+    were first touched, some labeled in full, some in part, some untouched."""
+    labeled = {}
+    for sid in rng.permutation(sorted(n_frames)).tolist():
+        draw = rng.random()
+        if draw < 0.25:
+            labeled[sid] = set(range(n_frames[sid]))
+        elif draw < 0.7:
+            k = int(rng.integers(1, n_frames[sid] + 1))
+            labeled[sid] = set(rng.choice(n_frames[sid], size=k, replace=False).tolist())
+    return labeled
+
+
+@pytest.mark.parametrize("kind", ["gauss_switch", "false_switch", "entropy", "margin", "random"])
+def test_frame_candidates_rank_like_select_over_unit_lists(kind):
+    """The runner's frame round: candidate arrays over the unlabeled frames,
+    ranked by _rank, pick what the (sid, fid) unit list it replaced picked
+    through select with the frame-level score dict."""
+    rng = np.random.default_rng(["gauss_switch", "false_switch", "entropy", "margin",
+                                 "random"].index(kind))
+    drew = 0
+    for trial in range(60):
+        n_seqs = int(rng.integers(2, 14))
+        n_frames = {f"s{i:02d}": int(rng.integers(1, 30)) for i in range(n_seqs)}
+        labeled = labeled_in_rounds(rng, n_frames)
+        open_ids = [s for s in sorted(n_frames) if len(labeled.get(s, ())) < n_frames[s]]
+        units = [(s, f) for s in open_ids for f in range(n_frames[s])
+                 if f not in labeled.get(s, ())]
+        table = previous = None
+        if kind != "random":
+            rounds = {
+                rnd: {
+                    sid: (rng.choice([0.0, 0.5, 1.0, *rng.random(4)], n_frames[sid]),
+                          rng.integers(0, 3 + 6 * (trial % 2), n_frames[sid]))
+                    for sid in sorted(n_frames)
+                }
+                for rnd in (1, 2)
+            }
+            table = {sid: rounds[2][sid] for sid in open_ids}
+            previous = rounds[1] if trial % 3 else {}
+        sid_index, fids, values = _frame_candidates(
+            kind, open_ids, n_frames, labeled, table, previous
+        )
+        assert sid_index.dtype == fids.dtype == np.int64
+        assert list(zip([open_ids[i] for i in sid_index], fids.tolist())) == units
+        scores = None
+        if kind != "random":
+            scores = frame_model_scores(kind, table, previous)
+        if units and kind != "random":
+            assert values.tolist() == [scores[u] for u in units]
+        else:  # no table, or every frame labeled
+            assert values is None
+        for b in sorted({1, 3, 25, max(len(units), 1)}):
+            rng_seed = int(rng.integers(2**63))
+            if b > len(units):
+                with pytest.raises(PoolExhaustedError, match=rf"need {b} candidates, only"):
+                    _rank(kind, values, fids.size, b, rng_seed)
+                continue
+            picks = _rank(kind, values, fids.size, b, rng_seed)
+            got = list(zip([open_ids[i] for i in sid_index[picks]], fids[picks].tolist()))
+            want = select(kind, units, scores, b, rng_seed)
+            assert got == want, (trial, b)
+            drew += kind != "random" and want != top_by_score(units, scores, b)
+    # the GauSS draw, not its fallback to the top rule, picked some rounds
+    assert (drew > 0) == (kind == "gauss_switch")
 
 
 def test_model_scores_switch_history_is_the_previous_table():
     table = detector_rounds(np.random.default_rng(18), n_rounds=1)[1]
     shifted = {s: (p, c + 5) for s, (p, c) in table.items()}
-    assert set(model_scores("false_switch", table, {}, False).values()) == {0.0}
-    assert set(model_scores("false_switch", table, shifted, False).values()) == {5.0}
+    assert set(model_scores("false_switch", table, {}).values()) == {0.0}
+    assert set(model_scores("false_switch", table, shifted).values()) == {5.0}
 
 
 def score_dicts(rng, pairs):

@@ -1,3 +1,4 @@
+import csv
 import itertools
 import math
 import zlib
@@ -30,6 +31,8 @@ from seqal.surrogate import (
     target_quality,
     write_traces,
 )
+
+from seqal.tables import parsed_rows, write_table
 
 from conftest import count_calls, make_meta, make_pool, make_sequence
 
@@ -610,5 +613,207 @@ def test_read_traces_requires_full_frame_coverage(tmp_path):
     )
     mp = tmp_path / "metrics.csv"
     mp.write_text("seed,round,map50,map5095\n")
-    with pytest.raises(TraceError):
+    with pytest.raises(TraceError, match=r"trace rows for seed 0 round 1 sequence 'a' "
+                       r"do not cover frames 0\.\.N-1"):
         read_traces(sp, mp)
+
+
+def test_read_traces_refuses_a_repeated_metrics_round(tmp_path):
+    sp, mp = tmp_path / "t.csv", tmp_path / "m.csv"
+    sp.write_text("seed,round,sequence_id,frame_id,uncertainty,pred_count\n")
+    mp.write_text("seed,round,map50,map5095\n0,0,,\n0,1,0.5,0.2\n1,1,0.5,0.2\n0,1,0.9,0.8\n")
+    with pytest.raises(TraceError, match=r"m\.csv line 5: repeats seed 0, round 1$"):
+        read_traces(sp, mp)
+
+
+# --- trace file oracles --------------------------------------------------
+# write_traces and read_traces as they were before trace.csv was joined and
+# parsed by columns: every row through tables.write_table / parsed_rows.
+
+
+def write_traces_rows(traces, scores_path, metrics_path):
+    def score_rows():
+        for seed in sorted(traces):
+            rounds = traces[seed].rounds
+            for rnd in sorted(rounds):
+                for sid in sorted(rounds[rnd]):
+                    objectness, counts = rounds[rnd][sid]
+                    for fid, (p, n) in enumerate(zip(objectness.tolist(), counts.tolist())):
+                        yield seed, rnd, sid, fid, repr(p), n
+
+    def metric_rows():
+        for seed in sorted(traces):
+            for rnd, maps in sorted(traces[seed].test_metrics.items()):
+                yield seed, rnd, *("" if m is None else repr(float(m)) for m in maps)
+
+    write_table(scores_path, [name for name, _ in sg._SCORE_FIELDS], score_rows())
+    write_table(metrics_path, [name for name, _ in sg._METRIC_FIELDS], metric_rows())
+
+
+def read_traces_rows(scores_path, metrics_path):
+    staged = {}
+    for seed, rnd, sid, fid, unc, count in parsed_rows(scores_path, sg._SCORE_FIELDS):
+        staged.setdefault((seed, rnd, sid), []).append((fid, unc, count))
+    traces = {}
+    for (seed, rnd, sid), rows in staged.items():
+        rows.sort()
+        if [r[0] for r in rows] != list(range(len(rows))):
+            raise TraceError(
+                f"trace rows for seed {seed} round {rnd} sequence {sid!r} "
+                "do not cover frames 0..N-1"
+            )
+        table = traces.setdefault(seed, ScoreTrace()).rounds.setdefault(rnd, {})
+        table[sid] = (
+            np.array([r[1] for r in rows], dtype=float),
+            np.array([r[2] for r in rows], dtype=np.int64),
+        )
+    for seed, rnd, m50, m5095 in parsed_rows(metrics_path, sg._METRIC_FIELDS):
+        traces.setdefault(seed, ScoreTrace()).test_metrics[rnd] = (m50, m5095)
+    return traces
+
+
+def random_traces(rng, ids, seeds=3, max_frames=6):
+    """Traces over the given ids: empty rounds, zero-frame sequences, and
+    objectness drawn from 0.0, -0.0, 5e-324, 1.0 and uniforms."""
+    traces = {}
+    for seed in rng.choice(40, size=seeds, replace=False).tolist():
+        trace = ScoreTrace()
+        for rnd in range(int(rng.integers(0, 4))):
+            picked = rng.choice(len(ids), size=int(rng.integers(0, len(ids) + 1)), replace=False)
+            trace.rounds[rnd] = {}
+            for i in picked.tolist():
+                n = int(rng.integers(0, max_frames))
+                values = [0.0, -0.0, 5e-324, 1.0, *rng.random(3).tolist()]
+                trace.rounds[rnd][ids[i]] = (np.array([values[k] for k in rng.integers(0, 7, n)]),
+                                             rng.integers(0, 12, n))
+            trace.test_metrics[rnd] = (None, None) if rnd % 2 else tuple(rng.random(2).tolist())
+        traces[seed] = trace
+    return traces
+
+
+def test_write_traces_bytes_match_the_csv_writer(tmp_path):
+    odd = ["", "a,b", 'q"x', '"', "l\r\nm", "cr\r", "lf\n", " pad ", "séq", "序列", "🙂",
+           "\u00a0"]
+    ids = [chr(c) for c in range(128)] + odd
+    rng = np.random.default_rng(40)
+    for trial in range(12):
+        traces = random_traces(rng, ids)
+        for write, name in ((write_traces_rows, "rows"), (write_traces, "joined")):
+            write(traces, tmp_path / f"{name}.csv", tmp_path / f"{name}_m.csv")
+        for suffix in (".csv", "_m.csv"):
+            want = (tmp_path / f"rows{suffix}").read_bytes()
+            assert (tmp_path / f"joined{suffix}").read_bytes() == want, (trial, suffix)
+        assert b"5e-324" in (tmp_path / "joined.csv").read_bytes() or trial
+
+
+def read_outcome(read, sp, mp):
+    """What a reader gives: each array's dtype and bytes in dict order, or
+    its TraceError message."""
+    try:
+        traces = read(sp, mp)
+    except TraceError as err:
+        return f"TraceError: {err}"
+    return [
+        (seed, [(rnd, [(sid, [(a.dtype.str, a.tobytes()) for a in arrays])
+                       for sid, arrays in table.items()])
+                for rnd, table in trace.rounds.items()], trace.test_metrics)
+        for seed, trace in traces.items()
+    ]
+
+
+def trace_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def quote_id(line):
+    cells = line.split(",")
+    cells[2] = f'"{cells[2]}"'
+    return ",".join(cells)
+
+
+def score_file_variants(tmp_path, rng):
+    """(name, reads by columns, trace.csv path) per case; each file is
+    write_traces' output, changed."""
+    ids = [f"s{i:02d}" for i in range(12)]
+    traces = random_traces(rng, ids, seeds=2, max_frames=14)
+    for trace in traces.values():  # frames 1 and 10 and a count of 10 in round 1
+        trace.rounds.setdefault(1, {})["s99"] = (np.full(12, 0.5), np.full(12, 10))
+    base = tmp_path / "base.csv"
+    write_traces(traces, base, tmp_path / "m.csv")
+    header, *rows = trace_rows(base)
+    text = base.read_bytes().decode("utf-8")
+    cases = [("as written", True, text)]
+    lines = text.splitlines(keepends=True)
+    cases += [
+        ("LF line ends", False, text.replace("\r\n", "\n")),
+        ("no final CRLF", False, text[:-2]),
+        ("blank line", False, "".join(lines[:3] + ["\r\n"] + lines[3:])),
+        # seven quoted ids add as many quotes as two rows have separators
+        ("quoted ids", False, "".join(lines[:1] + [quote_id(x) for x in lines[1:8]] + lines[8:])),
+        ("a count moved to the next line", False,
+         "".join(lines[:2] + [lines[2].rsplit(",", 1)[0] + "\r\n",
+                              lines[2].rsplit(",", 1)[1][:-2] + "," + lines[3]] + lines[4:])),
+        ("shuffled rows", False, "".join(lines[:1] + rng.permutation(lines[1:]).tolist())),
+        ("round-0 rows appended", False,
+         text + "".join(",".join([r[0], "0", *r[2:]]) + "\r\n" for r in rows if r[1] == "1")),
+        ("duplicate frame row", False, "".join(lines[:4] + lines[3:])),
+    ]
+    order = [4, 0, 5, 2, 1, 3]
+    reordered = "".join(",".join(r[i] for i in order) + "\r\n" for r in [header, *rows])
+    notes = itertools.cycle(["note", "x", ""])
+    extra = "".join(",".join(r + [c]) + "\r\n" for r, c in zip([header, *rows], notes))
+    cases += [("reordered columns", False, reordered), ("extra column", False, extra)]
+    spelling = {"1": "+1", "10": "1_0"}
+    spelled = [header] + [
+        ["+" + r[0], " 1" if r[1] == "1" else r[1], r[2], spelling.get(r[3], r[3]), r[4],
+         spelling.get(r[5], r[5])]
+        for r in rows
+    ]
+    cases.append(("int spellings", True, "".join(",".join(r) + "\r\n" for r in spelled)))
+    for i, char in enumerate(',"\r\n'):
+        scored = {f"a{char}b": (np.array([0.25, 1.0]), np.array([1, 2]))}
+        special = traces | {7: ScoreTrace({1: scored})}
+        write_traces(special, tmp_path / f"special{i}.csv", tmp_path / "m.csv")
+        cases.append((f"id with {char!r}", False,
+                      (tmp_path / f"special{i}.csv").read_bytes().decode("utf-8")))
+    for i, (name, by_columns, body) in enumerate(cases):
+        path = tmp_path / f"case{i}.csv"
+        path.write_bytes(body.encode("utf-8"))
+        yield name, by_columns, path
+
+
+def test_read_traces_by_columns_matches_the_row_reader(tmp_path):
+    mp = tmp_path / "m.csv"
+    write_traces({}, tmp_path / "unused.csv", mp)
+    rng = np.random.default_rng(41)
+    seen = set()
+    for trial in range(4):
+        for name, by_columns, sp in score_file_variants(tmp_path, rng):
+            assert (sg._score_columns(sp) is not None) == by_columns, name
+            want = read_outcome(read_traces_rows, sp, mp)
+            assert read_outcome(read_traces, sp, mp) == want, name
+            seen.add((name, isinstance(want, str)))
+    # the duplicate row fails in both readers; every other case reads
+    assert ("duplicate frame row", True) in seen
+    assert ("as written", False) in seen and ("int spellings", False) in seen
+
+
+@pytest.mark.parametrize("block", [7, 64, 1000, 1 << 17])
+def test_read_traces_by_columns_across_block_boundaries(tmp_path, monkeypatch, block):
+    """Blocks cut rows and sequences anywhere; the default block size meets
+    a file of several blocks."""
+    monkeypatch.setattr(sg, "_TRACE_BLOCK", block)
+    rng = np.random.default_rng(block)
+    n = max(40, block // 10)  # rows of about 30 bytes
+    traces = {0: ScoreTrace({1: {"a": (rng.random(n), rng.integers(0, 9, n)),
+                                 "b": (rng.random(3), rng.integers(0, 9, 3))}})}
+    sp, mp = tmp_path / "t.csv", tmp_path / "m.csv"
+    write_traces(traces, sp, mp)
+    assert sp.stat().st_size > 2 * block
+    assert sg._score_columns(sp) is not None
+    assert read_outcome(read_traces, sp, mp) == read_outcome(read_traces_rows, sp, mp)
+    back = read_traces(sp, mp)[0].rounds[1]
+    for sid, (objectness, counts) in traces[0].rounds[1].items():
+        assert back[sid][0].tobytes() == objectness.tobytes()
+        assert back[sid][1].tolist() == counts.tolist()
