@@ -10,12 +10,10 @@ reads none. Every criterion is expressed so that higher is better and
 selection is a single argmax; ties always break toward the smallest id,
 making selection invariant to enumeration order.
 
-``select`` works over any comparable candidate ids, such as sequence ids
-or (sequence id, frame id) pairs. It sorts them, holds their scores as one
-value array and ranks indices into it through ``_rank``: a stable argsort
-for the top rule, index draws for random and GauSS. The runner's frame
-rounds call ``_rank`` on their own: their candidates are already sorted
-index arrays, each unlabeled frame scored by ``frame_criterion``.
+``select`` sorts its candidate ids, holds their scores as one value array
+and ranks indices into it through ``rank``: a stable argsort for the top
+rule, index draws for random and GauSS. The runner's frame rounds call
+``rank`` directly on their sorted frame index arrays.
 
 Randomness (the random baseline and the GauSS component draw) comes from a
 PCG64 generator seeded with the caller's rng_seed, so a fixed seed fixes the
@@ -267,12 +265,10 @@ def _gauss_switch_select(values: np.ndarray, b: int, rng_seed: int) -> np.ndarra
     return members[_draw(members.size, b, rng_seed)]
 
 
-def _rank(
-    kind: str, values: np.ndarray | None, n: int, b: int, rng_seed: int | list[int]
-) -> np.ndarray:
-    """Indices of b of n sorted candidates, in order of selection preference:
-    a uniform draw for random (values unread), the GauSS draw for
-    gauss_switch, else the b highest values with ties to the smaller index."""
+def rank(kind: str, values, n: int, b: int, rng_seed: int | list[int]) -> np.ndarray:
+    """Indices of b of n sorted candidates in order of preference: a uniform
+    draw for random (values unread), the GauSS draw for gauss_switch, else
+    the b highest values with ties to the smaller index."""
     if n < b:
         raise PoolExhaustedError(f"need {b} candidates, only {n} remain")
     if kind == KIND_RANDOM:
@@ -367,14 +363,17 @@ def select(
     highest scores with ties to the smallest id. rng_seed is the
     SeedSequence entropy of the draws.
     """
-    ids, values = sorted(ids), None
-    if kind != KIND_RANDOM and len(ids) >= b:  # else _rank draws or refuses
-        if scores is None:
-            raise MissingScoresError(f"{kind} requires scores")
-        if kind == KIND_CORESET:
-            return _coreset_greedy(ids, list(centers), scores, b)
-        missing = [i for i in ids if i not in scores]
-        if missing:
-            raise MissingScoresError(f"no scores for candidates {missing[:4]}")
-        values = np.array([scores[i] for i in ids], dtype=float)
-    return [ids[i] for i in _rank(kind, values, len(ids), b, rng_seed)]
+    ids = sorted(ids)
+    if len(ids) < b:
+        raise PoolExhaustedError(f"need {b} candidates, only {len(ids)} remain")
+    if kind == KIND_RANDOM:
+        return [ids[i] for i in _draw(len(ids), b, rng_seed)]
+    if scores is None:
+        raise MissingScoresError(f"{kind} requires scores")
+    if kind == KIND_CORESET:
+        return _coreset_greedy(ids, list(centers), scores, b)
+    missing = [i for i in ids if i not in scores]
+    if missing:
+        raise MissingScoresError(f"no scores for candidates {missing[:4]}")
+    values = np.array([scores[i] for i in ids], dtype=float)
+    return [ids[i] for i in rank(kind, values, len(ids), b, rng_seed)]

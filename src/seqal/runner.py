@@ -20,23 +20,22 @@ Detector outputs: each seed has one surrogate.ScoreTrace, and the round
 loop reads every frame score and test mAP from it. A live run fills each
 round in first and saves the traces as trace.csv and trace_metrics.csv; a
 replay reads those files before the pool is built, so a malformed or
-seed-short trace fails before any work. The switch kinds' previous counts
-are the trace's table of the round before.
+seed-short trace fails before any work. acquisition.model_scores turns a
+round's table into sequence scores; the switch kinds' previous counts are
+the trace's table of the round before.
 
 The acquisition unit depends on the mode; both modes share one round loop.
 A run's only record of what is labeled is its per-seed map from sequence id
 to labeled frame ids, in the order sequences were first touched.
 
-- sequential: the unit is a sequence id at full annotation cost, picked by
-  acquisition.select, which reads acquisition.model_scores' sequence means.
-- singular: the unit is a (sequence id, frame id) pair, picked among the
-  round's unlabeled frames, held as index arrays, each scored by
-  acquisition.frame_criterion and ranked by select's own rule, and priced by
-  costing.frame_cost: only every interpolation_rate-th frame (a keyframe)
-  carries a charge of cost_hours / ceil(N / rate), interpolated frames are
-  free. Seed draws still label whole sequences. Frame scoring only makes
-  sense for the model-score strategies, so RunConfig rejects pool-statistic
-  kinds and coreset before any work.
+- sequential: the unit is a sequence id at full annotation cost.
+- singular: the unit is a (sequence id, frame id) pair, ranked by
+  acquisition.rank over index arrays of the round's unlabeled frames and
+  priced by costing.frame_cost: only every interpolation_rate-th frame (a
+  keyframe) carries a charge of cost_hours / ceil(N / rate), interpolated
+  frames are free. Seed draws still label whole sequences. Frame scoring
+  only makes sense for the model-score strategies, so RunConfig rejects
+  pool-statistic kinds and coreset before any work.
 
 Outputs: records.csv, ledger.csv, curves.csv and aggregate.csv are written
 here through tables.write_table, floats at six decimals; read_curves reads
@@ -224,28 +223,26 @@ def _coreset_features(
 
 def _frame_candidates(
     kind: str, open_ids: list[str], n_frames: dict[str, int],
-    labeled_frames: dict[str, set[int]], table: dict | None, previous: dict,
+    labeled_frames: dict[str, set[int]], table: dict | None, previous: dict | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """A frame round's candidates, the unlabeled frames of open_ids in sorted
-    (sid, fid) order, as (sid_index into open_ids, fid) arrays, and each
-    one's criterion from the round's detector table (None without one).
-    Labeled frames go unscored; the criterion is elementwise, so one pass
-    over the concatenated frames gives each its own sequence's value."""
+    order, as (index into open_ids, frame id) arrays, and each one's
+    criterion from the round's detector table (None without one)."""
     lengths = [n_frames[s] for s in open_ids]
-    offsets = np.cumsum([0, *lengths])
     sid_index = np.repeat(np.arange(len(open_ids)), lengths)
-    unlabeled = np.ones(offsets[-1], dtype=bool)
-    for i, sid in enumerate(open_ids):
-        unlabeled[[offsets[i] + f for f in labeled_frames.get(sid, ())]] = False
-    fids = np.arange(offsets[-1]) - offsets[sid_index]
-    values = None
-    if table is not None and open_ids:
-        def cat(tab: dict, k: int) -> np.ndarray:
-            return np.concatenate([tab[s][k] for s in open_ids])[unlabeled]
-
-        prev = cat(previous, 1) if previous else None
-        values = acquisition.frame_criterion(kind, cat(table, 0), cat(table, 1), prev)
-    return sid_index[unlabeled], fids[unlabeled], values
+    starts = np.cumsum([0, *lengths])[:-1]
+    fids = np.arange(sid_index.size) - starts[sid_index]
+    keep = np.ones(sid_index.size, dtype=bool)
+    keep[[a + f for a, s in zip(starts, open_ids) for f in labeled_frames.get(s, ())]] = False
+    if table is None or not open_ids:
+        return sid_index[keep], fids[keep], None
+    # The criterion is elementwise: one pass over every sequence's frames.
+    objectness, counts, prev = (
+        np.concatenate([tab[s][k] for s in open_ids])[keep] if tab else None
+        for tab, k in ((table, 0), (table, 1), (previous, 1))
+    )
+    values = acquisition.frame_criterion(kind, objectness, counts, prev)
+    return sid_index[keep], fids[keep], values
 
 
 def _load_traces(cfg: RunConfig) -> dict[int, ScoreTrace]:
@@ -393,34 +390,21 @@ def run_experiment(
                     raise TraceError(f"trace seed {seed} round {rnd}: no test metrics")
                 return trace.test_metrics[rnd]
 
-            def round_picks(rnd: int, open_ids: list[str]) -> list:
-                """This round's picks: sequence ids through select, or
-                (sid, fid) pairs ranked over the frame candidate arrays. A
-                model-score kind reads the round's detector table and the
-                round before's, which holds every sequence open now; round
-                1 has none, even when a replayed trace holds round-0 rows."""
-                rng_seed = _select_rng_seed(seed, rnd)
-                table, previous = None, {}
-                if kind in SCORE_KINDS:
-                    table = detector_scores(rnd, open_ids)
-                    previous = trace.rounds[rnd - 1] if rnd > 1 else {}
-                if singular:
-                    sid_index, fids, values = _frame_candidates(
-                        kind, open_ids, n_frames, labeled_frames, table, previous
-                    )
-                    picks = acquisition._rank(kind, values, fids.size, batch, rng_seed)
-                    return list(zip([open_ids[i] for i in sid_index[picks]], fids[picks].tolist()))
+            def round_scores(rnd: int, open_ids: list[str]) -> dict | None:
+                """The strategy's scores for this round's candidates."""
                 if kind == KIND_CORESET:
-                    scores = coreset_feats
-                elif kind in CONFORMAL_KINDS:
-                    scores = acquisition.catalog_scores(cfg.strategy, pool, open_ids, flow, rnd)
-                elif table is not None:
-                    scores = acquisition.model_scores(kind, table, previous)
-                else:
-                    scores = None
-                return acquisition.select(
-                    kind, open_ids, scores, batch, rng_seed, centers=list(labeled_frames)
-                )
+                    return coreset_feats
+                if kind in CONFORMAL_KINDS:
+                    return acquisition.catalog_scores(
+                        cfg.strategy, pool, open_ids, flow, rnd
+                    )
+                if kind not in SCORE_KINDS:
+                    return None
+                # A sequence open now was open in the round before, whose
+                # table holds its previous counts; round 1 has none, even
+                # when a replayed trace holds round-0 rows.
+                previous = trace.rounds[rnd - 1] if rnd > 1 else {}
+                return acquisition.model_scores(kind, detector_scores(rnd, open_ids), previous)
 
             def acquire(units: list) -> tuple[list[str], float]:
                 """Label whole sequences (ids) at their full cost or single
@@ -476,8 +460,23 @@ def run_experiment(
                     picked = acquisition.select(
                         KIND_RANDOM, open_ids, None, cfg.seed_sequences, [seed, 1]
                     )
+                elif singular:  # (sid, fid) pairs among the unlabeled frames
+                    table = previous = None
+                    if kind in SCORE_KINDS:  # previous as in round_scores
+                        table = detector_scores(rnd, open_ids)
+                        previous = trace.rounds[rnd - 1] if rnd > 1 else {}
+                    sid_index, fids, values = _frame_candidates(
+                        kind, open_ids, n_frames, labeled_frames, table, previous
+                    )
+                    rng_seed = _select_rng_seed(seed, rnd)
+                    picks = acquisition.rank(kind, values, fids.size, batch, rng_seed)
+                    sids = [open_ids[i] for i in sid_index[picks]]
+                    picked = list(zip(sids, fids[picks].tolist()))
                 else:
-                    picked = round_picks(rnd, open_ids)
+                    picked = acquisition.select(
+                        kind, open_ids, round_scores(rnd, open_ids), batch,
+                        _select_rng_seed(seed, rnd), centers=list(labeled_frames),
+                    )
                 emit(rnd, *acquire(picked))
     except BaseException:
         if out_dir is not None:

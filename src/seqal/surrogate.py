@@ -21,11 +21,10 @@ Under NEP 19 the bit streams are stable across numpy versions, the
 Generator algorithms are not; the per-frame oracle tests flag a change.
 
 A ScoreTrace holds one seed's outputs; the runner reads every output from
-it, filled live or read back from the files write_traces wrote. Those are
-two files in tables' CSV dialect whose floats are full repr, not
-six-decimal cells, so a replay is bit-identical. trace.csv is joined one
-string per sequence and parsed back by columns in fixed-size blocks; a file
-in any other shape, and trace_metrics.csv, read through tables.parsed_rows.
+it, filled live or read back from the files write_traces wrote, in tables'
+dialect with full repr floats, so a replay is bit-identical. read_traces
+reads trace.csv by columns in fixed-size blocks, and trace_metrics.csv or
+a trace.csv of any other shape through tables.parsed_rows.
 
 Features are read off the annotation stream itself (mean per-frame box
 count, mean center displacement, scene one-hot, season), never from the
@@ -35,7 +34,6 @@ conformal runs pay for.
 
 from __future__ import annotations
 
-import csv
 import operator
 import zlib
 from dataclasses import dataclass, field, replace
@@ -423,7 +421,7 @@ _METRIC_FIELDS = (("seed", int), ("round", int), ("map50", optional_unit),
 # trace.csv is parsed _TRACE_BLOCK bytes at a time. In write_traces' shape
 # a block's flagged bytes are five commas then CRLF per row: no quote, no NUL.
 _TRACE_BLOCK = 1 << 17
-_TRACE_HEADER = ",".join(name for name, _ in _SCORE_FIELDS).encode() + b"\r\n"
+_TRACE_HEADER = ",".join(name for name, _ in _SCORE_FIELDS) + "\r\n"
 _ROW_SEPARATORS = np.frombuffer(b",,,,,\r\n", dtype=np.uint8)
 _FLAGGED = np.isin(np.arange(256), list(b',"\r\n\0'))
 
@@ -433,22 +431,20 @@ def write_traces(
 ) -> None:
     """Serialize per-seed traces. Floats keep full repr precision: replay
     must reproduce bit-identical selections and records. trace.csv is
-    tables.write_table's dialect joined by hand, one string per sequence;
-    an id that csv would quote goes through csv.writer."""
+    tables.write_table's dialect joined by hand, one string per sequence,
+    with an id quoted where csv quotes it."""
     with open(scores_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([name for name, _ in _SCORE_FIELDS])
+        fh.write(_TRACE_HEADER)
         for seed in sorted(traces):
             rounds = traces[seed].rounds
             for rnd in sorted(rounds):
                 for sid in sorted(rounds[rnd]):
                     objectness, counts = rounds[rnd][sid]
-                    rows = list(enumerate(zip(objectness.tolist(), counts.tolist())))
-                    if any(c in sid for c in ',"\r\n'):
-                        writer.writerows([seed, rnd, sid, f, repr(p), n] for f, (p, n) in rows)
-                    else:
-                        head = f"{seed},{rnd},{sid},"
-                        fh.write("".join([f"{head}{f},{p!r},{n}\r\n" for f, (p, n) in rows]))
+                    quote = any(c in sid for c in ',"\r\n')
+                    cell = '"' + sid.replace('"', '""') + '"' if quote else sid
+                    head = f"{seed},{rnd},{cell},"
+                    rows = enumerate(zip(objectness.tolist(), counts.tolist()))
+                    fh.write("".join([f"{head}{f},{p!r},{n}\r\n" for f, (p, n) in rows]))
 
     def metric_rows():
         for seed in sorted(traces):
@@ -458,22 +454,14 @@ def write_traces(
     write_table(metrics_path, [name for name, _ in _METRIC_FIELDS], metric_rows())
 
 
-def _ints(cells: list[str], parse) -> np.ndarray:
-    """parse of each cell as an int64 array, called once per distinct cell."""
-    value = {c: parse(c) for c in set(cells)}
-    return np.fromiter(map(value.__getitem__, cells), dtype=np.int64, count=len(cells))
-
-
 def _score_columns(path: Path | str) -> list | None:
-    """trace.csv in write_traces' shape, parsed by columns one block at a
-    time: ((seed, round, sequence id), uncertainty, counts) per sequence,
-    with no per-row objects kept. None for a file in any other shape:
-    another header, a quote, a lone CR or LF, a blank line, a wrong field
-    count, a bad value, or rows out of order or repeated."""
+    """((seed, round, sequence id), (uncertainty, counts)) per sequence of a
+    trace.csv in write_traces' shape, parsed by columns a block at a time,
+    with no object kept per row; None for a file in any other shape."""
     keys, starts, columns = [], [], [(np.empty(0), np.empty(0, np.int64))]
     last, rows = (0, 0, 0, None), 0  # the (seed, round, fid, sid) before the block
     with open(path, "rb") as fh:
-        if fh.readline() != _TRACE_HEADER:
+        if fh.readline() != _TRACE_HEADER.encode():
             return None
         rest = b""
         for chunk in iter(lambda: fh.read(_TRACE_BLOCK), b""):
@@ -484,19 +472,17 @@ def _score_columns(path: Path | str) -> list | None:
                 return None
             try:
                 cells = (head + end).decode().replace("\r\n", ",").split(",")
-                seed, rnd, fid, cnt = (
-                    _ints(cells[i:-1:6], _SCORE_FIELDS[i][1]) for i in (0, 1, 3, 5))
-                unc = np.fromiter(map(float, cells[4:-1:6]), dtype=float, count=len(fid))
+                seed, rnd, fid, cnt = (np.array(cells[i:-1:6], np.int64) for i in (0, 1, 3, 5))
+                unc = np.fromiter(map(float, cells[4:-1:6]), dtype=float, count=fid.size)
             except (UnicodeDecodeError, ValueError, OverflowError):
                 return None
             sids = cells[2:-1:6]
             before = [np.concatenate([[x], a[:-1]]) for x, a in zip(last, (seed, rnd, fid))]
             new = (seed != before[0]) | (rnd != before[1]) | np.fromiter(
                 map(operator.ne, sids, [last[3], *sids[:-1]]), dtype=bool, count=len(sids))
-            # unit's domain, and frames 0..N-1 in order within each sequence
-            if not ((unc >= 0.0) & (unc <= 1.0)).all() or (
-                fid != np.where(new, 0, before[2] + 1)
-            ).any():
+            # the parsers' domains, and frames 0..N-1 in order within each sequence
+            in_order = fid == np.where(new, 0, before[2] + 1)
+            if not ((unc >= 0.0) & (unc <= 1.0) & (cnt >= 0) & in_order).all():
                 return None
             at = np.flatnonzero(new)
             keys += zip(seed[at].tolist(), rnd[at].tolist(), [sids[i] for i in at])
@@ -508,7 +494,7 @@ def _score_columns(path: Path | str) -> list | None:
         return None
     uncertainty, counts = (np.concatenate(c) for c in zip(*columns))
     bounds = zip(starts, [*starts[1:], rows])
-    return [(key, uncertainty[a:b], counts[a:b]) for key, (a, b) in zip(keys, bounds)]
+    return [(key, (uncertainty[a:b], counts[a:b])) for key, (a, b) in zip(keys, bounds)]
 
 
 def _score_rows(path: Path | str):
@@ -522,20 +508,16 @@ def _score_rows(path: Path | str):
         if fids != tuple(range(len(rows))):
             raise TraceError(f"trace rows for seed {key[0]} round {key[1]} sequence "
                              f"{key[2]!r} do not cover frames 0..N-1")
-        yield key, np.array(uncertainty, dtype=float), np.array(counts, dtype=np.int64)
+        yield key, (np.array(uncertainty, dtype=float), np.array(counts, dtype=np.int64))
 
 
 def read_traces(
     scores_path: Path | str, metrics_path: Path | str
 ) -> dict[int, ScoreTrace]:
-    """Per-seed traces from the two files write_traces writes. trace.csv is
-    read by columns; a file in any other shape is read row by row."""
+    """Per-seed traces from the two files write_traces writes."""
     traces: dict[int, ScoreTrace] = {}
-    for (seed, rnd, sid), uncertainty, counts in (
-        _score_columns(scores_path) or _score_rows(scores_path)
-    ):
-        traces.setdefault(seed, ScoreTrace()).rounds.setdefault(rnd, {})[sid] = (
-            uncertainty, counts)
+    for (seed, rnd, sid), arrays in _score_columns(scores_path) or _score_rows(scores_path):
+        traces.setdefault(seed, ScoreTrace()).rounds.setdefault(rnd, {})[sid] = arrays
     for seed, rnd, m50, m5095 in parsed_rows(metrics_path, _METRIC_FIELDS, unique=2):
         traces.setdefault(seed, ScoreTrace()).test_metrics[rnd] = (m50, m5095)
     return traces

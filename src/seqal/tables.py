@@ -4,9 +4,8 @@ A table is a header row then data rows, in ``csv.writer``'s default dialect:
 comma-separated, minimal quoting, every line ended by CRLF. A float cell is
 written at six decimals and a missing value as an empty cell; trace files,
 which must replay bit for bit, write full ``repr`` floats instead.
-surrogate.write_traces writes trace.csv in this dialect without
-``csv.writer`` and reads it back by columns; a trace.csv in any other shape
-still reads through parsed_rows.
+surrogate.write_traces writes trace.csv in this dialect without csv.writer
+and reads it by columns; a trace.csv in another shape reads via parsed_rows.
 """
 
 from __future__ import annotations
@@ -84,12 +83,11 @@ def parsed_rows(path: Path | str, fields, unique: int = 0):
                         raise TraceError(
                             f"{path} line {reader.line_num}: bad {name} {row[index]!r}"
                         ) from None
-                if unique:
-                    key = tuple(values[:unique])
-                    if key in seen:
-                        named = ", ".join(f"{name} {v}" for (name, _), v in zip(fields, key))
-                        raise TraceError(f"{path} line {reader.line_num}: repeats {named}")
-                    seen.add(key)
+                key = tuple(values[:unique])
+                if unique and key in seen:
+                    named = ", ".join(f"{name} {v}" for (name, _), v in zip(fields, key))
+                    raise TraceError(f"{path} line {reader.line_num}: repeats {named}")
+                seen.add(key)
                 yield values
         except UnicodeDecodeError:
             raise TraceError(f"{path}: not UTF-8 text") from None

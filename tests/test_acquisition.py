@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from seqal import acquisition
 from seqal.acquisition import (
     ALL_KINDS,
     CONFORMAL_KINDS,
@@ -18,7 +19,6 @@ from seqal.acquisition import (
     GmmFit,
     StrategySpec,
     _coreset_greedy,
-    _rank,
     catalog_scores,
     fit_gmm2,
     frame_criterion,
@@ -435,8 +435,8 @@ def labeled_in_rounds(rng, n_frames):
 @pytest.mark.parametrize("kind", ["gauss_switch", "false_switch", "entropy", "margin", "random"])
 def test_frame_candidates_rank_like_select_over_unit_lists(kind):
     """The runner's frame round: candidate arrays over the unlabeled frames,
-    ranked by _rank, pick what the (sid, fid) unit list it replaced picked
-    through select with the frame-level score dict."""
+    ranked by acquisition.rank, pick what the (sid, fid) unit list it
+    replaced picked through select with the frame-level score dict."""
     rng = np.random.default_rng(["gauss_switch", "false_switch", "entropy", "margin",
                                  "random"].index(kind))
     drew = 0
@@ -475,9 +475,9 @@ def test_frame_candidates_rank_like_select_over_unit_lists(kind):
             rng_seed = int(rng.integers(2**63))
             if b > len(units):
                 with pytest.raises(PoolExhaustedError, match=rf"need {b} candidates, only"):
-                    _rank(kind, values, fids.size, b, rng_seed)
+                    acquisition.rank(kind, values, fids.size, b, rng_seed)
                 continue
-            picks = _rank(kind, values, fids.size, b, rng_seed)
+            picks = acquisition.rank(kind, values, fids.size, b, rng_seed)
             got = list(zip([open_ids[i] for i in sid_index[picks]], fids[picks].tolist()))
             want = select(kind, units, scores, b, rng_seed)
             assert got == want, (trial, b)
