@@ -586,11 +586,12 @@ def test_read_traces_refuses_out_of_domain_values(tmp_path, column, value):
         if column in row:
             row[column] = value
     sp, mp = tmp_path / "t.csv", tmp_path / "m.csv"
-    for path, row in ((sp, scores), (mp, metrics)):
-        path.write_text(",".join(row) + "\n" + ",".join(row.values()) + "\n")
     name = "m" if column.startswith("map") else "t"
-    with pytest.raises(TraceError, match=rf"{name}\.csv line 2: bad {column} '{value}'"):
-        read_traces(sp, mp)
+    for end in ("\n", "\r\n"):  # CRLF scores reach the column reader first
+        for path, row in ((sp, scores), (mp, metrics)):
+            path.write_bytes((",".join(row) + end + ",".join(row.values()) + end).encode())
+        with pytest.raises(TraceError, match=rf"{name}\.csv line 2: bad {column} '{value}'"):
+            read_traces(sp, mp)
 
 
 def test_read_traces_accepts_domain_bounds(tmp_path):
