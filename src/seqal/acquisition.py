@@ -1,19 +1,18 @@
 """Sequence acquisition strategies.
 
-Twelve strategy kinds share one selection entry point, ``select``. Its
-scores come from a score source: model-score kinds read the detector's
-per-frame outputs through ``model_scores``, which applies
-``frame_criterion`` to a round's table as arrays and reduces each
-sequence to its mean frame score; coreset reads a feature table;
+Twelve strategy kinds share one ranking rule. Model-score kinds read the
+detector's per-frame outputs through ``frame_criterion``, which the runner
+applies to a round's table as one array and, in sequence rounds, reduces
+to each sequence's mean frame score; coreset reads a feature table;
 conformal kinds rank by pool statistics through ``catalog_scores``; random
 reads none. Every criterion is expressed so that higher is better and
 selection is a single argmax; ties always break toward the smallest id,
 making selection invariant to enumeration order.
 
-``select`` sorts its candidate ids, holds their scores as one value array
-and ranks indices into it through ``rank``: a stable argsort for the top
-rule, index draws for random and GauSS. The runner's frame rounds call
-``rank`` directly on their sorted frame index arrays.
+``rank`` ranks a round's sorted candidates by one value array: a stable
+argsort for the top rule, index draws for random and GauSS. ``select``
+applies it to a list of ids and a dict of their scores; the runner calls
+``select`` only for the seed draw and coreset's greedy cover.
 
 Randomness (the random baseline and the GauSS component draw) comes from a
 PCG64 generator seeded with the caller's rng_seed, so a fixed seed fixes the
@@ -127,20 +126,6 @@ def frame_criterion(kind: str, objectness, counts, prev_counts) -> np.ndarray:
         # Negated margin between the two class posteriors.
         return -np.abs(2.0 * p - 1.0)
     raise DomainError(f"not a model-score kind: {kind!r}")
-
-
-def model_scores(kind: str, table: dict, previous: dict) -> dict[str, float]:
-    """select's scores from one round's detector table, {sid: (objectness,
-    counts)}: each sequence's mean frame criterion. previous is the
-    previous round's table, which the switch kinds diff against; {} in the
-    first acquisition round. The mean adds left to right (cumsum, not
-    np.sum's pairwise order)."""
-    scores = {}
-    for sid, (objectness, counts) in table.items():
-        prev = previous[sid][1] if previous else None
-        values = frame_criterion(kind, objectness, counts, prev)
-        scores[sid] = float(np.cumsum(values)[-1]) / values.size
-    return scores
 
 
 @dataclass
@@ -284,34 +269,28 @@ def catalog_scores(
     ids: list[str],
     flow: dict[str, FlowStats],
     round_index: int,
-) -> dict[str, float]:
-    """Per-sequence criterion of a pool-statistic kind, signed so that the
-    highest score is the pick. flow maps each id to its flow statistics; only
-    FLOW_KINDS read it."""
+) -> np.ndarray:
+    """Each id's criterion under a pool-statistic kind, in ids order, signed
+    so that the highest score is the pick. flow maps each id to its flow
+    statistics; only FLOW_KINDS read it."""
     kind = strategy.kind
-    out: dict[str, float] = {}
-    for sid in ids:
-        seq = pool.sequences[sid]
-        if kind == KIND_LEAST_FRAME:
-            out[sid] = -float(seq.n_frames)
-        elif kind == KIND_MOST_FRAME:
-            out[sid] = float(seq.n_frames)
-        elif kind in (KIND_MIN_MOTION, KIND_MIN_MAX_MOTION):
-            total = float(sum(flow[sid].motion_scores))
-            if kind == KIND_MIN_MOTION:
-                out[sid] = -total
-            else:
-                # Case rule: even rounds take the minimum side, odd rounds the
-                # maximum, with round 1 the first acquisition round. The
-                # min_first phase swaps the two cases.
-                even = round_index % 2 == 0
-                use_min = even if strategy.parity_phase == PARITY_MAX_FIRST else not even
-                out[sid] = -total if use_min else total
-        elif kind == KIND_MIN_BOXES:
-            out[sid] = -float(sum(flow[sid].box_estimates))
-        else:
-            raise DomainError(f"not a conformal kind: {kind!r}")
-    return out
+    if kind == KIND_LEAST_FRAME:
+        return -np.array([pool.sequences[s].n_frames for s in ids], dtype=float)
+    if kind == KIND_MOST_FRAME:
+        return np.array([pool.sequences[s].n_frames for s in ids], dtype=float)
+    if kind == KIND_MIN_BOXES:
+        return -np.array([sum(flow[s].box_estimates) for s in ids], dtype=float)
+    if kind not in (KIND_MIN_MOTION, KIND_MIN_MAX_MOTION):
+        raise DomainError(f"not a conformal kind: {kind!r}")
+    motion = np.array([sum(flow[s].motion_scores) for s in ids], dtype=float)
+    if kind == KIND_MIN_MOTION:
+        return -motion
+    # Case rule: even rounds take the minimum side, odd rounds the maximum,
+    # with round 1 the first acquisition round. The min_first phase swaps
+    # the two cases.
+    even = round_index % 2 == 0
+    use_min = even if strategy.parity_phase == PARITY_MAX_FIRST else not even
+    return -motion if use_min else motion
 
 
 def _coreset_greedy(

@@ -20,20 +20,20 @@ Detector outputs: each seed has one surrogate.ScoreTrace, and the round
 loop reads every frame score and test mAP from it. A live run fills each
 round in first and saves the traces as trace.csv and trace_metrics.csv; a
 replay reads those files before the pool is built, so a malformed or
-seed-short trace fails before any work. acquisition.model_scores turns a
-round's table into sequence scores; the switch kinds' previous counts are
-the trace's table of the round before.
+seed-short trace fails before any work. The switch kinds' previous counts
+are the trace's table of the round before.
 
 The acquisition unit depends on the mode; both modes share one round loop.
 A run's only record of what is labeled is its per-seed map from sequence id
-to labeled frame ids, in the order sequences were first touched.
+to labeled frame ids, in the order sequences were first touched. The seed
+draw labels whole sequences; every later round but coreset's ranks its
+sorted candidates by one value array through acquisition.rank.
 
 - sequential: the unit is a sequence id at full annotation cost.
-- singular: the unit is a (sequence id, frame id) pair, ranked by
-  acquisition.rank over index arrays of the round's unlabeled frames and
-  priced by costing.frame_cost: only every interpolation_rate-th frame (a
-  keyframe) carries a charge of cost_hours / ceil(N / rate), interpolated
-  frames are free. Seed draws still label whole sequences. Frame scoring
+- singular: the unit is a (sequence id, frame id) pair among the round's
+  unlabeled frames, held as index arrays, and priced by costing.frame_cost:
+  only every interpolation_rate-th frame (a keyframe) carries a charge of
+  cost_hours / ceil(N / rate), interpolated frames are free. Frame scoring
   only makes sense for the model-score strategies, so RunConfig rejects
   pool-statistic kinds and coreset before any work.
 
@@ -224,25 +224,33 @@ def _coreset_features(
 def _frame_candidates(
     kind: str, open_ids: list[str], n_frames: dict[str, int],
     labeled_frames: dict[str, set[int]], table: dict | None, previous: dict | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """A frame round's candidates, the unlabeled frames of open_ids in sorted
-    order, as (index into open_ids, frame id) arrays, and each one's
-    criterion from the round's detector table (None without one)."""
+    singular: bool,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """A round's candidates in sorted order, as (index into open_ids, frame
+    id) arrays, and their criterion from the round's detector table (None
+    without one). A frame round's are the unlabeled frames of open_ids; a
+    sequence round's are open_ids, frame ids None, each valued by its frames'
+    mean, added left to right (cumsum, not np.sum's pairwise order)."""
     lengths = [n_frames[s] for s in open_ids]
-    sid_index = np.repeat(np.arange(len(open_ids)), lengths)
     starts = np.cumsum([0, *lengths])[:-1]
+    values = None
+    if table is not None and open_ids:
+        # The criterion is elementwise: one pass over every sequence's frames.
+        objectness, counts, prev = (
+            np.concatenate([tab[s][k] for s in open_ids]) if tab else None
+            for tab, k in ((table, 0), (table, 1), (previous, 1))
+        )
+        values = acquisition.frame_criterion(kind, objectness, counts, prev)
+    if not singular:  # whole sequences, so every frame here is unlabeled
+        if values is not None:
+            values = np.array([float(np.cumsum(values[a : a + n])[-1]) / n
+                               for a, n in zip(starts.tolist(), lengths)])
+        return np.arange(len(open_ids)), None, values
+    sid_index = np.repeat(np.arange(len(open_ids)), lengths)
     fids = np.arange(sid_index.size) - starts[sid_index]
     keep = np.ones(sid_index.size, dtype=bool)
     keep[[a + f for a, s in zip(starts, open_ids) for f in labeled_frames.get(s, ())]] = False
-    if table is None or not open_ids:
-        return sid_index[keep], fids[keep], None
-    # The criterion is elementwise: one pass over every sequence's frames.
-    objectness, counts, prev = (
-        np.concatenate([tab[s][k] for s in open_ids])[keep] if tab else None
-        for tab, k in ((table, 0), (table, 1), (previous, 1))
-    )
-    values = acquisition.frame_criterion(kind, objectness, counts, prev)
-    return sid_index[keep], fids[keep], values
+    return sid_index[keep], fids[keep], None if values is None else values[keep]
 
 
 def _load_traces(cfg: RunConfig) -> dict[int, ScoreTrace]:
@@ -390,22 +398,6 @@ def run_experiment(
                     raise TraceError(f"trace seed {seed} round {rnd}: no test metrics")
                 return trace.test_metrics[rnd]
 
-            def round_scores(rnd: int, open_ids: list[str]) -> dict | None:
-                """The strategy's scores for this round's candidates."""
-                if kind == KIND_CORESET:
-                    return coreset_feats
-                if kind in CONFORMAL_KINDS:
-                    return acquisition.catalog_scores(
-                        cfg.strategy, pool, open_ids, flow, rnd
-                    )
-                if kind not in SCORE_KINDS:
-                    return None
-                # A sequence open now was open in the round before, whose
-                # table holds its previous counts; round 1 has none, even
-                # when a replayed trace holds round-0 rows.
-                previous = trace.rounds[rnd - 1] if rnd > 1 else {}
-                return acquisition.model_scores(kind, detector_scores(rnd, open_ids), previous)
-
             def acquire(units: list) -> tuple[list[str], float]:
                 """Label whole sequences (ids) at their full cost or single
                 frames ((id, frame) pairs) at their frame_cost; returns their
@@ -456,27 +448,31 @@ def run_experiment(
                 open_ids = [
                     s for s in train_ids if len(labeled_frames.get(s, ())) < n_frames[s]
                 ]
+                rng_seed = _select_rng_seed(seed, rnd)
                 if rnd == 0:  # the seed draw: whole sequences, uniformly
                     picked = acquisition.select(
                         KIND_RANDOM, open_ids, None, cfg.seed_sequences, [seed, 1]
                     )
-                elif singular:  # (sid, fid) pairs among the unlabeled frames
-                    table = previous = None
-                    if kind in SCORE_KINDS:  # previous as in round_scores
-                        table = detector_scores(rnd, open_ids)
-                        previous = trace.rounds[rnd - 1] if rnd > 1 else {}
-                    sid_index, fids, values = _frame_candidates(
-                        kind, open_ids, n_frames, labeled_frames, table, previous
-                    )
-                    rng_seed = _select_rng_seed(seed, rnd)
-                    picks = acquisition.rank(kind, values, fids.size, batch, rng_seed)
-                    sids = [open_ids[i] for i in sid_index[picks]]
-                    picked = list(zip(sids, fids[picks].tolist()))
-                else:
+                elif kind == KIND_CORESET:
                     picked = acquisition.select(
-                        kind, open_ids, round_scores(rnd, open_ids), batch,
-                        _select_rng_seed(seed, rnd), centers=list(labeled_frames),
+                        kind, open_ids, coreset_feats, batch, rng_seed,
+                        centers=list(labeled_frames),
                     )
+                else:  # sequence ids, or (sid, fid) pairs among the unlabeled frames
+                    table = detector_scores(rnd, open_ids) if kind in SCORE_KINDS else None
+                    # A sequence open now was open in the round before, whose
+                    # table holds its previous counts; round 1 has none, even
+                    # when a replayed trace holds round-0 rows.
+                    previous = trace.rounds.get(rnd - 1) if rnd > 1 else {}
+                    sid_index, fids, values = _frame_candidates(
+                        kind, open_ids, n_frames, labeled_frames, table, previous, singular
+                    )
+                    if kind in CONFORMAL_KINDS:
+                        values = acquisition.catalog_scores(cfg.strategy, pool, open_ids, flow, rnd)
+                    picks = acquisition.rank(kind, values, sid_index.size, batch, rng_seed)
+                    picked = [open_ids[i] for i in sid_index[picks]]
+                    if singular:
+                        picked = list(zip(picked, fids[picks].tolist()))
                 emit(rnd, *acquire(picked))
     except BaseException:
         if out_dir is not None:
@@ -548,7 +544,9 @@ RECORD_COLUMNS = (
     "map5095",
 )
 # (column, parser) of the records.csv columns read_curves reads.
-_RECORD_FIELDS = (("seed", int), ("cum_cost_hours", hours), ("map50", optional_unit))
+_RECORD_FIELDS = (
+    ("seed", int), ("round", int), ("cum_cost_hours", hours), ("map50", optional_unit)
+)
 
 
 def write_records(records: list[RoundRecord], path: Path | str) -> None:
@@ -561,10 +559,11 @@ def write_records(records: list[RoundRecord], path: Path | str) -> None:
 
 
 def read_curves(run_dir: Path | str) -> dict[int, metrics.PerfCostCurve]:
-    """Per-seed performance-cost curves from a run's records.csv."""
+    """Per-seed performance-cost curves from a run's records.csv, which
+    holds each (seed, round) once."""
     records_path = Path(run_dir) / "records.csv"
     staged: dict[int, list[tuple[float, float]]] = {}
-    for seed, cost, map50 in parsed_rows(records_path, _RECORD_FIELDS):
+    for seed, _, cost, map50 in parsed_rows(records_path, _RECORD_FIELDS, unique=2):
         if map50 is not None:
             staged.setdefault(seed, []).append((cost, map50))
     if not staged:

@@ -15,6 +15,7 @@ from time import perf_counter
 import numpy as np
 import pytest
 
+from seqal import acquisition
 from seqal.acquisition import (
     ALL_KINDS,
     StrategySpec,
@@ -31,7 +32,7 @@ from seqal.costing import (
 from seqal.flowproxy import FlowStats
 from seqal.metrics import PerfCostCurve, average_precision, car, correlations, par
 from seqal.pool import BoundingBox, PoolState, load_pool, write_pool
-from seqal.runner import RunConfig, run_experiment
+from seqal.runner import RunConfig, _frame_candidates, run_experiment
 from seqal.synth import GenConfig, generate_pool
 
 from conftest import make_sequence, pools_match
@@ -503,9 +504,59 @@ def test_criterion_09_selection_matches_enumeration():
                 got = select(kind, unlabeled, scores, b, 0)
                 check(kind, got, want, f" trial {trial} b={b}")
 
+    # ... and as the runner ranks a sequence round: one criterion pass over
+    # the open sequences' frames, each sequence's mean, acquisition.rank
+    def frame_value(kind, p, count, prev):
+        if kind == "entropy":
+            return -sum(v * math.log(v) for v in (p, 1.0 - p) if v > 0.0)
+        if kind == "least_confidence":
+            return 1.0 - max(p, 1.0 - p)
+        if kind == "margin":
+            return -abs(2.0 * p - 1.0)
+        return 0.0 if prev is None else abs(float(count) - float(prev))
+
+    labeled = {"p2": set(range(lengths["p2"]))}
+    for kind in ("entropy", "least_confidence", "margin", "false_switch"):
+        for trial in range(20):
+            table, previous = (
+                {
+                    sid: (
+                        [rnd.choice([0.0, 1.0]) if rnd.random() < 0.1 else rnd.random()
+                         for _ in range(lengths[sid])],
+                        [rnd.randint(0, 6) for _ in range(lengths[sid])],
+                    )
+                    for sid in ids
+                }
+                for _ in range(2)
+            )
+            if trial % 2:
+                previous = {}  # round 1: no switch history
+            means = {}
+            for sid in unlabeled:
+                prev = previous[sid][1] if previous else [None] * lengths[sid]
+                total = 0.0
+                for p, count, before in zip(*table[sid], prev):
+                    total += frame_value(kind, p, count, before)
+                means[sid] = total / lengths[sid]
+            open_table = {sid: table[sid] for sid in unlabeled}
+            sid_index, _, values = _frame_candidates(
+                kind, unlabeled, lengths, labeled, open_table, previous, False
+            )
+            for b in (1, 2, 3):
+                want = sorted(unlabeled, key=lambda s: (-means[s], s))[:b]
+                picks = acquisition.rank(kind, values, sid_index.size, b, 0)
+                got = [unlabeled[i] for i in sid_index[picks]]
+                check(kind, got, want, f" runner trial {trial} b={b}")
+
     def catalog_pick(spec, round_index=1):
-        scores = catalog_scores(spec, pool, unlabeled, flow, round_index)
-        return select(spec.kind, unlabeled, scores, spec.batch_size, 0)
+        """catalog_scores' array through acquisition.rank, as the runner
+        ranks it; select over the same scores as a dict must agree."""
+        values = catalog_scores(spec, pool, unlabeled, flow, round_index)
+        picks = acquisition.rank(spec.kind, values, len(unlabeled), spec.batch_size, 0)
+        got = [unlabeled[i] for i in picks]
+        scores = dict(zip(unlabeled, values.tolist()))
+        check(spec.kind, select(spec.kind, unlabeled, scores, spec.batch_size, 0), got, " select")
+        return got
 
     # catalog-driven kinds against direct criterion enumeration
     rank_cases = {

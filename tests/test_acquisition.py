@@ -1,7 +1,7 @@
 """Strategy selection tests: frame criteria, model scores, GMM, conformal
 criteria, tie rules. The scalar criteria, the per-frame score loop, the
-frame-level score dict and the tuple-sort ranking that the array code
-replaced are kept here as oracles."""
+per-sequence and frame-level score dicts, the per-id catalog dict and the
+tuple-sort ranking that the array code replaced are kept here as oracles."""
 
 import math
 
@@ -18,11 +18,16 @@ from seqal.acquisition import (
     VARIANCE_FLOOR,
     GmmFit,
     StrategySpec,
+    KIND_LEAST_FRAME,
+    KIND_MIN_BOXES,
+    KIND_MIN_MAX_MOTION,
+    KIND_MIN_MOTION,
+    KIND_MOST_FRAME,
+    PARITY_MAX_FIRST,
     _coreset_greedy,
     catalog_scores,
     fit_gmm2,
     frame_criterion,
-    model_scores,
     select,
 )
 from seqal.errors import DomainError, MissingScoresError, PoolExhaustedError, ShapeError
@@ -99,6 +104,29 @@ def round_scores_loop(kind, table, prev_counts, singular):
     return scores
 
 
+def model_scores(kind, table, previous):
+    """A sequence round's scores from one round's detector table, {sid:
+    (objectness, counts)}, as select's dict: each sequence's mean frame
+    criterion, added left to right. previous is the previous round's table,
+    which the switch kinds diff against; {} in the first acquisition round."""
+    scores = {}
+    for sid, (objectness, counts) in table.items():
+        prev = previous[sid][1] if previous else None
+        values = frame_criterion(kind, objectness, counts, prev)
+        scores[sid] = float(np.cumsum(values)[-1]) / values.size
+    return scores
+
+
+def sequence_means(kind, table, previous):
+    """The runner's sequence-round values for every sequence of table, as
+    {sid: value}."""
+    ids = list(table)
+    n_frames = {sid: len(table[sid][0]) for sid in ids}
+    sid_index, fids, values = _frame_candidates(kind, ids, n_frames, {}, table, previous, False)
+    assert sid_index.tolist() == list(range(len(ids))) and fids is None
+    return dict(zip(ids, values.tolist()))
+
+
 def frame_model_scores(kind, table, previous):
     """One score per (sid, fid) of a round's detector table, as model_scores
     gave them in frame rounds before the runner scored frames as arrays."""
@@ -111,13 +139,13 @@ def frame_model_scores(kind, table, previous):
 
 
 def round_scores(kind, table, previous, singular):
-    """model_scores, or in frame rounds the runner's frame candidates with
-    no frame labeled, as {(sid, fid): value}."""
+    """The runner's candidate values with no frame labeled: per sequence, or
+    in frame rounds as {(sid, fid): value}."""
     if not singular:
-        return model_scores(kind, table, previous)
+        return sequence_means(kind, table, previous)
     ids = list(table)
     n_frames = {sid: len(table[sid][0]) for sid in ids}
-    sid_index, fids, values = _frame_candidates(kind, ids, n_frames, {}, table, previous)
+    sid_index, fids, values = _frame_candidates(kind, ids, n_frames, {}, table, previous, True)
     return {(ids[i], f): v for i, f, v in zip(sid_index.tolist(), fids.tolist(), values.tolist())}
 
 
@@ -164,11 +192,38 @@ def flow_of(motion, boxes=None):
     }
 
 
+def catalog_scores_dict(strategy, pool, ids, flow, round_index):
+    """catalog_scores as a per-id dict filled by a per-id kind dispatch."""
+    kind = strategy.kind
+    out = {}
+    for sid in ids:
+        seq = pool.sequences[sid]
+        if kind == KIND_LEAST_FRAME:
+            out[sid] = -float(seq.n_frames)
+        elif kind == KIND_MOST_FRAME:
+            out[sid] = float(seq.n_frames)
+        elif kind in (KIND_MIN_MOTION, KIND_MIN_MAX_MOTION):
+            total = float(sum(flow[sid].motion_scores))
+            if kind == KIND_MIN_MOTION:
+                out[sid] = -total
+            else:
+                even = round_index % 2 == 0
+                use_min = even if strategy.parity_phase == PARITY_MAX_FIRST else not even
+                out[sid] = -total if use_min else total
+        elif kind == KIND_MIN_BOXES:
+            out[sid] = -float(sum(flow[sid].box_estimates))
+        else:
+            raise DomainError(f"not a conformal kind: {kind!r}")
+    return out
+
+
 def rank(spec, pool, flow=None, round_index=1):
-    """A pool-statistic pick over the whole train split."""
+    """A pool-statistic pick over the whole train split, as the runner makes
+    it: catalog_scores' array through acquisition.rank."""
     ids = pool.train_ids
-    scores = catalog_scores(spec, pool, ids, flow or {}, round_index)
-    return select(spec.kind, ids, scores, spec.batch_size, 0)
+    values = catalog_scores(spec, pool, ids, flow or {}, round_index)
+    picks = acquisition.rank(spec.kind, values, len(ids), spec.batch_size, 0)
+    return [ids[i] for i in picks]
 
 
 def kcenter_oracle(unlabeled, centers, features, b):
@@ -324,11 +379,11 @@ def test_sequence_score_is_mean():
     objectness = np.full(3, 0.5)
     table = {"a": (objectness, np.array([2, 4, 9]))}
     previous = {"a": (objectness, np.zeros(3, dtype=np.int64))}
-    assert model_scores("false_switch", table, previous) == {"a": 5.0}
+    assert sequence_means("false_switch", table, previous) == {"a": 5.0}
     assert sequence_score([2.0, 4.0, 9.0]) == 5.0
     values = [0.2, 0.4, 0.9]
     table = {"b": (np.array([0.5 - v / 2 for v in values]), np.zeros(3, dtype=np.int64))}
-    assert model_scores("margin", table, {}) == {
+    assert sequence_means("margin", table, {}) == {
         "b": sequence_score(score_margin(0.5 - v / 2) for v in values)
     }
 
@@ -432,11 +487,33 @@ def labeled_in_rounds(rng, n_frames):
     return labeled
 
 
+def rank_like_select(kind, units, scores, sid_index, fids, values, open_ids, rng):
+    """acquisition.rank over the runner's candidate arrays picks what select
+    picks over the unit list and its score dict, for several batch sizes;
+    returns how many picks differ from the top rule."""
+    drew = 0
+    for b in sorted({1, 3, 25, max(len(units), 1)}):
+        rng_seed = int(rng.integers(2**63))
+        if b > len(units):
+            with pytest.raises(PoolExhaustedError, match=rf"need {b} candidates, only"):
+                acquisition.rank(kind, values, sid_index.size, b, rng_seed)
+            continue
+        picks = acquisition.rank(kind, values, sid_index.size, b, rng_seed)
+        got = [open_ids[i] for i in sid_index[picks]]
+        if fids is not None:
+            got = list(zip(got, fids[picks].tolist()))
+        want = select(kind, units, scores, b, rng_seed)
+        assert got == want, b
+        drew += kind != "random" and want != top_by_score(units, scores, b)
+    return drew
+
+
 @pytest.mark.parametrize("kind", ["gauss_switch", "false_switch", "entropy", "margin", "random"])
 def test_frame_candidates_rank_like_select_over_unit_lists(kind):
-    """The runner's frame round: candidate arrays over the unlabeled frames,
-    ranked by acquisition.rank, pick what the (sid, fid) unit list it
-    replaced picked through select with the frame-level score dict."""
+    """The runner's rounds: candidate arrays over the unlabeled frames, or
+    over the open sequences, ranked by acquisition.rank, pick what select
+    picks over the (sid, fid) unit list with the frame-level score dict, or
+    over the sequence ids with the model_scores oracle's dict."""
     rng = np.random.default_rng(["gauss_switch", "false_switch", "entropy", "margin",
                                  "random"].index(kind))
     drew = 0
@@ -447,7 +524,10 @@ def test_frame_candidates_rank_like_select_over_unit_lists(kind):
         open_ids = [s for s in sorted(n_frames) if len(labeled.get(s, ())) < n_frames[s]]
         units = [(s, f) for s in open_ids for f in range(n_frames[s])
                  if f not in labeled.get(s, ())]
-        table = previous = None
+        # Sequence rounds label whole sequences: every touched one is closed.
+        whole = {s: set(range(n_frames[s])) for s in labeled}
+        seq_open = [s for s in sorted(n_frames) if s not in whole]
+        table = previous = seq_table = None
         if kind != "random":
             rounds = {
                 rnd: {
@@ -458,9 +538,10 @@ def test_frame_candidates_rank_like_select_over_unit_lists(kind):
                 for rnd in (1, 2)
             }
             table = {sid: rounds[2][sid] for sid in open_ids}
+            seq_table = {sid: rounds[2][sid] for sid in seq_open}
             previous = rounds[1] if trial % 3 else {}
         sid_index, fids, values = _frame_candidates(
-            kind, open_ids, n_frames, labeled, table, previous
+            kind, open_ids, n_frames, labeled, table, previous, True
         )
         assert sid_index.dtype == fids.dtype == np.int64
         assert list(zip([open_ids[i] for i in sid_index], fids.tolist())) == units
@@ -471,26 +552,81 @@ def test_frame_candidates_rank_like_select_over_unit_lists(kind):
             assert values.tolist() == [scores[u] for u in units]
         else:  # no table, or every frame labeled
             assert values is None
-        for b in sorted({1, 3, 25, max(len(units), 1)}):
-            rng_seed = int(rng.integers(2**63))
-            if b > len(units):
-                with pytest.raises(PoolExhaustedError, match=rf"need {b} candidates, only"):
-                    acquisition.rank(kind, values, fids.size, b, rng_seed)
-                continue
-            picks = acquisition.rank(kind, values, fids.size, b, rng_seed)
-            got = list(zip([open_ids[i] for i in sid_index[picks]], fids[picks].tolist()))
-            want = select(kind, units, scores, b, rng_seed)
-            assert got == want, (trial, b)
-            drew += kind != "random" and want != top_by_score(units, scores, b)
+        drew += rank_like_select(kind, units, scores, sid_index, fids, values, open_ids, rng)
+
+        sid_index, fids, values = _frame_candidates(
+            kind, seq_open, n_frames, whole, seq_table, previous, False
+        )
+        assert sid_index.tolist() == list(range(len(seq_open))) and fids is None
+        scores = None
+        if kind != "random":
+            scores = model_scores(kind, seq_table, previous)
+        if seq_open and kind != "random":
+            assert values.tolist() == [scores[s] for s in seq_open]
+        else:  # no table, or every sequence labeled
+            assert values is None
+        drew += rank_like_select(kind, seq_open, scores, sid_index, None, values, seq_open, rng)
     # the GauSS draw, not its fallback to the top rule, picked some rounds
     assert (drew > 0) == (kind == "gauss_switch")
+
+
+def test_sequence_means_equal_model_scores_oracle():
+    """A sequence round's values from the runner's candidate pass are the
+    oracle's means bit for bit, as Python floats: one-frame sequences,
+    objectness of exactly 0 and 1, the switch kinds with and without a
+    previous round."""
+    rng = np.random.default_rng(23)
+    lengths = {"a": 1, "b": 1, "c": 2, "d": 7, "e": 29, "f": 1}
+    for trial in range(40):
+        rounds = {}
+        for rnd in (1, 2):
+            table = {}
+            for sid, n in lengths.items():
+                p = rng.random(n)
+                p[rng.random(n) < 0.3] = rng.choice([0.0, 1.0])
+                table[sid] = (p, rng.integers(0, 8, n))
+            table["a"] = (np.zeros(1), table["a"][1])
+            table["b"] = (np.ones(1), table["b"][1])
+            table["c"] = (np.array([0.0, 1.0]), table["c"][1])
+            rounds[rnd] = table
+        for kind in sorted(SCORE_KINDS):
+            for previous in ({}, rounds[1]):
+                got = sequence_means(kind, rounds[2], previous)
+                want = model_scores(kind, rounds[2], previous)
+                assert list(got) == list(want) and got == want, (trial, kind)
+                assert all(type(v) is float for v in got.values())
+                if kind in ("false_switch", "gauss_switch") and not previous:
+                    assert set(got.values()) == {0.0}
+
+
+def test_catalog_scores_array_matches_per_id_dict():
+    rng = np.random.default_rng(24)
+    for trial in range(20):
+        lengths = {f"s{i:02d}": int(rng.integers(1, 12)) for i in range(int(rng.integers(1, 9)))}
+        pool = pool_of(lengths)
+        flow = flow_of(
+            {s: [0] + rng.integers(0, 40, n - 1).tolist() for s, n in lengths.items()},
+            boxes={s: rng.integers(0, 5, n).tolist() for s, n in lengths.items()},
+        )
+        ids = sorted(rng.choice(sorted(lengths), int(rng.integers(0, len(lengths) + 1)),
+                                replace=False).tolist())
+        for kind in sorted(CONFORMAL_KINDS):
+            for phase in ("max_first", "min_first"):
+                spec = StrategySpec(kind, parity_phase=phase)
+                for round_index in (1, 2, 3, 4):
+                    got = catalog_scores(spec, pool, ids, flow, round_index)
+                    want = catalog_scores_dict(spec, pool, ids, flow, round_index)
+                    assert got.dtype == np.float64 and got.shape == (len(ids),)
+                    assert got.tolist() == [want[s] for s in ids], (kind, phase, round_index)
+                    assert [math.copysign(1, v) for v in got.tolist()] == [
+                        math.copysign(1, want[s]) for s in ids]
 
 
 def test_model_scores_switch_history_is_the_previous_table():
     table = detector_rounds(np.random.default_rng(18), n_rounds=1)[1]
     shifted = {s: (p, c + 5) for s, (p, c) in table.items()}
-    assert set(model_scores("false_switch", table, {}).values()) == {0.0}
-    assert set(model_scores("false_switch", table, shifted).values()) == {5.0}
+    assert set(sequence_means("false_switch", table, {}).values()) == {0.0}
+    assert set(sequence_means("false_switch", table, shifted).values()) == {5.0}
 
 
 def score_dicts(rng, pairs):

@@ -74,6 +74,9 @@ def test_worker_counters_match_the_run(bench, tmp_path):
         assert all(vars(mod)[name] is value for name, value in attrs.items()), mod.__name__
     values = tracer.values
 
+    # select runs the seed draws only: every later round of both runs ranks
+    # through acquisition.rank, which the worker does not wrap.
+    assert values["acquisition.select_calls"] == len(entropy.seeds) + len(gauss.seeds) == 4
     # Every scored frame is one trace row; the entropy run alone evaluates.
     assert values["surrogate.frames_scored"] == (
         csv_rows(tmp_path / "run" / "trace.csv") + csv_rows(tmp_path / "live" / "trace.csv")

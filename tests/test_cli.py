@@ -638,6 +638,7 @@ def test_metrics_bad_budget_list(finished_run):
         ("map50", "nan", "line 3: bad map50 'nan'"),
         ("map50", "1.5", "line 3: bad map50 '1.5'"),
         ("map50", None, "line 1: no map50 column"),
+        ("round", "0", "line 3: repeats seed 0, round 0"),
     ],
 )
 def test_metrics_malformed_records_is_validation_error(

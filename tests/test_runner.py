@@ -16,7 +16,9 @@ from seqal.runner import (
     _mean_se,
     aggregate,
     filter_small_boxes,
+    read_curves,
     run_experiment,
+    write_records,
 )
 from seqal.synth import GenConfig
 
@@ -598,3 +600,20 @@ def test_aggregate_through_runner():
     rows = aggregate(records)
     assert all(row.n_seeds == 2 for row in rows)
     assert len(rows) == 3
+
+
+def test_read_curves_rejects_a_repeated_round(tmp_path):
+    """records.csv holds each (seed, round) once: round 1 of seed 0 written
+    twice fails naming the file and the line, where it would read back as
+    two points of seed 0's curve."""
+    rows = [
+        RoundRecord(0, 0, "entropy", ("a",), 1.0, 1.0, 0.0, 0.0, map50=0.1),
+        RoundRecord(1, 0, "entropy", ("b",), 1.0, 2.0, 0.0, 0.0, map50=0.2),
+        RoundRecord(1, 0, "entropy", ("b",), 0.0, 2.0, 0.0, 0.0, map50=0.9),
+    ]
+    write_records(rows, tmp_path / "records.csv")
+    with pytest.raises(TraceError, match=r"records\.csv line 4: repeats seed 0, round 1$"):
+        read_curves(tmp_path)
+    write_records([*rows[:2], replace(rows[2], seed=1)], tmp_path / "records.csv")
+    curves = read_curves(tmp_path)
+    assert curves[0].points == [(1.0, 0.1), (2.0, 0.2)] and curves[1].points == [(2.0, 0.9)]
