@@ -2,11 +2,14 @@
 
 Stands in for dense optical flow over a sequence's 8-bit (uint8) rasters.
 One pass per sequence stacks the rasters and takes each consecutive pair's
-absolute difference once: a frame's motion is the exact integer sum of that
-difference, and its box estimate counts the 8-connected components of the
-difference thresholded at ``threshold`` whose area clears ``min_area``.
-Results are cached onto the sequence, keyed by threshold and min_area, so
-the computation runs once per sequence per parameter pair.
+exact absolute difference once, in uint8 as max - min: a frame's motion is
+the integer sum of that difference, and its box estimate counts the
+8-connected components of the difference thresholded at ``threshold`` whose
+area clears ``min_area``. One ``ndimage.label`` call labels every pair: the
+masks lie end to end, an empty row after each, and only rows with foreground
+and the row after each are kept, so any run of empty rows becomes one, which
+still keeps components apart. Results are cached on the sequence, keyed by
+threshold and min_area, so each parameter pair is computed once.
 """
 
 from __future__ import annotations
@@ -84,13 +87,20 @@ def compute_flow_stats(
                     f"sequence {seq.sequence_id!r} frame {f.frame_id}: raster is {r.dtype} "
                     f"{r.shape}, not non-empty 2-D uint8 shaped like frame 0 {shape}"
                 )
-        diff = np.diff(np.stack([f.raster for f in seq.frames], dtype=np.int16), axis=0)
-        np.abs(diff, out=diff)
-        boxes = [0]
-        for pair in diff:
-            labels, _ = ndimage.label(pair >= threshold, structure=_EIGHT_CONNECTED)
-            areas = np.bincount(labels.ravel())[1:]
-            boxes.append(int(np.count_nonzero(areas >= min_area)))
+        stack = np.stack([f.raster for f in seq.frames])
+        diff = np.maximum(stack[1:], stack[:-1]) - np.minimum(stack[1:], stack[:-1])
+        pairs, h, w = diff.shape
+        strip = np.zeros((pairs * (h + 1), w), dtype=bool)
+        np.greater_equal(diff, threshold, out=strip.reshape(pairs, h + 1, w)[:, :h])
+        keep = strip.any(axis=1)
+        keep[1:] |= keep[:-1]
+        strip = strip[keep]
+        labels, n = ndimage.label(strip, structure=_EIGHT_CONNECTED)
+        fg = labels[strip]
+        pair_of = np.zeros(n + 1, dtype=np.intp)
+        pair_of[fg] = np.repeat(np.flatnonzero(keep) // (h + 1), np.count_nonzero(strip, axis=1))
+        big = np.bincount(fg, minlength=n + 1) >= min_area
+        boxes = [0] + np.bincount(pair_of[big], minlength=pairs).tolist()
         motions = [0] + diff.sum(axis=(1, 2), dtype=np.int64).tolist()
         seq.flow_cache[key] = FlowStats(motions, boxes, threshold, min_area)
         global _computations

@@ -12,6 +12,9 @@ from seqal.pool import (
     TimeOfDay,
 )
 
+# numpy 2.0 renamed trapz; pyproject.toml still admits numpy 1.24
+trapezoid = getattr(np, "trapezoid", None) or np.trapz
+
 
 def make_meta(sid, cost=1.0, scene=0, season=Season.WINTER, tod=TimeOfDay.NOON, split=Split.TRAIN):
     return SequenceMeta(sid, cost, scene, season, tod, split)

@@ -35,7 +35,7 @@ from seqal.pool import BoundingBox, PoolState, load_pool, write_pool
 from seqal.runner import RunConfig, _frame_candidates, run_experiment
 from seqal.synth import GenConfig, generate_pool
 
-from conftest import make_sequence, pools_match
+from conftest import make_sequence, pools_match, trapezoid
 
 
 def verdict(num: int, problems: list) -> None:
@@ -108,7 +108,7 @@ def car_quadrature(points, budget, steps=100_000):
     if upper <= 0.0:
         return 0.0
     grid = np.union1d(np.linspace(0.0, upper, steps + 1), [x for x in xs if x <= upper])
-    return float(np.trapezoid(np.interp(grid, xs, ys), grid))
+    return float(trapezoid(np.interp(grid, xs, ys), grid))
 
 
 def par_quadrature(points, budget, steps=100_000):

@@ -7,6 +7,7 @@ import seqal.flowproxy as fp
 from seqal.errors import DomainError, MissingRasterError, ShapeError
 from seqal.flowproxy import compute_flow_stats, write_flow_cache
 from seqal.pool import Frame, Sequence
+from seqal.synth import GenConfig, generate_pool
 
 from conftest import make_meta, make_sequence
 
@@ -126,6 +127,104 @@ def test_estimate_boxes_matches_flood_fill_oracle():
         assert stats.motion_scores == [0] + [m for m, _ in pairs]
         assert stats.box_estimates == [0] + [b for _, b in pairs]
         assert all(type(v) is int for v in stats.motion_scores + stats.box_estimates)
+
+
+def frames_from_masks(*masks):
+    """Rasters whose consecutive pairs differ by exactly 100 where each mask is set."""
+    frames = [np.zeros(np.shape(masks[0]), np.uint8)]
+    for m in masks:
+        frames.append(np.where(m, 100 - frames[-1], frames[-1]).astype(np.uint8))
+    return frames
+
+
+def assert_matches_pair_oracle(frames, threshold=fp.DEFAULT_THRESHOLD, min_areas=range(1, 10)):
+    for min_area in min_areas:
+        stats = compute_flow_stats(raster_sequence(*frames), threshold, min_area)
+        pairs = [pair_oracle(a, b, threshold, min_area) for a, b in zip(frames, frames[1:])]
+        assert stats.motion_scores == [0] + [m for m, _ in pairs]
+        assert stats.box_estimates == [0] + [b for _, b in pairs], (threshold, min_area)
+
+
+def test_component_across_a_pair_boundary_stays_two():
+    # pair k's last row and pair k+1's first row, in the same columns
+    last = np.zeros((6, 8), bool)
+    last[-1, 2:6] = True
+    first = np.zeros((6, 8), bool)
+    first[0, 2:6] = True
+    frames = frames_from_masks(last, first, last, first)
+    assert_matches_pair_oracle(frames)
+    assert compute_flow_stats(raster_sequence(*frames), 10, 5).box_estimates == [0] * 5
+
+
+def test_rows_split_by_one_empty_row_stay_apart():
+    gap = np.zeros((5, 7), bool)
+    gap[1, 1:4] = True
+    gap[3, 4:6] = True  # (3, 4) would touch (1, 3) diagonally without row 2
+    across = np.zeros((5, 7), bool)
+    across[-2, 3] = True  # the pair's last row stays empty
+    after = np.zeros((5, 7), bool)
+    after[0, 2:5] = True
+    assert_matches_pair_oracle(frames_from_masks(gap, across, after, gap))
+    assert compute_flow_stats(raster_sequence(*frames_from_masks(gap)), 10, 4).box_estimates == [0, 0]
+
+
+@pytest.mark.parametrize("shape", [(1, 6), (2, 6), (4, 6)])
+def test_foreground_on_the_first_and_last_rows(shape):
+    edges = np.zeros(shape, bool)
+    edges[0] = edges[-1] = True
+    assert_matches_pair_oracle(frames_from_masks(edges, edges, ~edges, edges))
+
+
+@pytest.mark.parametrize("shape", [(48, 64), (64, 48)])
+def test_sparse_changes_on_non_square_rasters(shape):
+    rng = np.random.default_rng(7)
+    frames = [rng.integers(0, 256, size=shape, dtype=np.uint8)]
+    for _ in range(6):
+        moved = rng.random(shape) < 0.02
+        moved[rng.integers(0, shape[0]), :] |= rng.random() < 0.5  # a full row now and then
+        frames.append(np.where(moved, rng.integers(0, 256, size=shape, dtype=np.uint8), frames[-1]))
+    for threshold in (1, 10, 128):
+        assert_matches_pair_oracle(frames, threshold, min_areas=(1, 2, 3, 5))
+
+
+def test_threshold_zero_counts_each_pair_once():
+    rng = np.random.default_rng(3)
+    frames = [rng.integers(0, 256, size=(3, 4), dtype=np.uint8) for _ in range(4)]
+    assert_matches_pair_oracle(frames, threshold=0, min_areas=(1, 12, 13))
+    assert compute_flow_stats(raster_sequence(*frames), 0, 12).box_estimates == [0, 1, 1, 1]
+
+
+@pytest.mark.parametrize("n_frames", [1, 2, 5])
+def test_sequence_without_motion(n_frames):
+    frames = [np.full((5, 6), 77, np.uint8)] * n_frames
+    assert_matches_pair_oracle(frames)
+    stats = compute_flow_stats(raster_sequence(*frames))
+    assert stats.motion_scores == stats.box_estimates == [0] * n_frames
+
+
+def test_one_label_call_per_computed_sequence(monkeypatch):
+    calls = []
+    label = fp.ndimage.label
+
+    def counting_label(*args, **kwargs):
+        calls.append(1)
+        return label(*args, **kwargs)
+
+    monkeypatch.setattr(fp.ndimage, "label", counting_label)
+    seq = make_sequence("s", n_frames=9, raster_size=(16, 16))
+    compute_flow_stats(seq)
+    compute_flow_stats(seq)
+    assert len(calls) == 1
+
+
+def test_generated_rasters_are_read_only_under_the_cache():
+    pool = generate_pool(GenConfig(n_sequences=4, frame_len_range=(4, 6), raster_size=(32, 32)))
+    seq = next(iter(pool.sequences.values()))
+    stats = compute_flow_stats(seq)
+    assert not any(f.raster.flags.writeable for f in seq.frames)
+    with pytest.raises(ValueError):
+        seq.frames[1].raster[:] = 0
+    assert compute_flow_stats(seq) == stats
 
 
 def test_one_frame_sequence():

@@ -24,6 +24,8 @@ from seqal.metrics import (
 )
 from seqal.pool import BoundingBox
 
+from conftest import trapezoid
+
 
 def box(cx, cy, w, h, cls=0):
     return BoundingBox(cls, cx, cy, w, h)
@@ -278,7 +280,7 @@ def riemann_car(points, budget, steps=200_000):
         return 0.0
     grid = np.linspace(0.0, upper, steps + 1)
     vals = np.interp(grid, xs, ys)
-    return float(np.trapezoid(vals, grid))
+    return float(trapezoid(vals, grid))
 
 
 def pearson_oracle(x, y):
