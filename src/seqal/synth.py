@@ -11,7 +11,10 @@ Determinism: an identical config yields a byte-identical pool. Each sequence
 draws from its own PCG64 generator seeded with ``rng_seed XOR index``; the
 draw order inside a sequence is fixed (length, object count, classes, sizes,
 speeds, headings, spawn positions with their pairing coin flips, the noise
-field, season, time of day, and finally the cost noise).
+field, season, time of day, and finally the cost noise). No draw depends on
+the frames: a sequence's rectangles are one integer array of top-left corners,
+shaped (frames, objects, 2), plus each object's sides, and its occlusion
+flags, boxes, rasters and occluded-box count are all read from that array.
 """
 
 from __future__ import annotations
@@ -89,9 +92,13 @@ def _validate(cfg: GenConfig) -> tuple[int, int]:
     omin, omax = cfg.objects_per_seq_range
     if omin < 0 or omax < omin:
         raise GenError(f"bad objects_per_seq_range {cfg.objects_per_seq_range}")
+    # The fold takes one pass per bounce, so a step is capped at the smaller
+    # raster side; near 1e17 px it would never terminate.
     smin, smax = cfg.speed_range
-    if not 0 <= smin <= smax < math.inf:
-        raise GenError(f"bad speed_range {cfg.speed_range}")
+    if not 0 <= smin <= smax <= min(width, height):
+        raise GenError(
+            f"bad speed_range {cfg.speed_range}: speeds lie in [0, {min(width, height)}]"
+        )
     if not 0.0 <= cfg.occlusion_rate <= 1.0:
         raise GenError(f"occlusion_rate {cfg.occlusion_rate} outside [0,1]")
     cc = cfg.cost_coeffs
@@ -138,38 +145,33 @@ def _split_plan(n: int) -> list[tuple[Split, int]]:
     return plan
 
 
-def _reflect(pos: float, vel: float, limit: float) -> tuple[float, float]:
-    # Fold the position back into [0, limit], flipping velocity per bounce.
-    if limit <= 0:
-        return 0.0, 0.0
-    while pos < 0 or pos > limit:
-        if pos < 0:
-            pos = -pos
-        else:
-            pos = 2 * limit - pos
-        vel = -vel
-    return pos, vel
+def _corners(pos: np.ndarray, vel: np.ndarray, limits: np.ndarray, n_frames: int) -> np.ndarray:
+    """Top-left pixel corners, shaped (frames, objects, 2). Each step moves
+    every position by its velocity and folds it back into [0, limit] per
+    axis, flipping that velocity component once per bounce."""
+    track = np.empty((n_frames, *pos.shape))
+    for t in range(n_frames):
+        track[t] = pos
+        pos = pos + vel
+        while (out := (pos < 0) | (pos > limits)).any():
+            vel = np.where(out, -vel, vel)
+            pos = np.where(pos < 0, -pos, np.where(out, 2 * limits - pos, pos))
+    return np.rint(track).astype(np.int64)
 
 
-def _occlusion_flags(rects: list[tuple[int, int, int, int]]) -> list[Occlusion]:
-    """Flag each rectangle by its worst overlap fraction with any other."""
-    flags = []
-    for j, (xj, yj, wj, hj) in enumerate(rects):
-        worst = 0.0
-        for m, (xm, ym, wm, hm) in enumerate(rects):
-            if m == j:
-                continue
-            ix = min(xj + wj, xm + wm) - max(xj, xm)
-            iy = min(yj + hj, ym + hm) - max(yj, ym)
-            if ix > 0 and iy > 0:
-                worst = max(worst, (ix * iy) / (wj * hj))
-        if worst > FULL_OVERLAP:
-            flags.append(Occlusion.FULL)
-        elif worst > PARTIAL_OVERLAP:
-            flags.append(Occlusion.PARTIAL)
-        else:
-            flags.append(Occlusion.VISIBLE)
-    return flags
+def _occlusion_flags(corners: np.ndarray, sides: np.ndarray) -> np.ndarray:
+    """Occlusion value of each box, shaped (frames, objects): its largest
+    pixel overlap with another box of its frame, over its own area. One other
+    object at a time, so temporaries stay (frames, objects)."""
+    ends = corners + sides
+    worst = np.zeros(corners.shape[:2], dtype=np.int64)
+    for m in range(len(sides)):
+        inter = np.minimum(ends, ends[:, m : m + 1]) - np.maximum(corners, corners[:, m : m + 1])
+        area = inter.clip(0).prod(axis=2)
+        area[:, m] = 0
+        worst = np.maximum(worst, area)
+    fraction = worst / sides.prod(axis=1)
+    return (fraction > PARTIAL_OVERLAP).astype(np.int64) + (fraction > FULL_OVERLAP)
 
 
 def _generate_sequence(
@@ -191,80 +193,57 @@ def _generate_sequence(
     speeds = rng.uniform(cfg.speed_range[0], cfg.speed_range[1], size=n_objects)
     headings = rng.uniform(0.0, 2.0 * math.pi, size=n_objects)
     vel = np.stack([speeds * np.cos(headings), speeds * np.sin(headings)], axis=1)
+    limits = (width, height) - sides
 
     pos = np.zeros((n_objects, 2))
     for j in range(n_objects):
-        limit_x = width - int(sides[j, 0])
-        limit_y = height - int(sides[j, 1])
-        paired = j > 0 and float(rng.random()) < cfg.occlusion_rate
-        if paired:
+        if j > 0 and float(rng.random()) < cfg.occlusion_rate:
             target = int(rng.integers(0, j))
             jitter = rng.integers(-2, 3, size=2)
-            pos[j, 0] = min(max(pos[target, 0] + jitter[0], 0.0), limit_x)
-            pos[j, 1] = min(max(pos[target, 1] + jitter[1], 0.0), limit_y)
+            pos[j] = np.clip(pos[target] + jitter, 0.0, limits[j])
         else:
-            pos[j, 0] = rng.uniform(0.0, limit_x)
-            pos[j, 1] = rng.uniform(0.0, limit_y)
+            pos[j] = rng.uniform(0.0, limits[j])
 
     noise = rng.integers(-NOISE_AMPLITUDE, NOISE_AMPLITUDE + 1, size=(height, width))
     season = Season(int(rng.integers(0, 3)))
     tod = TimeOfDay(int(rng.integers(0, 3)))
 
+    corners = _corners(pos, vel, limits, n_frames)
+    flags = _occlusion_flags(corners, sides)
+
     # Fixed per-sequence noise field under both background and objects, so a
     # static scene produces byte-identical consecutive rasters.
     base = (BACKGROUND_LEVEL + noise).astype(np.uint8)
     bright = (OBJECT_LEVEL + noise).astype(np.uint8)
+    rasters = np.broadcast_to(base, (n_frames, height, width)).copy()
+    # One object at a time over all frames; overlapping objects paint the same
+    # bright pixels, so their order does not matter.
+    for (x, y), (w, h) in zip(corners.transpose(1, 2, 0), sides):
+        rows = (y[:, None] + np.arange(h))[:, :, None]
+        cols = (x[:, None] + np.arange(w))[:, None, :]
+        rasters[np.arange(n_frames)[:, None, None], rows, cols] = bright[rows, cols]
+    rasters.flags.writeable = False  # read-only like a loaded raster: flow_cache relies on it
 
-    frames: list[Frame] = []
-    occluded_total = 0
-    for t in range(n_frames):
-        raster = base.copy()
-        rects: list[tuple[int, int, int, int]] = []
-        for j in range(n_objects):
-            w_j, h_j = int(sides[j, 0]), int(sides[j, 1])
-            ix, iy = int(round(pos[j, 0])), int(round(pos[j, 1]))
-            raster[iy : iy + h_j, ix : ix + w_j] = bright[iy : iy + h_j, ix : ix + w_j]
-            rects.append((ix, iy, w_j, h_j))
-        raster.flags.writeable = False  # read-only like a loaded raster: flow_cache relies on it
-        flags = _occlusion_flags(rects)
-        boxes = []
-        for j, (ix, iy, w_j, h_j) in enumerate(rects):
-            boxes.append(
-                BoundingBox(
-                    int(classes[j]),
-                    (ix + w_j / 2) / width,
-                    (iy + h_j / 2) / height,
-                    w_j / width,
-                    h_j / height,
-                    flags[j],
-                )
-            )
-            if flags[j] is not Occlusion.VISIBLE:
-                occluded_total += 1
-        frames.append(Frame(t, boxes, raster))
-        for j in range(n_objects):
-            pos[j, 0], vel[j, 0] = _reflect(
-                pos[j, 0] + vel[j, 0], vel[j, 0], width - int(sides[j, 0])
-            )
-            pos[j, 1], vel[j, 1] = _reflect(
-                pos[j, 1] + vel[j, 1], vel[j, 1], height - int(sides[j, 1])
-            )
+    cx, cy = np.moveaxis((corners + sides / 2) / (width, height), 2, 0).tolist()
+    ws, hs = (sides / (width, height)).T.tolist()
+    occlusion = np.array(list(Occlusion), dtype=object)[flags].tolist()
+    classes = classes.tolist()
+    frames = [
+        Frame(t, list(map(BoundingBox, classes, cx[t], cy[t], ws, hs, occlusion[t])), rasters[t])
+        for t in range(n_frames)
+    ]
 
     cc = cfg.cost_coeffs
-    total_boxes = n_objects * n_frames
-    total_motion = float(np.sum(speeds)) * n_frames
     cost = (
-        cc.alpha_boxes * total_boxes
-        + cc.beta_motion * total_motion
-        + cc.gamma_occlusion * occluded_total
+        cc.alpha_boxes * (n_objects * n_frames)
+        + cc.beta_motion * (float(np.sum(speeds)) * n_frames)
+        + cc.gamma_occlusion * int(np.count_nonzero(flags))
         + cc.delta_length * n_frames
         + float(rng.normal(0.0, cc.noise_sd))
     )
-    cost = max(cost, COST_FLOOR_HOURS)
-
     meta = SequenceMeta(
         sequence_id=f"seq{index:03d}",
-        cost_hours=cost,
+        cost_hours=max(cost, COST_FLOOR_HOURS),
         scene_id=scene_id,
         season=season,
         time_of_day=tod,

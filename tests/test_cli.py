@@ -234,6 +234,7 @@ def test_run_on_pgm_with_negative_dimensions_is_validation_error(tmp_path, capsy
         ("cost_noise_sd = inf", "cost coefficient noise_sd"),
         ("speed_max = inf", "bad speed_range"),
         ("speed_min = nan", "bad speed_range"),
+        ("speed_max = 1e17", "bad speed_range"),
     ],
 )
 def test_non_finite_generator_setting_is_validation_error(

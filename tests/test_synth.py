@@ -12,14 +12,19 @@ from seqal.synth import (
     COST_FLOOR_HOURS,
     NOISE_AMPLITUDE,
     OBJECT_LEVEL,
+    OBJECT_SIDE_MIN,
     CostCoeffs,
     GenConfig,
+    _corners,
     _occlusion_flags,
-    _reflect,
+    _generate_sequence,
+    _split_plan,
+    _validate,
     generate_pool,
     split_sizes,
 )
 
+import synth_oracle
 from conftest import pools_match
 
 
@@ -33,26 +38,6 @@ def small_cfg(**kw):
     )
     base.update(kw)
     return GenConfig(**base)
-
-
-def occlusion_oracle(rects):
-    flags = []
-    for j, (xj, yj, wj, hj) in enumerate(rects):
-        worst = 0.0
-        for m, (xm, ym, wm, hm) in enumerate(rects):
-            if m == j:
-                continue
-            ix = min(xj + wj, xm + wm) - max(xj, xm)
-            iy = min(yj + hj, ym + hm) - max(yj, ym)
-            if ix > 0 and iy > 0:
-                worst = max(worst, ix * iy / (wj * hj))
-        if worst > 0.9:
-            flags.append(Occlusion.FULL)
-        elif worst > 0.5:
-            flags.append(Occlusion.PARTIAL)
-        else:
-            flags.append(Occlusion.VISIBLE)
-    return flags
 
 
 # --- determinism ---------------------------------------------------------
@@ -120,39 +105,40 @@ def test_scenes_paired_within_split():
 
 def test_reflect_keeps_position_in_bounds():
     rng = np.random.default_rng(0)
-    for _ in range(200):
-        pos = float(rng.uniform(-50, 150))
-        vel = float(rng.uniform(-5, 5))
-        limit = float(rng.uniform(1, 60))
-        npos, nvel = _reflect(pos, vel, limit)
-        assert 0.0 <= npos <= limit
-        assert abs(nvel) == pytest.approx(abs(vel))
-
-
-def test_reflect_degenerate_limit():
-    assert _reflect(3.0, 1.0, 0.0) == (0.0, 0.0)
+    for _ in range(50):
+        n = int(rng.integers(1, 5))
+        limits = rng.integers(2, 60, size=(n, 2))
+        pos = rng.uniform(0, limits)
+        speed = rng.uniform(0, 64, size=(n, 1))
+        heading = rng.uniform(0, 2 * math.pi, size=(n, 1))
+        vel = speed * np.hstack([np.cos(heading), np.sin(heading)])
+        corners = _corners(pos, vel, limits, 20)
+        assert corners.shape == (20, n, 2)
+        assert corners.dtype == np.int64
+        assert (corners >= 0).all() and (corners <= limits).all()
+        assert (corners[0] == np.rint(pos)).all()
+        # a fold never lengthens a step; rounding adds at most a pixel
+        assert (np.abs(np.diff(corners, axis=0)) <= np.abs(vel) + 1).all()
+    # halves round to even, as Python's round does
+    assert _corners(np.array([[2.5, 3.5]]), np.zeros((1, 2)), np.array([[9, 9]]), 1).tolist() == [[[2, 4]]]
 
 
 def test_occlusion_flags_hand_cases():
-    assert _occlusion_flags([(0, 0, 10, 10), (20, 20, 5, 5)]) == [
-        Occlusion.VISIBLE,
-        Occlusion.VISIBLE,
-    ]
+    def flags(rects):
+        rects = np.array(rects)
+        return _occlusion_flags(rects[None, :, :2], rects[:, 2:]).tolist()
+
+    assert flags([(0, 0, 10, 10), (20, 20, 5, 5)]) == [[Occlusion.VISIBLE, Occlusion.VISIBLE]]
     # 8x8 overlap on 10x10 boxes: 0.64 for both
-    assert _occlusion_flags([(0, 0, 10, 10), (2, 2, 10, 10)]) == [
-        Occlusion.PARTIAL,
-        Occlusion.PARTIAL,
-    ]
+    assert flags([(0, 0, 10, 10), (2, 2, 10, 10)]) == [[Occlusion.PARTIAL, Occlusion.PARTIAL]]
     # coincident boxes hide each other completely
-    assert _occlusion_flags([(0, 0, 10, 10), (0, 0, 10, 10)]) == [
-        Occlusion.FULL,
-        Occlusion.FULL,
-    ]
+    assert flags([(0, 0, 10, 10), (0, 0, 10, 10)]) == [[Occlusion.FULL, Occlusion.FULL]]
     # asymmetric: the small box is swallowed, the big one barely touched
-    assert _occlusion_flags([(0, 0, 20, 20), (0, 0, 6, 6)]) == [
-        Occlusion.VISIBLE,
-        Occlusion.FULL,
-    ]
+    assert flags([(0, 0, 20, 20), (0, 0, 6, 6)]) == [[Occlusion.VISIBLE, Occlusion.FULL]]
+    # edges that touch do not overlap; a lone box and an empty frame are visible
+    assert flags([(0, 0, 10, 10), (10, 0, 10, 10)]) == [[Occlusion.VISIBLE, Occlusion.VISIBLE]]
+    assert flags([(3, 3, 6, 6)]) == [[Occlusion.VISIBLE]]
+    assert _occlusion_flags(np.zeros((4, 0, 2), dtype=np.int64), np.zeros((0, 2), dtype=np.int64)).shape == (4, 0)
 
 
 def test_generated_flags_match_oracle():
@@ -169,9 +155,67 @@ def test_generated_flags_match_oracle():
                 rects.append(
                     (round(b.cx * width - w / 2), round(b.cy * height - h / 2), w, h)
                 )
-            assert [b.occluded for b in frame.boxes] == occlusion_oracle(rects)
+            assert [b.occluded for b in frame.boxes] == synth_oracle._occlusion_flags(rects)
             checked += len(rects)
     assert checked > 50
+
+
+def oracle_configs(n=36, seed=17):
+    """Drawn generator configs. Cycling the raster, speed, occlusion and
+    length families makes the draw cover: 16x16 rasters whose steps bounce
+    several times, zero speeds (signed-zero velocities), occlusion rates 0
+    and 1, empty and one-frame sequences, non-square rasters and the cost
+    floor."""
+    rnd = np.random.default_rng(seed)
+    configs = []
+    for k in range(n):
+        width, height = [(16, 16), (40, 17), (23, 64), (32, 32)][k % 4]
+        side = min(width, height)
+        lo = [0.0, rnd.uniform(0.7, 1.0) * side, rnd.uniform(0.0, 3.0)][k % 3]
+        hi = [0.0, side, rnd.uniform(lo, side)][k % 3]
+        frames_lo = 1 if k % 5 == 0 else int(rnd.integers(1, 8))
+        objects_lo = int(rnd.integers(0, 3))
+        configs.append(
+            GenConfig(
+                rng_seed=int(rnd.integers(0, 2**31)),
+                n_sequences=int(rnd.integers(2, 6)),
+                frame_len_range=(frames_lo, frames_lo + int(rnd.integers(0, 12))),
+                raster_size=(width, height),
+                objects_per_seq_range=(objects_lo, objects_lo + int(rnd.integers(0, 7))),
+                speed_range=(lo, hi),
+                occlusion_rate=[0.0, 1.0, float(rnd.uniform())][k // 3 % 3],
+                cost_coeffs=CostCoeffs() if k % 2 else CostCoeffs(0.0, 0.0, 0.0, 0.0, noise_sd=1.0),
+            )
+        )
+    return configs
+
+
+def test_generator_matches_scalar_oracle():
+    seen = dict.fromkeys(["bounces", "zero_speed", "rate_0", "rate_1", "no_objects", "one_frame", "non_square", "floor"], False)
+    for cfg in oracle_configs():
+        side_range = _validate(cfg)
+        width, height = cfg.raster_size
+        # every step is longer than the largest fold limit, 16 - OBJECT_SIDE_MIN
+        seen["bounces"] |= cfg.raster_size == (16, 16) and cfg.speed_range[0] > 16 - OBJECT_SIDE_MIN
+        seen["zero_speed"] |= cfg.speed_range == (0.0, 0.0)
+        seen["rate_0"] |= cfg.occlusion_rate == 0.0
+        seen["rate_1"] |= cfg.occlusion_rate == 1.0
+        seen["non_square"] |= width != height
+        for index, (split, scene) in enumerate(_split_plan(cfg.n_sequences)):
+            new = _generate_sequence(cfg, index, split, scene, side_range)
+            old = synth_oracle._generate_sequence(cfg, index, split, scene, side_range)
+            assert repr(new.meta) == repr(old.meta)
+            assert [f.frame_id for f in new.frames] == [f.frame_id for f in old.frames]
+            for fn, fo in zip(new.frames, old.frames):
+                assert repr(fn.boxes) == repr(fo.boxes)
+                assert fn.raster.shape == fo.raster.shape == (height, width)
+                assert fn.raster.dtype == np.uint8
+                assert fn.raster.tobytes() == fo.raster.tobytes()
+                assert not fn.raster.flags.writeable
+            seen["no_objects"] |= not new.frames[0].boxes
+            seen["one_frame"] |= new.n_frames == 1
+            seen["floor"] |= new.meta.cost_hours == COST_FLOOR_HOURS
+    assert all(seen.values()), seen
 
 
 def test_boxes_are_valid_and_track_bright_pixels():
@@ -250,6 +294,9 @@ def test_cost_exact_for_empty_noise_free_scenes():
         dict(speed_range=(0.5, math.inf)),
         dict(speed_range=(math.nan, 1.0)),
         dict(speed_range=(0.5, math.nan)),
+        # finite, but longer than the raster's smaller side
+        dict(speed_range=(0.5, 32.5)),
+        dict(speed_range=(1e17, 1e17)),
         dict(cost_coeffs=CostCoeffs(alpha_boxes=math.nan)),
         dict(cost_coeffs=CostCoeffs(beta_motion=math.inf)),
         dict(cost_coeffs=CostCoeffs(noise_sd=math.nan)),
