@@ -8,8 +8,8 @@ the integer sum of that difference, and its box estimate counts the
 area clears ``min_area``. One ``ndimage.label`` call labels every pair: the
 masks lie end to end, an empty row after each, and only rows with foreground
 and the row after each are kept, so any run of empty rows becomes one, which
-still keeps components apart. Results are cached on the sequence, keyed by
-threshold and min_area, so each parameter pair is computed once.
+still keeps components apart. Nothing is cached: every call reads the
+rasters the sequence holds at that moment.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ _computations = 0
 
 
 def computations() -> int:
-    """How many sequences have had their stats actually computed (not cached)."""
+    """How many times compute_flow_stats has computed a sequence's stats."""
     return _computations
 
 
@@ -47,8 +47,6 @@ class FlowStats:
 
     motion_scores: list[int]
     box_estimates: list[int]
-    threshold: int
-    min_area: int
 
 
 def check_params(threshold: int, min_area: int) -> None:
@@ -64,48 +62,42 @@ def compute_flow_stats(
     threshold: int = DEFAULT_THRESHOLD,
     min_area: int = DEFAULT_MIN_AREA,
 ) -> FlowStats:
-    """Compute (or fetch cached) motion statistics for a whole sequence.
+    """Motion statistics for a whole sequence, computed from its rasters.
 
-    Requires a non-empty 2-D uint8 raster of one shape on every frame. The
-    stats are cached on the sequence; a second call with the same threshold
-    and min_area returns them without recomputing, which the computation
-    counter makes observable.
+    Requires a non-empty 2-D uint8 raster of one shape on every frame.
     """
     check_params(threshold, min_area)
-    key = (threshold, min_area)
-    if key not in seq.flow_cache:
-        missing = [f.frame_id for f in seq.frames if f.raster is None]
-        if missing:
-            raise MissingRasterError(
-                f"sequence {seq.sequence_id!r} lacks rasters for frames {missing[:5]}"
+    missing = [f.frame_id for f in seq.frames if f.raster is None]
+    if missing:
+        raise MissingRasterError(
+            f"sequence {seq.sequence_id!r} lacks rasters for frames {missing[:5]}"
+        )
+    shape = np.shape(seq.frames[0].raster)
+    for f in seq.frames:
+        r = np.asarray(f.raster)
+        if r.dtype != np.uint8 or r.ndim != 2 or r.size == 0 or r.shape != shape:
+            raise ShapeError(
+                f"sequence {seq.sequence_id!r} frame {f.frame_id}: raster is {r.dtype} "
+                f"{r.shape}, not non-empty 2-D uint8 shaped like frame 0 {shape}"
             )
-        shape = np.shape(seq.frames[0].raster)
-        for f in seq.frames:
-            r = np.asarray(f.raster)
-            if r.dtype != np.uint8 or r.ndim != 2 or r.size == 0 or r.shape != shape:
-                raise ShapeError(
-                    f"sequence {seq.sequence_id!r} frame {f.frame_id}: raster is {r.dtype} "
-                    f"{r.shape}, not non-empty 2-D uint8 shaped like frame 0 {shape}"
-                )
-        stack = np.stack([f.raster for f in seq.frames])
-        diff = np.maximum(stack[1:], stack[:-1]) - np.minimum(stack[1:], stack[:-1])
-        pairs, h, w = diff.shape
-        strip = np.zeros((pairs * (h + 1), w), dtype=bool)
-        np.greater_equal(diff, threshold, out=strip.reshape(pairs, h + 1, w)[:, :h])
-        keep = strip.any(axis=1)
-        keep[1:] |= keep[:-1]
-        strip = strip[keep]
-        labels, n = ndimage.label(strip, structure=_EIGHT_CONNECTED)
-        fg = labels[strip]
-        pair_of = np.zeros(n + 1, dtype=np.intp)
-        pair_of[fg] = np.repeat(np.flatnonzero(keep) // (h + 1), np.count_nonzero(strip, axis=1))
-        big = np.bincount(fg, minlength=n + 1) >= min_area
-        boxes = [0] + np.bincount(pair_of[big], minlength=pairs).tolist()
-        motions = [0] + diff.sum(axis=(1, 2), dtype=np.int64).tolist()
-        seq.flow_cache[key] = FlowStats(motions, boxes, threshold, min_area)
-        global _computations
-        _computations += 1
-    return seq.flow_cache[key]
+    stack = np.stack([f.raster for f in seq.frames])
+    diff = np.maximum(stack[1:], stack[:-1]) - np.minimum(stack[1:], stack[:-1])
+    pairs, h, w = diff.shape
+    strip = np.zeros((pairs * (h + 1), w), dtype=bool)
+    np.greater_equal(diff, threshold, out=strip.reshape(pairs, h + 1, w)[:, :h])
+    keep = strip.any(axis=1)
+    keep[1:] |= keep[:-1]
+    strip = strip[keep]
+    labels, n = ndimage.label(strip, structure=_EIGHT_CONNECTED)
+    fg = labels[strip]
+    pair_of = np.zeros(n + 1, dtype=np.intp)
+    pair_of[fg] = np.repeat(np.flatnonzero(keep) // (h + 1), np.count_nonzero(strip, axis=1))
+    big = np.bincount(fg, minlength=n + 1) >= min_area
+    boxes = [0] + np.bincount(pair_of[big], minlength=pairs).tolist()
+    motions = [0] + diff.sum(axis=(1, 2), dtype=np.int64).tolist()
+    global _computations
+    _computations += 1
+    return FlowStats(motions, boxes)
 
 
 def write_flow_cache(stats: FlowStats, sequence_id: str, out_dir: Path | str) -> Path:

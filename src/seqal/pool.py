@@ -22,7 +22,6 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -33,9 +32,6 @@ from .errors import (
     NameFormatError,
 )
 from .tables import cell, write_table
-
-if TYPE_CHECKING:
-    from .flowproxy import FlowStats
 
 COORD_FORMAT = "%.6f"
 FRAME_ID_DIGITS = 6
@@ -167,17 +163,10 @@ class SequenceMeta:
 
 @dataclass
 class Sequence:
-    """A contiguous video sequence with metadata.
-
-    flow_cache keeps every FlowStats the flow proxy computed, keyed by
-    (threshold, min_area).
-    """
+    """A contiguous video sequence with metadata."""
 
     meta: SequenceMeta
     frames: list[Frame]
-    flow_cache: dict[tuple[int, int], FlowStats] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     @property
     def sequence_id(self) -> str:
@@ -194,24 +183,6 @@ class Sequence:
         return sum(
             1 for f in self.frames for b in f.boxes if b.occluded is not Occlusion.VISIBLE
         )
-
-    def mean_box_count(self) -> float:
-        return self.total_boxes() / self.n_frames
-
-    def mean_center_shift(self) -> float:
-        """Mean per-frame sum of box-center displacements, in normalized units.
-
-        Boxes are paired across consecutive frames by list position, which is
-        exact for generated pools (stable object order) and a serviceable
-        approximation elsewhere. Frame 0 contributes zero.
-        """
-        if self.n_frames == 1:
-            return 0.0
-        total = 0.0
-        for prev, curr in zip(self.frames, self.frames[1:]):
-            for a, b in zip(prev.boxes, curr.boxes):
-                total += float(np.hypot(b.cx - a.cx, b.cy - a.cy))
-        return total / self.n_frames
 
 
 @dataclass

@@ -277,10 +277,9 @@ def run_experiment(
     """Run one strategy over all configured seeds; returns every RoundRecord.
 
     A prebuilt pool skips regeneration. The run filters boxes on a run-local
-    copy, so the caller's pool comes back as it was; only the flow stats a
-    run computes stay cached on the caller's sequences. With
-    out_dir set, the CSV outputs land there; a failing run still flushes the
-    ledger rows of every round charged so far.
+    copy and keeps what it computes in locals, so the caller's pool comes
+    back as it was. With out_dir set, the CSV outputs land there; a failing
+    run still flushes the ledger rows of every round charged so far.
     """
     kind = cfg.strategy.kind
     singular = cfg.mode == MODE_SINGULAR
@@ -300,8 +299,8 @@ def run_experiment(
 
     flow, front_charge = {}, 0.0
     if kind in FLOW_KINDS:
-        # Flow stats read rasters only, so they are cached on the caller's
-        # sequences for later runs over the same pool.
+        # Flow stats read rasters only, which the box filter keeps, so one
+        # computation per train sequence serves every seed of the run.
         flow = {
             sid: flowproxy.compute_flow_stats(
                 pool.sequences[sid], cfg.flow_threshold, cfg.flow_min_area

@@ -56,32 +56,38 @@ CONF_CEIL = 0.99
 _SIGMA_FLOOR = 1e-9
 
 
-def sequence_feature(seq: Sequence, train_scenes: list[int]) -> np.ndarray:
-    """Feature vector: (mean box count, mean center shift, scene one-hot, season).
-
-    The scene one-hot spans the train split's scenes; sequences from unseen
-    scenes (validation/test) get an all-zero scene block.
-    """
-    one_hot = np.zeros(len(train_scenes))
-    try:
-        one_hot[train_scenes.index(seq.meta.scene_id)] = 1.0
-    except ValueError:
-        pass
-    head = np.array([seq.mean_box_count(), seq.mean_center_shift()])
-    return np.concatenate([head, one_hot, [float(int(seq.meta.season))]])
-
-
 def pool_feature_table(pool: PoolState) -> tuple[dict[str, np.ndarray], float]:
     """Features for every sequence plus the kernel bandwidth sigma.
 
-    Sigma is the median pairwise feature distance over the train split,
-    floored to stay positive.
+    A feature vector is (mean box count, mean center shift, scene one-hot,
+    season). The center shift pairs box slot k of frame t with slot k of
+    frame t+1, which is exact for generated pools (stable object order) and
+    a serviceable approximation elsewhere; the pairs' hypot distances are
+    added left to right (cumsum, not np.sum's pairwise order) and divided
+    by the frame count, so frame 0 contributes zero. The scene one-hot
+    spans the train split's scenes; sequences from unseen scenes
+    (validation/test) get an all-zero scene block. Sigma is the median
+    pairwise feature distance over the train split, floored to stay
+    positive.
     """
     train_ids = pool.train_ids
     train_scenes = sorted({pool.sequences[s].meta.scene_id for s in train_ids})
-    table = {
-        sid: sequence_feature(seq, train_scenes) for sid, seq in pool.sequences.items()
-    }
+    table = {}
+    for sid, seq in pool.sequences.items():
+        counts = np.array([len(f.boxes) for f in seq.frames])
+        centers = np.array([(b.cx, b.cy) for f in seq.frames for b in f.boxes]).reshape(-1, 2)
+        pairs = np.minimum(counts[:-1], counts[1:])
+        # Pair (t, k) joins box k of frame t to the box counts[t] later;
+        # first[t] is frame t's first box index less its first pair index.
+        first = np.cumsum(counts[:-1]) - counts[:-1] - np.cumsum(pairs) + pairs
+        prev = np.repeat(first, pairs) + np.arange(pairs.sum())
+        step = centers[prev + np.repeat(counts[:-1], pairs)] - centers[prev]
+        shift = np.cumsum(np.append(0.0, np.hypot(step[:, 0], step[:, 1])))[-1]
+        one_hot = np.zeros(len(train_scenes))
+        if seq.meta.scene_id in train_scenes:
+            one_hot[train_scenes.index(seq.meta.scene_id)] = 1.0
+        head = [counts.sum() / seq.n_frames, shift / seq.n_frames]
+        table[sid] = np.concatenate([head, one_hot, [float(int(seq.meta.season))]])
     mat = np.stack([table[s] for s in train_ids]) if train_ids else np.zeros((0, 1))
     if len(train_ids) >= 2:
         diffs = mat[:, None, :] - mat[None, :, :]

@@ -222,7 +222,7 @@ def _generate_sequence(
         rows = (y[:, None] + np.arange(h))[:, :, None]
         cols = (x[:, None] + np.arange(w))[:, None, :]
         rasters[np.arange(n_frames)[:, None, None], rows, cols] = bright[rows, cols]
-    rasters.flags.writeable = False  # read-only like a loaded raster: flow_cache relies on it
+    rasters.flags.writeable = False  # read-only like a loaded raster: no run edits it
 
     cx, cy = np.moveaxis((corners + sides / 2) / (width, height), 2, 0).tolist()
     ws, hs = (sides / (width, height)).T.tolist()

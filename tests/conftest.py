@@ -105,8 +105,7 @@ def _boxes_match(a: list[BoundingBox], b: list[BoundingBox], tol: float) -> bool
 def pools_match(a: PoolState, b: PoolState, coord_tol: float = 1e-6) -> bool:
     """Structural equality of two pools up to coordinate/cost tolerance.
 
-    Compares sequence data only; acquisition state and cached motion
-    statistics are ignored (neither survives a write/load round trip).
+    Compares sequence data, the only state a pool holds.
     """
     if sorted(a.sequences) != sorted(b.sequences):
         return False

@@ -118,7 +118,7 @@ def _generate_sequence(
             ix, iy = int(round(pos[j, 0])), int(round(pos[j, 1]))
             raster[iy : iy + h_j, ix : ix + w_j] = bright[iy : iy + h_j, ix : ix + w_j]
             rects.append((ix, iy, w_j, h_j))
-        raster.flags.writeable = False  # read-only like a loaded raster: flow_cache relies on it
+        raster.flags.writeable = False  # read-only like a loaded raster: no run edits it
         flags = _occlusion_flags(rects)
         boxes = []
         for j, (ix, iy, w_j, h_j) in enumerate(rects):

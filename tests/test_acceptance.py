@@ -486,7 +486,7 @@ def test_criterion_09_selection_matches_enumeration():
     pool = PoolState.from_sequences(
         [make_sequence(sid, n_frames=lengths[sid]) for sid in ids]
     )
-    flow = {sid: FlowStats(motion[sid], boxes[sid], 10, 25) for sid in ids}
+    flow = {sid: FlowStats(motion[sid], boxes[sid]) for sid in ids}
     # The runner offers only what is not labeled yet; p2 is labeled.
     unlabeled = [sid for sid in ids if sid != "p2"]
     problems = []

@@ -187,7 +187,7 @@ def pool_of(lengths):
 def flow_of(motion, boxes=None):
     """Flow statistics per id from per-frame motion (and box) lists."""
     return {
-        sid: FlowStats(m, m if boxes is None else boxes[sid], 10, 25)
+        sid: FlowStats(m, m if boxes is None else boxes[sid])
         for sid, m in motion.items()
     }
 

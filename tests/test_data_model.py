@@ -29,6 +29,7 @@ from seqal.pool import (
     write_pgm,
     write_pool,
 )
+from seqal.surrogate import pool_feature_table
 
 from conftest import count_calls, make_meta, make_pool, make_sequence, pools_match
 
@@ -184,17 +185,17 @@ def test_mean_center_shift_matches_hand_computation():
             BoundingBox(2, 0.9, 0.9, 0.1, 0.1),
         ],
     )
-    seq = Sequence(make_meta("s"), [f0, f1])
+    features, _ = pool_feature_table(PoolState.from_sequences([Sequence(make_meta("s"), [f0, f1])]))
     shift_frame1 = math.hypot(0.3, 0.4) + math.hypot(0.0, 0.1)
     expected = (0.0 + shift_frame1) / 2  # summed within a frame, averaged over frames
-    assert seq.mean_center_shift() == pytest.approx(expected, abs=1e-12)
+    assert features["s"][1] == pytest.approx(expected, abs=1e-12)
 
 
 def test_sequence_counting_helpers():
     seq = make_sequence("s", n_frames=3, boxes_per_frame=2)
     assert seq.n_frames == 3
     assert seq.total_boxes() == 6
-    assert seq.mean_box_count() == pytest.approx(2.0)
+    assert pool_feature_table(PoolState.from_sequences([seq]))[0]["s"][0] == pytest.approx(2.0)
     assert seq.occluded_boxes() == 0
 
 

@@ -9,8 +9,8 @@ asserts that:
 
 - two runs on the same pool object write the same bytes in all six CSVs, and
   so does a run on a freshly generated pool;
-- the caller's pool comes back unchanged, box tuples and raster bytes
-  included;
+- the caller's pool comes back unchanged in every field of its sequences,
+  frames and boxes, raster bytes included;
 - a replay from the run's own traces writes the same ``records.csv``,
   ``ledger.csv``, ``curves.csv`` and ``aggregate.csv``;
 - ``write_pool`` of ``load_pool(write_pool(pool))`` writes the same bytes as
@@ -25,7 +25,7 @@ because creating the pool files is most of the harness's time.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -84,17 +84,25 @@ def tree_bytes(root: Path) -> dict[str, bytes]:
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def box_tuple(b) -> tuple:
-    return (b.class_id, b.cx, b.cy, b.w, b.h, b.occluded)
+def plain(value):
+    """A copy of value to compare with ==: a dataclass as its fields'
+    values, containers element by element, an array as its dtype, shape and
+    bytes."""
+    if is_dataclass(value):
+        return [(f.name, plain(getattr(value, f.name))) for f in fields(value)]
+    if isinstance(value, list):
+        return [plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: plain(v) for k, v in value.items()}
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    return value
 
 
 def snapshot(pool) -> list:
-    """Everything a run must leave as it was: metadata, box tuples and raster
-    bytes. Flow statistics a run caches on the sequences are not compared."""
-    return [
-        (sid, repr(seq.meta), [(f.frame_id, list(map(box_tuple, f.boxes)), f.raster.tobytes()) for f in seq.frames])
-        for sid, seq in sorted(pool.sequences.items())
-    ]
+    """Everything a run must leave as it was: every field of each Sequence
+    and of its frames and boxes, raster bytes included."""
+    return [(sid, plain(seq)) for sid, seq in sorted(pool.sequences.items())]
 
 
 def run(cfg: RunConfig, out: Path, pool=None) -> dict[str, bytes]:

@@ -214,10 +214,10 @@ def test_one_label_call_per_computed_sequence(monkeypatch):
     seq = make_sequence("s", n_frames=9, raster_size=(16, 16))
     compute_flow_stats(seq)
     compute_flow_stats(seq)
-    assert len(calls) == 1
+    assert len(calls) == 2
 
 
-def test_generated_rasters_are_read_only_under_the_cache():
+def test_generated_rasters_are_read_only():
     pool = generate_pool(GenConfig(n_sequences=4, frame_len_range=(4, 6), raster_size=(32, 32)))
     seq = next(iter(pool.sequences.values()))
     stats = compute_flow_stats(seq)
@@ -269,29 +269,28 @@ def test_compute_flow_stats_frame_zero_is_zero():
     assert all(m > 0 for m in stats.motion_scores[1:])
 
 
-def test_compute_flow_stats_caches_on_sequence():
-    before = fp.computations()
-    seq = make_sequence("s", n_frames=3, raster_size=(16, 16))
-    first = compute_flow_stats(seq)
-    assert fp.computations() - before == 1
-    again = compute_flow_stats(seq)
-    assert fp.computations() - before == 1, "cached call must not recompute"
-    assert again == first
-    assert seq.flow_cache[(fp.DEFAULT_THRESHOLD, fp.DEFAULT_MIN_AREA)] is first
-
-
 def test_compute_flow_stats_cache_keyed_by_parameters():
-    before = fp.computations()
+    # distinct parameters give a fresh sequence's stats
     seq = make_sequence("s", n_frames=6, raster_size=(16, 16))
     loose = compute_flow_stats(seq, 10, 25)
     assert sum(loose.box_estimates) > 0
     strict = compute_flow_stats(seq, 200, 1)
-    fresh = compute_flow_stats(make_sequence("s", n_frames=6, raster_size=(16, 16)), 200, 1)
-    assert strict == fresh
-    assert seq.flow_cache[(200, 1)] == fresh
-    assert compute_flow_stats(seq, 10, 25) == loose
-    assert seq.flow_cache[(10, 25)] == loose
-    # one computation per sequence per parameter pair
+    assert strict == compute_flow_stats(make_sequence("s", n_frames=6, raster_size=(16, 16)), 200, 1)
+    assert strict != loose
+
+
+def test_compute_flow_stats_reads_replaced_rasters():
+    before = fp.computations()
+    seq = make_sequence("s", n_frames=4, raster_size=(16, 16))
+    moving = compute_flow_stats(seq)
+    assert sum(moving.motion_scores) > 0
+    seq.frames[2].raster = seq.frames[1].raster
+    still = compute_flow_stats(seq)
+    assert still.motion_scores[2] == still.box_estimates[2] == 0
+    assert still.motion_scores[1] == moving.motion_scores[1]
+    assert still == compute_flow_stats(
+        Sequence(seq.meta, [Frame(f.frame_id, f.boxes, f.raster.copy()) for f in seq.frames])
+    )
     assert fp.computations() - before == 3
 
 

@@ -3,6 +3,7 @@
 import csv
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import seqal.flowproxy as fp
@@ -20,7 +21,7 @@ from seqal.runner import (
     run_experiment,
     write_records,
 )
-from seqal.synth import GenConfig
+from seqal.synth import GenConfig, generate_pool
 
 from conftest import count_calls, make_pool, make_sequence
 
@@ -211,9 +212,32 @@ def test_flow_stats_computed_once_per_sequence():
     pool = runner_pool(raster_size=(16, 16))
     run_experiment(tiny_cfg(kind="min_motion"), pool=pool)
     assert fp.computations() - before == len(pool.train_ids)
-    # a second strategy over the same pool reuses every cached result
+    # a second run over the same pool computes them again: nothing is cached
     run_experiment(tiny_cfg(kind="min_boxes"), pool=pool)
-    assert fp.computations() - before == len(pool.train_ids)
+    assert fp.computations() - before == 2 * len(pool.train_ids)
+
+
+def test_flow_run_reads_the_rasters_the_pool_holds_now():
+    cfg = RunConfig(
+        pool_source=GenConfig(rng_seed=0, n_sequences=20, frame_len_range=(5, 8)),
+        strategy=StrategySpec("min_motion"),
+        rounds=3,
+        seeds=(0,),
+        evaluate=False,
+    )
+
+    def zero_rasters(pool):
+        for seq in pool.sequences.values():
+            for frame in seq.frames:
+                frame.raster = np.zeros_like(frame.raster)
+        return pool
+
+    pool = generate_pool(cfg.pool_source)
+    run_experiment(cfg, pool=pool)
+    rerun = run_experiment(cfg, pool=zero_rasters(pool))
+    fresh = run_experiment(cfg, pool=zero_rasters(generate_pool(cfg.pool_source)))
+    assert [r.selected for r in rerun] == [r.selected for r in fresh]
+    assert [r.selected for r in fresh[1:]] == [("seq000",), ("seq001",), ("seq002",)]
 
 
 def test_feature_table_built_only_when_read(monkeypatch, tmp_path):

@@ -18,6 +18,7 @@ from seqal.pool import (
     Split,
     clamp_box,
 )
+from seqal.runner import filter_small_boxes
 from seqal.surrogate import (
     ScoreTrace,
     SurrogateState,
@@ -27,11 +28,11 @@ from seqal.surrogate import (
     predict_test,
     quality,
     read_traces,
-    sequence_feature,
     target_quality,
     write_traces,
 )
 
+from seqal.synth import GenConfig, generate_pool
 from seqal.tables import parsed_rows, write_table
 
 from conftest import count_calls, make_meta, make_pool, make_sequence
@@ -55,8 +56,10 @@ def build_state(pool, labeled_ids, kappa=0.35, noise_seed=7, round_index=1):
 
 
 def test_sequence_feature_layout():
+    seqs = [make_sequence(f"t{scene}", scene=scene) for scene in (9, 1)]
     seq = make_sequence("s", n_frames=2, boxes_per_frame=3, scene=5, season=Season.SUMMER)
-    feat = sequence_feature(seq, train_scenes=[1, 5, 9])
+    features, _ = pool_feature_table(PoolState.from_sequences([*seqs, seq]))
+    feat = features["s"]
     assert feat.shape == (2 + 3 + 1,)
     assert feat[0] == pytest.approx(3.0)  # mean box count
     assert feat[2:5].tolist() == [0.0, 1.0, 0.0]
@@ -64,9 +67,68 @@ def test_sequence_feature_layout():
 
 
 def test_sequence_feature_unseen_scene_zero_block():
-    seq = make_sequence("s", scene=99)
-    feat = sequence_feature(seq, train_scenes=[0, 1])
-    assert feat[2:4].tolist() == [0.0, 0.0]
+    seqs = [make_sequence(f"t{scene}", scene=scene) for scene in (0, 1)]
+    seq = make_sequence("s", scene=99, split=Split.TEST)
+    features, _ = pool_feature_table(PoolState.from_sequences([*seqs, seq]))
+    assert features["s"][2:4].tolist() == [0.0, 0.0]
+
+
+def mean_box_count(seq: Sequence) -> float:
+    """Oracle: the mean per-frame box count, box by box."""
+    return seq.total_boxes() / seq.n_frames
+
+
+def mean_center_shift(seq: Sequence) -> float:
+    """Oracle: mean per-frame sum of box-center displacements, in normalized
+    units. Boxes are paired across consecutive frames by list position;
+    frame 0 contributes zero."""
+    if seq.n_frames == 1:
+        return 0.0
+    total = 0.0
+    for prev, curr in zip(seq.frames, seq.frames[1:]):
+        for a, b in zip(prev.boxes, curr.boxes):
+            total += float(np.hypot(b.cx - a.cx, b.cy - a.cy))
+    return total / seq.n_frames
+
+
+def drawn_pool(rng: np.random.Generator, n_sequences: int) -> PoolState:
+    """Sequences of 1-6 frames of 0-4 boxes, about a third of them small
+    enough for the default box filter to drop."""
+    seqs = []
+    for i in range(n_sequences):
+        frames = []
+        for fid in range(int(rng.integers(1, 7))):
+            sides = rng.choice([0.05, 0.2], size=int(rng.integers(0, 5)), p=[1 / 3, 2 / 3])
+            boxes = [clamp_box(0, *rng.uniform(0.0, 1.0, 2), side, side) for side in sides]
+            frames.append(Frame(fid, boxes))
+        split = rng.choice(list(Split))
+        seqs.append(Sequence(make_meta(f"d{i:02d}", scene=int(rng.integers(0, 3)), split=split), frames))
+    return PoolState.from_sequences(seqs)
+
+
+def test_feature_table_matches_box_by_box_oracle():
+    rng = np.random.default_rng(11)
+    pools = [drawn_pool(rng, 8) for _ in range(30)]
+    pools += [generate_pool(GenConfig(rng_seed=s, n_sequences=12, frame_len_range=(1, 9))) for s in range(3)]
+    seen = set()
+    for pool in pools:
+        kept = filter_small_boxes(pool)
+        features, _ = pool_feature_table(kept)
+        for sid, seq in kept.sequences.items():
+            assert features[sid][:2].tolist() == [mean_box_count(seq), mean_center_shift(seq)]
+            before = [len(f.boxes) for f in pool.sequences[sid].frames]
+            after = [len(f.boxes) for f in seq.frames]
+            if seq.n_frames == 1:
+                seen.add("one frame")
+            if sum(after) == 0:
+                seen.add("box-free")
+            if seq.n_frames > 1 and (after[0] < before[0] or after[-1] < before[-1]):
+                seen.add("filtered at a boundary")
+            if any(a == 0 < b for a, b in zip(after, before)):
+                seen.add("emptied frame")
+            if any(a != b for a, b in zip(after, after[1:])):
+                seen.add("count changes")
+    assert seen == {"one frame", "box-free", "filtered at a boundary", "emptied frame", "count changes"}
 
 
 def test_sigma_is_median_pairwise_train_distance():
