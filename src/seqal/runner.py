@@ -389,7 +389,7 @@ def run_experiment(
                 if not cfg.replay:
                     state = surrogate_state(rnd)
                     qs = surrogate.quality(state, test_targets).tolist() if test_seqs else []
-                    preds, _ = surrogate.detection_rows(noise_seed, rnd, test_seqs, qs)
+                    preds, _ = surrogate.detection_rows(noise_seed, rnd, test_seqs, qs, test_truths)
                     trace.test_metrics[rnd] = metrics.mean_ap_rows(
                         preds, test_truths, cfg.iou_thresholds
                     )

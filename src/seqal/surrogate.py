@@ -13,12 +13,12 @@ every frame's seeded state in one array pass that re-derives the
 SeedSequence hash and PCG64 seeding bit for bit, without building the
 generators. frame_noise steps those states as arrays for one uniform and
 one integer per frame (next_double and 32-bit Lemire, re-derived).
-detection_rows seats one reused Generator at each frame's state and draws
-random() and standard_normal(4) per box: numpy's uniform(a, b) is a +
-(b - a) * random() and normal(0, sd) is 0.0 + sd * standard_normal(), so
-the rest of a round's test detections is arithmetic on one row array.
+detection_rows steps every test frame's state in lockstep and decodes the
+words as numpy's Generator reads them; only a normal off the ziggurat's
+fast path, or a Poisson rate of 10 or more, is drawn by a seated Generator.
 Under NEP 19 the bit streams are stable across numpy versions, the
 Generator algorithms are not; the per-frame oracle tests flag a change.
+Shifts and masks are np.uint64: numpy 1.24 casts uint64 with int64 to float64.
 
 A ScoreTrace holds one seed's outputs; the runner reads every output from
 it, filled live or read back from the files write_traces wrote, in tables'
@@ -34,6 +34,7 @@ conformal runs pay for.
 
 from __future__ import annotations
 
+import math
 import operator
 import zlib
 from dataclasses import dataclass, field, replace
@@ -42,8 +43,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FeatureError, TraceError
+from .metrics import truth_rows
 from .pool import BoundingBox, PoolState, Sequence
 from .tables import count, optional_unit, parsed_rows, unit, write_table
+from .ziggurat import KI, WI
 
 EPSILON_HALF_WIDTH = 0.05
 JITTER_SD_SCALE = 0.08
@@ -160,6 +163,10 @@ _EPS_SPAN = EPSILON_HALF_WIDTH - _EPS_LOW
 _ETA_LOW, _ETA_HIGH = -1, 2
 _ETA_SPAN = np.uint64(_ETA_HIGH - _ETA_LOW)
 _ETA_REJECT_BELOW = np.uint64(2**32 % (_ETA_HIGH - _ETA_LOW))
+# A normal's word: layer in the low byte, sign in bit 8, rabs in bits 9-60.
+_U64_9, _U64_30 = np.uint64(9), np.uint64(30)
+_U64_LAYER, _U64_SIGN, _U64_RABS = np.uint64(0xFF), np.uint64(0x100), np.uint64(2**52 - 1)
+_BOX_READS, _FP_READS = 6, 5
 
 
 def _uint32_words(value: int) -> list[np.ndarray]:
@@ -222,9 +229,9 @@ def _pcg_step(hi, lo, inc_hi, inc_lo):
     """One 128-bit LCG step, state * multiplier + increment, on 64-bit limbs."""
     a0, a1 = lo & _U64_LOW32, lo >> _U64_32
     b0, b1 = _PCG_MULT_LO_HALVES
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> _U64_32) + (p01 & _U64_LOW32) + (p10 & _U64_LOW32)
-    carry = a1 * b1 + (p01 >> _U64_32) + (p10 >> _U64_32) + (mid >> _U64_32)
+    mid = a1 * b0 + ((a0 * b0) >> _U64_32)
+    low_mid = (mid & _U64_LOW32) + a0 * b1
+    carry = a1 * b1 + (mid >> _U64_32) + (low_mid >> _U64_32)
     prod_lo = lo * _PCG_MULT_LO
     new_lo = prod_lo + inc_lo
     new_hi = carry + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO + inc_hi
@@ -272,11 +279,41 @@ def _frame_states(
 
 
 def _seat(rng: np.random.Generator, states, i: int) -> np.random.Generator:
-    """rng with its PCG64 set to frame i's seeded state from _frame_states."""
+    """rng with its PCG64 set to frame i's state in _frame_states' layout."""
     hi, lo, inc_hi, inc_lo = (int(a[i]) for a in states)
     rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
                                "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo}}
     return rng
+
+
+def _doubles(words: np.ndarray) -> np.ndarray:
+    """numpy's next_double of each PCG64 output: its top 53 bits over 2**53."""
+    return (words >> _U64_11).astype(np.float64) * (1.0 / 2.0**53)
+
+
+def _lockstep(states, reads: np.ndarray, jitter=None, rng=None):
+    """The next reads[i] words of frame i's stream, in column i, the standard
+    normals of a jitter frame's reads t with t % 6 in 1..4, and the states
+    after. Frames step sorted longest first, so those still reading are a
+    prefix; a normal off the ziggurat's fast path (rabs >= KI[layer]) is
+    drawn by rng seated at the frame's state, which the draw then advances."""
+    order = np.argsort(-reads, kind="stable")
+    hi, lo, inc_hi, inc_lo = ranked = [a[order] for a in states]
+    words = np.zeros((int(reads.max(initial=0)), len(reads)), dtype=np.uint64)
+    normals = np.zeros(words.shape)
+    prefix = len(reads) - np.cumsum(np.bincount(reads, minlength=len(words)))
+    for t, m in enumerate(prefix[: len(words)].tolist()):
+        h, l = _pcg_step(hi[:m], lo[:m], inc_hi[:m], inc_lo[:m])
+        w = words[t, :m] = _xsl_rr(h, l)
+        if jitter is not None and 1 <= t % _BOX_READS <= 4:
+            rabs, layer = (w >> _U64_9) & _U64_RABS, w & _U64_LAYER
+            normals[t, :m] = rabs * WI[layer] * np.where(w & _U64_SIGN, -1.0, 1.0)
+            for s in np.flatnonzero(jitter[order[:m]] & (rabs >= KI[layer])):
+                normals[t, s] = _seat(rng, ranked, s).standard_normal()
+                h[s], l[s] = divmod(rng.bit_generator.state["state"]["state"], 2**64)
+        hi[:m], lo[:m] = h, l
+    back = np.argsort(order)
+    return words[:, back], normals[:, back], [a[back] for a in ranked]
 
 
 def frame_noise(
@@ -296,7 +333,7 @@ def frame_noise(
     hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
     second = _xsl_rr(hi, lo)
 
-    eps = _EPS_LOW + _EPS_SPAN * ((first >> _U64_11).astype(np.float64) * (1.0 / 2.0**53))
+    eps = _EPS_LOW + _EPS_SPAN * _doubles(first)
     product = (second & _U64_LOW32) * _ETA_SPAN
     eta = (product >> _U64_32).astype(np.int64) + _ETA_LOW
     rng = np.random.Generator(np.random.PCG64())  # seated before every draw
@@ -336,46 +373,68 @@ def frame_scores(
 
 
 def detection_rows(
-    noise_seed: int, round_index: int, seqs: list[Sequence], qs: list[float]
+    noise_seed: int, round_index: int, seqs: list[Sequence], qs: list[float],
+    truths: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Detections for every frame of seqs, qs[i] the quality of seqs[i], as
-    rows (frame, cx, cy, w, h, conf, class), frames counted across seqs,
-    and each row's source: its box's index among seqs' boxes, -1 for a false
-    positive. Boxes are jittered with Gaussian noise of sd 0.08*(1-q),
-    dropped with probability 0.5*(1-q) and given confidence clamp(q + eps,
-    0.05, 0.99); after them come the frame's false positives, at Poisson
-    rate 0.3*(1-q) and with confidence at most 0.4. At q -> 1 the rows
-    converge to the truth."""
-    states = [a.tolist() for a in _frame_states(noise_seed, round_index, seqs)]
-    rng = np.random.Generator(np.random.PCG64())  # seated before every frame
-    truths, normals, fps = [], [], []  # (frame, cx, cy, w, h, q, class, u, u) per box
-    frame = 0
-    for seq, q in zip(seqs, qs):
-        jitters = JITTER_SD_SCALE * (1.0 - q) > 0
-        for f in seq.frames:
-            _seat(rng, states, frame)
-            for b in f.boxes:
-                u_drop = rng.random()
-                normals.append(rng.standard_normal(4) if jitters else np.zeros(4))
-                truths.append((frame, b.cx, b.cy, b.w, b.h, q, b.class_id, u_drop, rng.random()))
-            for _ in range(int(rng.poisson(FALSE_POSITIVE_RATE * (1.0 - q)))):
-                cls = int(rng.integers(0, 4))
-                cx, cy = rng.uniform(0.0, 1.0, size=2)
-                w, h = rng.uniform(0.02, 0.15, size=2)
-                conf = rng.uniform(CONF_FLOOR, FALSE_POSITIVE_MAX_CONF)
-                fps.append((frame, cx, cy, w, h, conf, cls))
-            frame += 1
-
-    rows = np.array(truths, dtype=float).reshape(-1, 9)
-    q = rows[:, 5]
-    kept = ~(rows[:, 7] < DROP_PROB_SCALE * (1.0 - q))
+    """Detections for every frame of seqs, qs[i] the quality of seqs[i] and
+    truths their metrics.truth_rows, as rows (frame, cx, cy, w, h, conf,
+    class), frames counted across seqs, and each row's source: its truth
+    row, -1 for a false positive. Boxes are jittered with Gaussian noise of
+    sd 0.08*(1-q), dropped with probability 0.5*(1-q) and given confidence
+    clamp(q + eps, 0.05, 0.99); after them come the frame's false positives,
+    at Poisson rate 0.3*(1-q) and with confidence at most 0.4. At q -> 1 the
+    rows converge to the truth."""
+    lengths = [seq.n_frames for seq in seqs]
+    qs = np.asarray(qs, dtype=float)
+    q, frame = np.repeat(qs, lengths), truths[:, 0].astype(np.int64)
+    boxes = np.bincount(frame, minlength=len(q))
+    jitter = JITTER_SD_SCALE * (1.0 - q) > 0
+    box_reads = np.where(jitter, _BOX_READS, 2)
+    rng = np.random.Generator(np.random.PCG64())  # seated for each scalar draw
+    states = _frame_states(noise_seed, round_index, seqs)
+    words, normals, states = _lockstep(states, box_reads * boxes, jitter, rng)
+    first = box_reads[frame] * (np.arange(len(frame)) - (np.cumsum(boxes) - boxes)[frame])
+    jittered = jitter[frame]
+    offsets = np.zeros((len(frame), 4))
+    offsets[jittered] = normals[first[jittered, None] + np.arange(1, 5), frame[jittered, None]]
+    # numpy's poisson multiplies next_doubles while the product stays above
+    # exp(-rate) for 0 < rate < 10; PTRS from 10 on, no draw at 0.
+    rate = FALSE_POSITIVE_RATE * (1.0 - qs)
+    rate, limit = (np.repeat(a, lengths) for a in (rate, [math.exp(-r) for r in rate.tolist()]))
+    n_fp = np.zeros(len(q), dtype=np.int64)
+    hi, lo, inc_hi, inc_lo = states
+    for i in np.flatnonzero(rate >= 10):
+        n_fp[i] = _seat(rng, states, i).poisson(rate[i])
+        hi[i], lo[i] = divmod(rng.bit_generator.state["state"]["state"], 2**64)
+    live, product = np.flatnonzero((rate > 0) & (rate < 10)), 1.0
+    while live.size:
+        h, l = hi[live], lo[live] = _pcg_step(hi[live], lo[live], inc_hi[live], inc_lo[live])
+        product *= _doubles(_xsl_rr(h, l))
+        more = product > limit[live]
+        n_fp[live[more]] += 1
+        live, product = live[more], product[more]
+    # False positive k's class: a fresh word's low half for even k, else its high half.
+    fp_words = _lockstep(states, _FP_READS * n_fp + (n_fp + 1) // 2)[0]
+    fp_frame = np.repeat(np.arange(len(q)), n_fp)
+    k = np.arange(len(fp_frame)) - np.repeat(np.cumsum(n_fp) - n_fp, n_fp)
+    pair, odd = (2 * _FP_READS + 1) * (k // 2), k % 2 == 1
+    word = fp_words[pair, fp_frame]
+    cls = np.where(odd, word >> _U64_32, word & _U64_LOW32) >> _U64_30
+    reads = (pair + np.where(odd, _FP_READS + 1, 1))[:, None] + np.arange(_FP_READS)
+    fp_low = np.array([0.0, 0.0, 0.02, 0.02, CONF_FLOOR])  # uniform(low, high), cx .. conf
+    fp_span = np.array([1.0, 1.0, 0.15, 0.15, FALSE_POSITIVE_MAX_CONF]) - fp_low
+    draws = fp_low + fp_span * _doubles(fp_words[reads, fp_frame[:, None]])
+    fps = np.column_stack([fp_frame, draws, cls])
+    q = q[frame]
+    rows = np.column_stack([truths[:, :5], q, truths[:, 5]])
+    kept = ~(_doubles(words[first, frame]) < DROP_PROB_SCALE * (1.0 - q))
     # normal(0, sd) and uniform(-0.05, 0.05), as numpy computes them.
     sd = JITTER_SD_SCALE * (1.0 - q)
-    rows[:, 1:5] += 0.0 + sd[:, None] * np.array(normals).reshape(-1, 4)
+    rows[:, 1:5] += 0.0 + sd[:, None] * offsets
     rows[:, 3:5] = np.minimum(np.maximum(rows[:, 3:5], 1e-3), 1.0)
-    eps = _EPS_LOW + _EPS_SPAN * rows[:, 8]
+    eps = _EPS_LOW + _EPS_SPAN * _doubles(words[first + box_reads[frame] - 1, frame])
     rows[:, 5] = np.minimum(np.maximum(q + eps, CONF_FLOOR), CONF_CEIL)
-    rows = np.concatenate([rows[kept, :7], np.array(fps, dtype=float).reshape(-1, 7)])
+    rows = np.concatenate([rows[kept], fps])
     order = np.argsort(rows[:, 0], kind="stable")
     rows = rows[order]
     # clamp_box's arithmetic: center into [0, 1], extents capped, edges clipped.
@@ -392,7 +451,8 @@ def predict_test(
     """detection_rows for one sequence as a list per frame of (BoundingBox,
     confidence); a kept truth box keeps its class and occlusion flag."""
     q = target_quality(state, seq)
-    rows, source = detection_rows(state.noise_seed, state.round_index, [seq], [q])
+    truths = truth_rows([f.boxes for f in seq.frames])
+    rows, source = detection_rows(state.noise_seed, state.round_index, [seq], [q], truths)
     boxes = [b for f in seq.frames for b in f.boxes]
     out: list[list[tuple[BoundingBox, float]]] = [[] for _ in seq.frames]
     for (frame, cx, cy, w, h, conf, cls), i in zip(rows.tolist(), source.tolist()):

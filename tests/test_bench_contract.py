@@ -111,7 +111,8 @@ def test_worker_counters_match_the_run(bench, tmp_path):
         # detections: detection_rows' rows for the round, sequence by sequence.
         per_frame = [d for seq in test_seqs for d in surrogate.predict_test(state, seq)]
         qs = surrogate.quality(state, np.stack([features[s] for s in pool.test_ids])).tolist()
-        rows, _ = surrogate.detection_rows(0, rnd, test_seqs, qs)
+        truths = metrics.truth_rows([f.boxes for seq in test_seqs for f in seq.frames])
+        rows, _ = surrogate.detection_rows(0, rnd, test_seqs, qs, truths)
         assert [len(d) for d in per_frame] == np.bincount(
             rows[:, 0].astype(int), minlength=len(per_frame)).tolist()
         detections += len(rows)

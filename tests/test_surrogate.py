@@ -1,13 +1,17 @@
+import bisect
 import csv
 import itertools
 import math
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import seqal.surrogate as sg
+from seqal import ziggurat
 from seqal.errors import FeatureError, TraceError
+from seqal.metrics import truth_rows
 from seqal.pool import (
     BoundingBox,
     Frame,
@@ -452,12 +456,13 @@ def test_predict_test_does_not_touch_score_counter(six_pool, monkeypatch):
 @pytest.mark.parametrize(
     "forced_q, fp_rate",
     [(None, sg.FALSE_POSITIVE_RATE), (0.0, sg.FALSE_POSITIVE_RATE), (1.0, sg.FALSE_POSITIVE_RATE),
-     (0.3, 6.0)],
-    ids=["actual-q", "q0", "q1-no-jitter", "many-false-positives"],
+     (0.3, 6.0), (0.0, 12.0)],
+    ids=["actual-q", "q0", "q1-no-jitter", "many-false-positives", "q0-ptrs"],
 )
 def test_predict_test_matches_frame_rng_oracle(monkeypatch, forced_q, fp_rate):
     # Frames with 0 boxes draw only the false-positive count; q = 1 takes
-    # the sd == 0 branch, which draws no normals.
+    # the sd == 0 branch, which draws no normals; a Poisson rate of 12 takes
+    # numpy's PTRS branch instead of multiplying uniforms.
     seqs = [
         make_sequence(f"test{i}", n_frames=6 + i, boxes_per_frame=i % 4, split=Split.TEST, scene=i)
         for i in range(5)
@@ -487,24 +492,76 @@ def oracle_rows(state, seqs):
     return np.array(rows, dtype=float).reshape(-1, 7)
 
 
-@pytest.mark.parametrize("fp_rate", [sg.FALSE_POSITIVE_RATE, 6.0], ids=["default", "many-fp"])
+def detection_rows_loop(noise_seed, round_index, seqs, qs):
+    """detection_rows as it was before its draws were decoded from arrays:
+    one Generator seated at each frame's state, three calls per box, then
+    poisson and the false positives' calls; the rest is row arithmetic."""
+    states = [a.tolist() for a in sg._frame_states(noise_seed, round_index, seqs)]
+    rng = np.random.Generator(np.random.PCG64())  # seated before every frame
+    truths, normals, fps = [], [], []  # (frame, cx, cy, w, h, q, class, u, u) per box
+    frame = 0
+    for seq, q in zip(seqs, qs):
+        jitters = sg.JITTER_SD_SCALE * (1.0 - q) > 0
+        for f in seq.frames:
+            sg._seat(rng, states, frame)
+            for b in f.boxes:
+                u_drop = rng.random()
+                normals.append(rng.standard_normal(4) if jitters else np.zeros(4))
+                truths.append((frame, b.cx, b.cy, b.w, b.h, q, b.class_id, u_drop, rng.random()))
+            for _ in range(int(rng.poisson(sg.FALSE_POSITIVE_RATE * (1.0 - q)))):
+                cls = int(rng.integers(0, 4))
+                cx, cy = rng.uniform(0.0, 1.0, size=2)
+                w, h = rng.uniform(0.02, 0.15, size=2)
+                conf = rng.uniform(sg.CONF_FLOOR, sg.FALSE_POSITIVE_MAX_CONF)
+                fps.append((frame, cx, cy, w, h, conf, cls))
+            frame += 1
+
+    rows = np.array(truths, dtype=float).reshape(-1, 9)
+    q = rows[:, 5]
+    kept = ~(rows[:, 7] < sg.DROP_PROB_SCALE * (1.0 - q))
+    sd = sg.JITTER_SD_SCALE * (1.0 - q)
+    rows[:, 1:5] += 0.0 + sd[:, None] * np.array(normals).reshape(-1, 4)
+    rows[:, 3:5] = np.minimum(np.maximum(rows[:, 3:5], 1e-3), 1.0)
+    eps = sg._EPS_LOW + sg._EPS_SPAN * rows[:, 8]
+    rows[:, 5] = np.minimum(np.maximum(q + eps, sg.CONF_FLOOR), sg.CONF_CEIL)
+    rows = np.concatenate([rows[kept, :7], np.array(fps, dtype=float).reshape(-1, 7)])
+    order = np.argsort(rows[:, 0], kind="stable")
+    rows = rows[order]
+    center = np.minimum(np.maximum(rows[:, 1:3], 0.0), 1.0)
+    half = np.minimum(rows[:, 3:5], 1.0) / 2
+    low, high = np.maximum(center - half, 0.0), np.minimum(center + half, 1.0)
+    rows[:, 1:3], rows[:, 3:5] = (low + high) / 2, high - low
+    return rows, np.concatenate([np.flatnonzero(kept), np.full(len(fps), -1)])[order]
+
+
+def split_truths(seqs):
+    return truth_rows([f.boxes for seq in seqs for f in seq.frames])
+
+
+@pytest.mark.parametrize("fp_rate", [sg.FALSE_POSITIVE_RATE, 6.0, 12.0],
+                         ids=["default", "many-fp", "ptrs"])
 def test_detection_rows_match_frame_rng_oracle(monkeypatch, fp_rate):
     # Several sequences of different lengths per call, so frame numbers run
     # on across sequence boundaries; q at 0, at 1 (the sd == 0 branch, which
-    # draws no normals) and between; frames without boxes; boxes on the
-    # unit square's edges and under the extent floor; negative noise seeds.
+    # draws no normals) and between; frames without boxes and with six;
+    # boxes on the unit square's edges and under the extent floor; negative
+    # noise seeds and 2**64 - 1. At fp_rate 12, q <= 1/6 takes numpy's
+    # PTRS Poisson branch. Every tenth case puts q = 0 on every sequence,
+    # so frames draw several false positives and both halves of the
+    # buffered class word.
     gen = np.random.default_rng(31)
     monkeypatch.setattr(sg, "FALSE_POSITIVE_RATE", fp_rate)
     quality_of = {}
     monkeypatch.setattr(sg, "target_quality", lambda state, seq: quality_of[seq.sequence_id])
+    seated = count_calls(monkeypatch, sg, "_seat")
     edges = (0.0, 1e-4, 0.5, 0.999, 1.0)
-    rows_seen = fp_seen = 0
+    rows_seen = fp_seen = odd_fp_seen = scalar_draws = 0
     for case in range(60):
         seqs = []
         for i in range(int(gen.integers(1, 6))):
             frames = []
             for fid in range(int(gen.integers(1, 9))):
-                n = int(gen.choice([0, 0, 1, 2, 5]))
+                n = int(gen.choice([0, 0, 1, 2, 5, 6]))
                 coords = gen.random((n, 4))
                 coords = np.where(gen.random((n, 4)) < 0.2, gen.choice(edges, (n, 4)), coords)
                 boxes = [
@@ -514,13 +571,20 @@ def test_detection_rows_match_frame_rng_oracle(monkeypatch, fp_rate):
                 ]
                 frames.append(Frame(fid, boxes))
             seq = Sequence(make_meta(f"c{case}s{i}", split=Split.TEST), frames)
-            quality_of[seq.sequence_id] = float(gen.choice([0.0, 1.0, gen.random(), 0.9999]))
+            q = 0.0 if case % 10 == 0 else float(gen.choice([0.0, 1.0, gen.random(), 0.9999]))
+            quality_of[seq.sequence_id] = q
             seqs.append(seq)
         noise_seed = int(gen.integers(-(2**40), 2**40)) if case % 3 else -int(gen.integers(1, 9))
+        noise_seed = 2**64 - 1 if case % 7 == 0 else noise_seed
         round_index = int(gen.integers(0, 20))
         state = SurrogateState(round_index, [], 0.35, noise_seed, 1.0)
         qs = [quality_of[seq.sequence_id] for seq in seqs]
-        rows, source = sg.detection_rows(noise_seed, round_index, seqs, qs)
+        want_rows, want_source = detection_rows_loop(noise_seed, round_index, seqs, qs)
+        del seated[:]
+        rows, source = sg.detection_rows(noise_seed, round_index, seqs, qs, split_truths(seqs))
+        scalar_draws += len(seated)
+        assert np.array_equal(rows, want_rows), case
+        assert np.array_equal(source, want_source), case
         assert np.array_equal(rows, oracle_rows(state, seqs)), case
         boxes = [b for seq in seqs for f in seq.frames for b in f.boxes]
         truth = source >= 0
@@ -530,8 +594,119 @@ def test_detection_rows_match_frame_rng_oracle(monkeypatch, fp_rate):
             assert predict_test(state, seq) == predict_test_loop(state, seq)
         rows_seen += len(rows)
         fp_seen += int(np.sum(~truth))
-    assert rows_seen > 500 and fp_seen > 0
-    assert sg.detection_rows(3, 1, [], [])[0].shape == (0, 7)
+        fp_frames = rows[~truth, 0].astype(int)
+        odd_fp_seen += int(np.sum(np.bincount(fp_frames) // 2)) if fp_frames.size else 0
+    # Normals off the ziggurat's fast path: the frame's later reads shift.
+    assert rows_seen > 500 and fp_seen > 0 and odd_fp_seen > 0 and scalar_draws > 30
+    assert sg.detection_rows(3, 1, [], [], np.zeros((0, 6)))[0].shape == (0, 7)
+
+
+_PCG_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
+
+
+def test_detection_rows_seat_a_generator_only_for_rejected_normals(monkeypatch):
+    # q = 0 and three false positives a frame on a noise seed whose normals
+    # all take the ziggurat's fast path. _xsl_rr is then patched to put two
+    # normal words off it: box 0's first normal of frame 0, in the tail
+    # layer 0, and the last normal of the last box of frame 5, which has
+    # false positives after it. The generator seated there draws the true
+    # normals, so the rows stay the oracle's.
+    monkeypatch.setattr(sg, "FALSE_POSITIVE_RATE", 3.0)
+    seqs = [make_sequence(f"r{i}", n_frames=4, boxes_per_frame=3, split=Split.TEST)
+            for i in range(2)]
+    qs, truths = [0.0, 0.0], split_truths(seqs)
+    want_rows, want_source = detection_rows_loop(0, 2, seqs, qs)
+    assert 5 in want_rows[want_source < 0, 0]
+    states = sg._frame_states(0, 2, seqs)
+    rng = np.random.Generator(np.random.PCG64())
+    before, forced = [], {}
+    for frame, read, layer in ((0, 1, 0), (5, 3 * 6 - 2, 7)):
+        sg._seat(rng, states, frame).bit_generator.advance(read)
+        state = rng.bit_generator.state["state"]
+        before.append(state["state"])
+        after = (state["state"] * _PCG_MULT + state["inc"]) % 2**128
+        forced[np.uint64(after >> 64), np.uint64(after % 2**64)] = np.uint64(
+            (2**52 - 1) << 9 | layer)
+
+    seated = []
+    seat, xsl_rr = sg._seat, sg._xsl_rr
+
+    def recording(rng, states, i):
+        seated.append(seat(rng, states, i).bit_generator.state["state"]["state"])
+        return rng
+
+    def rejecting(hi, lo):
+        out = xsl_rr(hi, lo)
+        for (h, l), word in forced.items():
+            out[(hi == h) & (lo == l)] = word
+        return out
+
+    monkeypatch.setattr(sg, "_seat", recording)
+    rows, source = sg.detection_rows(0, 2, seqs, qs, truths)
+    assert seated == []
+    monkeypatch.setattr(sg, "_xsl_rr", rejecting)
+    rows, source = sg.detection_rows(0, 2, seqs, qs, truths)
+    assert sorted(seated) == sorted(before)
+    assert np.array_equal(rows, want_rows) and np.array_equal(source, want_source)
+
+
+def test_detection_rows_seat_no_generator_at_q1(monkeypatch):
+    # q = 1 draws no normals and no false positives: two doubles a box.
+    seqs = [make_sequence(f"t{i}", n_frames=20, boxes_per_frame=6, split=Split.TEST)
+            for i in range(3)]
+    want_rows, want_source = detection_rows_loop(4, 1, seqs, [1.0] * 3)
+    seated = count_calls(monkeypatch, sg, "_seat")
+    rows, source = sg.detection_rows(4, 1, seqs, [1.0] * 3, split_truths(seqs))
+    assert seated == []
+    assert np.array_equal(rows, want_rows) and np.array_equal(source, want_source)
+    assert len(rows) == 3 * 20 * 6
+
+
+def test_ziggurat_tables_decode_standard_normal():
+    # Each draw takes the fast path exactly when its first word's rabs is
+    # under KI[layer], and then equals +/-rabs * WI[layer]. Draws off it
+    # take more words; a generator advanced to the draw resolves them, and
+    # its state after the draw says how many words they took.
+    n = 100_000
+    words = np.random.PCG64(23).random_raw(n + n // 20)
+    draws = np.random.Generator(np.random.PCG64(23)).standard_normal(n)
+    layer = (words & np.uint64(0xFF)).astype(np.intp)
+    rabs = (words >> np.uint64(9)) & np.uint64(2**52 - 1)
+    fast = rabs < ziggurat.KI[layer]
+    sign = np.where(words & np.uint64(0x100), -1.0, 1.0)
+    values = rabs.astype(np.float64) * ziggurat.WI[layer] * sign
+    fast_layers, slow_layers = set(), set()
+    slow = np.flatnonzero(~fast).tolist() + [len(words)]
+    pos = k = 0
+    while True:
+        stop = min(slow[bisect.bisect_left(slow, pos)], pos + n - k)
+        assert np.array_equal(draws[k:k + stop - pos], values[pos:stop])
+        fast_layers.update(layer[pos:stop].tolist())
+        k, pos = k + stop - pos, stop
+        if k == n:
+            break
+        rng = np.random.Generator(np.random.PCG64(23))
+        rng.bit_generator.advance(pos)
+        assert rng.standard_normal() == draws[k]
+        after = rng.bit_generator.state["state"]["state"]
+        step, used = np.random.PCG64(23), 1
+        step.advance(pos + 1)
+        while step.state["state"]["state"] != after:
+            step.advance(1)
+            used += 1
+        slow_layers.add(int(layer[pos]))
+        k, pos = k + 1, pos + used
+    assert fast_layers == set(range(256)) - {1}  # KI[1] is 0
+    assert {0, 1} <= slow_layers
+
+
+def test_ziggurat_tables_are_numpys_bytes():
+    lib = Path(np.random.__file__).parent / "lib" / "libnpyrandom.a"
+    if not lib.is_file():
+        pytest.skip(f"no {lib.name} in this numpy install to compare the tables with")
+    blob = lib.read_bytes()
+    assert ziggurat.WI.tobytes() in blob  # wi_double
+    assert ziggurat.KI.tobytes() in blob  # ki_double
 
 
 def test_predict_test_deterministic(six_pool):
