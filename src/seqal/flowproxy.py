@@ -8,8 +8,8 @@ the integer sum of that difference, and its box estimate counts the
 area clears ``min_area``. One ``ndimage.label`` call labels every pair: the
 masks lie end to end, an empty row after each, and only rows with foreground
 and the row after each are kept, so any run of empty rows becomes one, which
-still keeps components apart. Nothing is cached: every call reads the
-rasters the sequence holds at that moment.
+still keeps components apart. Nothing is cached: every call reads each
+frame's raster once, as the sequence holds it at that moment.
 """
 
 from __future__ import annotations
@@ -67,20 +67,21 @@ def compute_flow_stats(
     Requires a non-empty 2-D uint8 raster of one shape on every frame.
     """
     check_params(threshold, min_area)
-    missing = [f.frame_id for f in seq.frames if f.raster is None]
+    rasters = [f.raster for f in seq.frames]
+    missing = [f.frame_id for f, r in zip(seq.frames, rasters) if r is None]
     if missing:
         raise MissingRasterError(
             f"sequence {seq.sequence_id!r} lacks rasters for frames {missing[:5]}"
         )
-    shape = np.shape(seq.frames[0].raster)
-    for f in seq.frames:
-        r = np.asarray(f.raster)
+    shape = np.shape(rasters[0])
+    for f, r in zip(seq.frames, rasters):
+        r = np.asarray(r)
         if r.dtype != np.uint8 or r.ndim != 2 or r.size == 0 or r.shape != shape:
             raise ShapeError(
                 f"sequence {seq.sequence_id!r} frame {f.frame_id}: raster is {r.dtype} "
                 f"{r.shape}, not non-empty 2-D uint8 shaped like frame 0 {shape}"
             )
-    stack = np.stack([f.raster for f in seq.frames])
+    stack = np.stack(rasters)
     diff = np.maximum(stack[1:], stack[:-1]) - np.minimum(stack[1:], stack[:-1])
     pairs, h, w = diff.shape
     strip = np.zeros((pairs * (h + 1), w), dtype=bool)

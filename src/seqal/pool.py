@@ -8,8 +8,9 @@ per-sequence annotation cost and metadata. Box coordinates are normalized
 center-format (cx, cy, w, h) in the unit square. Text files are UTF-8.
 
 load_pool lists each split's label and frame directories once and joins
-file names as strings. A loaded raster is a read-only uint8 view over its
-PGM file's bytes.
+file names as strings. It checks each PGM's header and size; a frame reads
+its PGM on each raster read, so `run`, `analyze` and `stats` read the pool
+directory as they run, and it must not change under them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ import os
 import re
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from functools import partial
 from pathlib import Path
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -144,11 +147,20 @@ def clamp_box(
 
 @dataclass
 class Frame:
-    """One video frame: its boxes, and optionally an 8-bit grayscale raster."""
+    """One video frame: its boxes, and optionally an 8-bit grayscale raster,
+    held as ``source``: the array, or a function building it on each read."""
 
     frame_id: int
     boxes: list[BoundingBox] = field(default_factory=list)
-    raster: np.ndarray | None = None
+    source: np.ndarray | Callable[[], np.ndarray] | None = None
+
+    @property
+    def raster(self) -> np.ndarray | None:
+        return self.source() if callable(self.source) else self.source
+
+    @raster.setter
+    def raster(self, value) -> None:
+        self.source = value
 
 
 @dataclass
@@ -302,14 +314,18 @@ def format_label_line(box: BoundingBox) -> str:
     return line
 
 
-def read_pgm(path: Path | str) -> np.ndarray:
-    """Read a binary (P5) graymap with maxval 255 as a read-only uint8 view
-    over the file's bytes."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    # Magic, width, height and maxval, then the one whitespace byte before
-    # the payload, whose first pixel may itself be a whitespace byte.
-    header = re.match(rb"\s*(\S+)\s+(\S+)\s+(\S+)\s+(\S+)\s?", data)
+# Magic, width, height and maxval, then the one whitespace byte before the
+# payload, whose first pixel may itself be a whitespace byte.
+_PGM_HEADER = re.compile(rb"\s*(\S+)\s+(\S+)\s+(\S+)\s+(\S+)\s?")
+_PGM_PREFIX = 64
+
+
+def _pgm_layout(path: Path | str, fh: BinaryIO) -> tuple[int, int, int]:
+    """(width, height, payload offset) of the open P5 graymap fh, from its first
+    _PGM_PREFIX bytes or all of it if the header reaches their end; ManifestError if bad."""
+    data = fh.read(_PGM_PREFIX)
+    if (header := _PGM_HEADER.match(data)) is None or header.end() == len(data):
+        header = _PGM_HEADER.match(data + fh.read())
     if header is None or header[1] != b"P5":
         raise ManifestError(f"{path}: not a binary P5 graymap")
     try:
@@ -320,9 +336,17 @@ def read_pgm(path: Path | str) -> np.ndarray:
         raise ManifestError(f"{path}: unsupported maxval {maxval}")
     if width < 0 or height < 0:
         raise ManifestError(f"{path}: malformed PGM header")
-    if len(data) - header.end() < width * height:
+    if os.fstat(fh.fileno()).st_size - header.end() < width * height:
         raise ManifestError(f"{path}: truncated raster payload")
-    return np.frombuffer(data, np.uint8, width * height, header.end()).reshape(height, width)
+    return width, height, header.end()
+
+
+def read_pgm(path: Path | str) -> np.ndarray:
+    """Read a binary (P5) graymap with maxval 255 as a read-only uint8 array."""
+    with open(path, "rb") as fh:
+        width, height, offset = _pgm_layout(path, fh)
+        fh.seek(offset)
+        return np.frombuffer(fh.read(width * height), np.uint8).reshape(height, width)
 
 
 def write_pgm(path: Path | str, raster: np.ndarray) -> None:
@@ -423,8 +447,12 @@ def load_pool(root_dir: Path | str) -> PoolState:
                     f"label file for frame {parsed.frame_id}"
                 )
             pgm = name[: -len(".txt")] + ".pgm"
-            raster = read_pgm(os.path.join(frame_dir, pgm)) if pgm in pgms else None
-            frames[parsed.frame_id] = Frame(parsed.frame_id, parsed.boxes, raster)
+            path, source = os.path.join(frame_dir, pgm), None
+            if pgm in pgms:
+                with open(path, "rb") as fh:
+                    _pgm_layout(path, fh)
+                source = partial(read_pgm, path)
+            frames[parsed.frame_id] = Frame(parsed.frame_id, parsed.boxes, source)
 
     missing = sorted(set(metas) - set(frames_by_seq))
     if missing:
@@ -444,8 +472,8 @@ def write_pool(pool: PoolState, root_dir: Path | str) -> None:
     """Write a pool as a label tree plus manifest under root_dir.
 
     Always creates the three split folders (an empty pool yields the bare
-    skeleton). Frames with rasters additionally produce PGM files. IO
-    failures propagate as OSError.
+    skeleton). Frames with rasters additionally produce PGM files, each
+    raster read before its file is opened. IO failures propagate as OSError.
     """
     root = Path(root_dir)
     for dirname in SPLIT_DIRS.values():
@@ -464,11 +492,11 @@ def write_pool(pool: PoolState, root_dir: Path | str) -> None:
             lines = [format_label_line(b) for b in frame.boxes]
             with open(os.path.join(label_dir, f"{stem}.txt"), "w", encoding="utf-8") as fh:
                 fh.write("\n".join(lines) + ("\n" if lines else ""))
-            if frame.raster is not None:
+            if (raster := frame.raster) is not None:
                 if frame_dir not in frame_dirs:
                     os.makedirs(frame_dir, exist_ok=True)
                     frame_dirs.add(frame_dir)
-                write_pgm(os.path.join(frame_dir, f"{stem}.pgm"), frame.raster)
+                write_pgm(os.path.join(frame_dir, f"{stem}.pgm"), raster)
 
     rows = (
         [sid, cell(seq.meta.cost_hours), seq.meta.scene_id, seq.meta.season.name.lower(),

@@ -174,7 +174,7 @@ def filter_small_boxes(
     """The run-local pool: boxes whose width and height both land under
     min_pixels at the reference resolution are dropped. Every sequence is a
     new Sequence, and a frame that lost boxes a new Frame over the kept
-    boxes and the same raster; nothing the caller passed is edited."""
+    boxes and the same raster source; nothing the caller passed is edited."""
 
     def kept(frame: Frame) -> Frame:
         boxes = [
@@ -187,7 +187,7 @@ def filter_small_boxes(
         ]
         if len(boxes) == len(frame.boxes):
             return frame
-        return Frame(frame.frame_id, boxes, frame.raster)
+        return Frame(frame.frame_id, boxes, frame.source)
 
     return PoolState(
         sequences={

@@ -14,13 +14,14 @@ speeds, headings, spawn positions with their pairing coin flips, the noise
 field, season, time of day, and finally the cost noise). No draw depends on
 the frames: a sequence's rectangles are one integer array of top-left corners,
 shaped (frames, objects, 2), plus each object's sides, and its occlusion
-flags, boxes, rasters and occluded-box count are all read from that array.
+flags, boxes, rasters (rendered per read) and occluded-box count come from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -215,21 +216,21 @@ def _generate_sequence(
     # static scene produces byte-identical consecutive rasters.
     base = (BACKGROUND_LEVEL + noise).astype(np.uint8)
     bright = (OBJECT_LEVEL + noise).astype(np.uint8)
-    rasters = np.broadcast_to(base, (n_frames, height, width)).copy()
-    # One object at a time over all frames; overlapping objects paint the same
-    # bright pixels, so their order does not matter.
-    for (x, y), (w, h) in zip(corners.transpose(1, 2, 0), sides):
-        rows = (y[:, None] + np.arange(h))[:, :, None]
-        cols = (x[:, None] + np.arange(w))[:, None, :]
-        rasters[np.arange(n_frames)[:, None, None], rows, cols] = bright[rows, cols]
-    rasters.flags.writeable = False  # read-only like a loaded raster: no run edits it
+
+    def render(t: int) -> np.ndarray:
+        raster = base.copy()
+        # Overlapping objects paste the same bright pixels, in any order.
+        for (x, y), (w, h) in zip(corners[t].tolist(), sides):
+            raster[y : y + h, x : x + w] = bright[y : y + h, x : x + w]
+        raster.flags.writeable = False  # read-only like a loaded raster: no run edits it
+        return raster
 
     cx, cy = np.moveaxis((corners + sides / 2) / (width, height), 2, 0).tolist()
     ws, hs = (sides / (width, height)).T.tolist()
-    occlusion = np.array(list(Occlusion), dtype=object)[flags].tolist()
-    classes = classes.tolist()
+    occ = np.array(list(Occlusion), dtype=object)[flags].tolist()
+    classes, sides = classes.tolist(), sides.tolist()  # render, called later, reads the list
     frames = [
-        Frame(t, list(map(BoundingBox, classes, cx[t], cy[t], ws, hs, occlusion[t])), rasters[t])
+        Frame(t, list(map(BoundingBox, classes, cx[t], cy[t], ws, hs, occ[t])), partial(render, t))
         for t in range(n_frames)
     ]
 

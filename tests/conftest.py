@@ -42,7 +42,7 @@ def make_sequence(
             h, w = raster_size
             raster = np.full((h, w), 30, dtype=np.uint8)
             raster[fid % h, :] = 200
-        frames.append(Frame(frame_id=fid, boxes=boxes, raster=raster))
+        frames.append(Frame(fid, boxes, raster))
     return Sequence(
         meta=make_meta(sid, cost=cost, scene=scene, season=season, split=split),
         frames=frames,

@@ -226,6 +226,35 @@ def test_run_on_pgm_with_negative_dimensions_is_validation_error(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fault, code", [("truncated", 3), ("removed", 1)])
+def test_run_reads_pgms_during_the_run(tmp_path, monkeypatch, capsys, fault, code):
+    """load_pool checks each PGM but keeps only its path, so a PGM spoiled
+    after the load fails the flow pass that reads it, naming the file."""
+    gen_cfg = write_ini(tmp_path, GEN_INI, "gen.ini")
+    pool_dir = tmp_path / "pool"
+    assert main(["gen", "--config", gen_cfg, "--out", str(pool_dir)]) == 0
+    pgm = pool_dir / "frames" / "training" / f"{load_pool(pool_dir).train_ids[0]}_000001.pgm"
+    load = seqal.runner.load_pool
+
+    def load_then_spoil(root):
+        pool = load(root)
+        if fault == "truncated":
+            pgm.write_bytes(pgm.read_bytes()[:-1])
+        else:
+            pgm.unlink()
+        return pool
+
+    monkeypatch.setattr(seqal.runner, "load_pool", load_then_spoil)
+    tail = RUN_TAIL.format(evaluate="false").replace("kind = entropy", "kind = min_max_motion")
+    run_cfg = write_ini(tmp_path, f"[pool]\nsource = {pool_dir}\n\n" + tail, "run.ini")
+    capsys.readouterr()
+    assert main(["run", "--config", run_cfg, "--out", str(tmp_path / "run")]) == code
+    if fault == "truncated":
+        assert capsys.readouterr().err == f"error: {pgm}: truncated raster payload\n"
+    else:
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{pgm}'\n"
+
+
 @pytest.mark.parametrize("command", ["gen", "run"])
 @pytest.mark.parametrize(
     "setting, message",

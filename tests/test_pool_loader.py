@@ -18,6 +18,7 @@ import pytest
 
 from seqal.errors import ContinuityError, ManifestError
 from seqal.pool import (
+    _PGM_PREFIX,
     SPLIT_DIRS,
     Frame,
     PoolState,
@@ -231,6 +232,14 @@ def test_unmutated_tree_loads_as_the_oracle_does(tmp_path):
     assert assert_same_load(small_tree(tmp_path / "pool")) is not None
 
 
+def test_loaded_pool_writes_back_over_itself_unchanged(tmp_path):
+    """Each frame reads its PGM before write_pool truncates that file."""
+    write_pool(generate_pool(PIN_POOL), tmp_path)
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    write_pool(load_pool(tmp_path), tmp_path)
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
 # --- PGM headers -------------------------------------------------------------
 
 
@@ -259,6 +268,10 @@ def pgm_cases() -> dict[str, bytes]:
             "maxval 65535": b"P5 2 2 65535\n" + bytes(8),
             "float width": b"P5 2.0 2 255\n\x01\x02\x03\x04",
             "non-ASCII byte in a word": b"P5 2\xff 2 255\n\x01\x02\x03\x04",
+            # load_pool reads a bounded prefix; these headers end past it
+            "header padded past the prefix": b"P5" + b" " * _PGM_PREFIX + b"2 2 255\n\x01\x02\x03\x04",
+            "maxval across the prefix end": b"P5 2 2".ljust(_PGM_PREFIX - 2) + b"255\n\x01\x02\x03\x04",
+            "magic past the prefix": b" " * _PGM_PREFIX + b"P5 2 2 255\n\x01\x02\x03\x04",
         }
     )
     return cases
@@ -269,15 +282,23 @@ PGM_CASES = pgm_cases()
 
 @pytest.mark.parametrize("data", PGM_CASES.values(), ids=PGM_CASES.keys())
 def test_read_pgm_matches_oracle(tmp_path, data):
-    path = tmp_path / "x.pgm"
+    """read_pgm, and load_pool of a one-frame pool over the same file: a
+    PGM the oracle rejects fails the load with its message, and one it
+    reads gives its raster when the loaded frame's raster is read."""
+    root = tmp_path / "pool"
+    write_pool(make_pool(n_train=1, n_val=0, n_test=0, n_frames=1, raster_size=(2, 2)), root)
+    path = root / "frames" / "training" / "seq000_000000.pgm"
     path.write_bytes(data)
-    new, old = outcome(read_pgm, path), outcome(oracle_read_pgm, path)
+    old = outcome(oracle_read_pgm, path)
+    loaded = outcome(load_pool, root)
     if isinstance(old, tuple):
-        assert new == old
+        assert outcome(read_pgm, path) == old
+        assert loaded == old
         return
-    assert new.dtype == old.dtype and new.shape == old.shape
-    assert np.array_equal(new, old)
-    assert not new.flags.writeable
+    for new in (read_pgm(path), loaded.sequences["seq000"].frames[0].raster):
+        assert new.dtype == old.dtype and new.shape == old.shape
+        assert np.array_equal(new, old)
+        assert not new.flags.writeable
 
 
 @pytest.mark.parametrize("dims", [b"-2 -2", b"-1 -4", b"2 -2", b"0 -1"])
