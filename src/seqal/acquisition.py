@@ -76,7 +76,17 @@ PARITY_MIN_FIRST = "min_first"
 RESPONSIBILITY_CUTOFF = 0.5
 VARIANCE_FLOOR = 1e-12
 GMM_MAX_ITER = 200
+# An absolute tolerance: the log-likelihood of a few thousand switch scores
+# is in the thousands, where one ulp is about 1e-12, so many fits run to
+# GMM_MAX_ITER. A relative one would move iteration counts and every float
+# of the fit, a behaviour change of its own.
 GMM_TOL = 1e-10
+# fit_gmm2 runs EM in Python floats up to this many distinct values and on
+# numpy arrays above: a Python step costs about 1 us a value, a numpy step
+# about 40 us whatever the count, and the two cross near 32 values. Switch
+# scores of a frame round take a handful of values; the mean switch scores
+# of a sequence round take about one per open sequence.
+GMM_FLOAT_ROWS = 32
 
 
 @dataclass
@@ -160,9 +170,11 @@ def fit_gmm2(values) -> GmmFit:
     Means start at the 25th/75th percentiles with equal weights and pooled
     variance; iteration stops after GMM_MAX_ITER iterations or when the
     log-likelihood moves less than GMM_TOL. EM runs on the distinct values,
-    each weighted by its count (grouped-data EM, McLachlan & Jones 1988).
-    Constant input cannot be split and comes back flagged degenerate; a
-    non-finite value raises DomainError.
+    each weighted by its count (grouped-data EM, McLachlan & Jones 1988):
+    in Python floats up to GMM_FLOAT_ROWS distinct values, on (k, 2) numpy
+    arrays above, and both give the same floats. Constant input cannot be
+    split and comes back flagged degenerate; a non-finite value raises
+    DomainError.
     """
     x = np.asarray(list(values), dtype=float)
     if x.size < 2:
@@ -179,10 +191,27 @@ def fit_gmm2(values) -> GmmFit:
     mu = np.array([np.percentile(x, 25), np.percentile(x, 75)], dtype=float)
     if mu[0] == mu[1]:
         mu = np.array([float(x.min()), float(x.max())])
-    w = np.array([0.5, 0.5])
-    var = np.array([pooled, pooled])
 
     u, c = np.unique(x, return_counts=True)
+    em = _em_floats if u.size <= GMM_FLOAT_ROWS else _em_arrays
+    w, mu, var, iterations = em(u, c, x.size, mu, pooled)
+    order = np.argsort(mu, kind="stable")
+    w, mu, var = w[order], mu[order], var[order]
+    degenerate = bool(abs(mu[1] - mu[0]) < 1e-12)
+    return GmmFit(
+        weights=(float(w[0]), float(w[1])),
+        means=(float(mu[0]), float(mu[1])),
+        variances=(float(var[0]), float(var[1])),
+        iterations=iterations,
+        degenerate=degenerate,
+    )
+
+
+def _em_arrays(u: np.ndarray, c: np.ndarray, n: int, mu: np.ndarray, pooled: float):
+    """fit_gmm2's EM on (k, 2) arrays of the k distinct values u, counts c,
+    and the two components: (weights, means, variances, iterations)."""
+    w = np.array([0.5, 0.5])
+    var = np.array([pooled, pooled])
     prev_ll = -np.inf
     for iterations in range(1, GMM_MAX_ITER + 1):
         log_p = (
@@ -197,7 +226,7 @@ def fit_gmm2(values) -> GmmFit:
         ll = float(np.sum(c * (peak.ravel() + np.log(norm.ravel()))))
 
         mass = np.maximum(resp.sum(axis=0), 1e-300)
-        w = mass / x.size
+        w = mass / n
         mu = (resp * u[:, None]).sum(axis=0) / mass
         var = (resp * (u[:, None] - mu[None, :]) ** 2).sum(axis=0) / mass
         var = np.maximum(var, VARIANCE_FLOOR)
@@ -205,17 +234,63 @@ def fit_gmm2(values) -> GmmFit:
         if abs(ll - prev_ll) < GMM_TOL:
             break
         prev_ll = ll
+    return w, mu, var, iterations
 
-    order = np.argsort(mu, kind="stable")
-    w, mu, var = w[order], mu[order], var[order]
-    degenerate = bool(abs(mu[1] - mu[0]) < 1e-12)
-    return GmmFit(
-        weights=(float(w[0]), float(w[1])),
-        means=(float(mu[0]), float(mu[1])),
-        variances=(float(var[0]), float(var[1])),
-        iterations=iterations,
-        degenerate=degenerate,
-    )
+
+def _em_floats(u: np.ndarray, c: np.ndarray, n: int, mu: np.ndarray, pooled: float):
+    """_em_arrays in Python floats, row by row: the same floats without
+    numpy's per-call cost, which dominates a step over a few values. numpy
+    serves only log, exp and the log-likelihood's sum; everything else
+    repeats numpy's arithmetic, squares as d * d and operands grouped as
+    there."""
+    rows = list(zip(u.tolist(), c.astype(float).tolist()))
+    w0 = w1 = 0.5
+    mu0, mu1 = mu.tolist()
+    v0 = v1 = pooled
+    prev_ll = -math.inf
+    for iterations in range(1, GMM_MAX_ITER + 1):
+        # Python floats round +, -, *, / as numpy does; log and exp are
+        # numpy's, whose last bit can differ from math's.
+        lw0, lw1, lv0, lv1 = np.log(
+            [max(w0, 1e-300), max(w1, 1e-300), 2.0 * math.pi * v0, 2.0 * math.pi * v1]
+        ).tolist()
+        h0, h1 = lw0 - 0.5 * lv0, lw1 - 0.5 * lv1
+        peaks, diffs = [], []
+        for value, _ in rows:
+            d0, d1 = value - mu0, value - mu1
+            l0 = h0 - (0.5 * (d0 * d0)) / v0
+            l1 = h1 - (0.5 * (d1 * d1)) / v1
+            peak = l0 if l0 > l1 else l1  # np.maximum's pick on a tie
+            peaks.append(peak)
+            diffs += (l0 - peak, l1 - peak)
+        shifted = np.exp(diffs).tolist()
+        evens, odds = shifted[::2], shifted[1::2]
+        norms = [a + b for a, b in zip(evens, odds)]
+        terms = [m * (p + g) for (_, m), p, g in zip(rows, peaks, np.log(norms).tolist())]
+        ll = float(np.add.reduce(terms))  # pairwise from 8 terms, as np.sum
+
+        # The sums over the values run down the rows, left to right, from
+        # 0.0: numpy's order for an axis-0 reduce of a C-contiguous array.
+        resp = []
+        m0 = m1 = s0 = s1 = 0.0
+        for (value, m), a, b, norm in zip(rows, evens, odds, norms):
+            r0, r1 = a / norm * m, b / norm * m
+            resp.append((value, r0, r1))
+            m0, m1 = m0 + r0, m1 + r1
+            s0, s1 = s0 + r0 * value, s1 + r1 * value
+        m0, m1 = max(m0, 1e-300), max(m1, 1e-300)
+        w0, w1 = m0 / n, m1 / n
+        mu0, mu1 = s0 / m0, s1 / m1
+        q0 = q1 = 0.0
+        for value, r0, r1 in resp:
+            d0, d1 = value - mu0, value - mu1
+            q0, q1 = q0 + r0 * (d0 * d0), q1 + r1 * (d1 * d1)
+        v0, v1 = max(q0 / m0, VARIANCE_FLOOR), max(q1 / m1, VARIANCE_FLOOR)
+
+        if abs(ll - prev_ll) < GMM_TOL:
+            break
+        prev_ll = ll
+    return np.array([w0, w1]), np.array([mu0, mu1]), np.array([v0, v1]), iterations
 
 
 def _top(values: np.ndarray, b: int) -> np.ndarray:

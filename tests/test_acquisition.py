@@ -1,7 +1,8 @@
 """Strategy selection tests: frame criteria, model scores, GMM, conformal
 criteria, tie rules. The scalar criteria, the per-frame score loop, the
 per-sequence and frame-level score dicts, the per-id catalog dict and the
-tuple-sort ranking that the array code replaced are kept here as oracles."""
+tuple-sort ranking that the array code replaced are kept here as oracles;
+the numpy EM that fit_gmm2 replaced is tests/gmm_oracle.py."""
 
 import math
 
@@ -12,6 +13,7 @@ from seqal import acquisition
 from seqal.acquisition import (
     ALL_KINDS,
     CONFORMAL_KINDS,
+    GMM_FLOAT_ROWS,
     GMM_MAX_ITER,
     GMM_TOL,
     SCORE_KINDS,
@@ -35,6 +37,7 @@ from seqal.flowproxy import FlowStats
 from seqal.pool import PoolState
 from seqal.runner import _frame_candidates
 
+import gmm_oracle
 from conftest import make_sequence
 
 
@@ -939,3 +942,43 @@ def test_fit_gmm2_membership_matches_loop_oracle():
             mismatches.append((index, family))
     assert index + 1 >= 300 and len(families) == 5
     assert mismatches == []
+
+
+def switch_score_sets():
+    """Switch scores with 2 to 12 distinct small integers, 12 sets per
+    count: from 8 distinct values on, np.sum's pairwise order applies to
+    the log-likelihood."""
+    rng = np.random.default_rng(20252)
+    for k in range(2, 13):
+        for _ in range(12):
+            distinct = np.sort(rng.choice(16, size=k, replace=False))
+            counts = rng.integers(1, 600, size=k)
+            yield rng.permutation(np.repeat(distinct, counts)).astype(float)
+
+
+def sequence_mean_sets():
+    """Mean switch scores of open sequences, as a sequence round fits them:
+    one distinct value per sequence, 3 sets each at 20, GMM_FLOAT_ROWS,
+    GMM_FLOAT_ROWS + 1 and 90 sequences, so both EM paths run."""
+    rng = np.random.default_rng(20253)
+    for k in (20, GMM_FLOAT_ROWS, GMM_FLOAT_ROWS + 1, 90):
+        for _ in range(3):
+            distinct = rng.choice(4000, size=k, replace=False) / 1000.0
+            yield rng.permutation(np.repeat(distinct, rng.integers(1, 3, size=k)))
+
+
+def test_fit_gmm2_equals_numpy_oracle():
+    fits, sizes = [], set()
+    inputs = [v for _, v in gmm_instances()] + list(switch_score_sets()) + list(sequence_mean_sets())
+    for values in inputs:
+        fit = fit_gmm2(values)
+        assert fit == gmm_oracle.fit_gmm2(values), values
+        fits.append(fit)
+        sizes.add(len(np.unique(values)))
+    assert len(fits) == 300 + 11 * 12 + 4 * 3
+    assert {GMM_FLOAT_ROWS, GMM_FLOAT_ROWS + 1, 384} <= sizes
+    # both exits of the loop, and the variance floor; the weight floor
+    # (1e-300) is not reached from fit_gmm2's start
+    assert any(f.iterations == GMM_MAX_ITER for f in fits)
+    assert any(0 < f.iterations < GMM_MAX_ITER for f in fits)
+    assert any(VARIANCE_FLOOR in f.variances for f in fits)

@@ -19,6 +19,8 @@ from seqal import pool as pool_mod
 from seqal.surrogate import SurrogateState
 from seqal.synth import GenConfig, generate_pool
 
+import gmm_oracle
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SMALL_POOL = GenConfig(rng_seed=0, n_sequences=30, frame_len_range=(20, 26))
 WRAPPED_MODULES = (acquisition, flowproxy, metrics, runner, surrogate, pool_mod)
@@ -55,10 +57,13 @@ def test_checks_pass_on_the_workload_configs(bench, tmp_path):
     assert checks.check_gauss(generate_pool(SMALL_POOL), 0, live, again) == []
 
 
-def test_worker_counters_match_the_run(bench, tmp_path):
+def test_worker_counters_match_the_run(bench, tmp_path, monkeypatch):
     _, workloads, worker = bench
     entropy = replace(workloads.entropy_config(0), pool_source=SMALL_POOL)
     gauss = replace(workloads.gauss_config(0), pool_source=SMALL_POOL)
+    fits = []  # the values of every 2-GMM fit, under the worker's wrapper
+    fit_gmm2 = acquisition.fit_gmm2
+    monkeypatch.setattr(acquisition, "fit_gmm2", lambda values: fits.append(values) or fit_gmm2(values))
     saved = {mod: dict(vars(mod)) for mod in WRAPPED_MODULES}
     tracer = worker.Tracer()
     try:
@@ -77,6 +82,12 @@ def test_worker_counters_match_the_run(bench, tmp_path):
     # select runs the seed draws only: every later round of both runs ranks
     # through acquisition.rank, which the worker does not wrap.
     assert values["acquisition.select_calls"] == len(entropy.seeds) + len(gauss.seeds) == 4
+    # The gauss run fits its switch scores, small non-negative integers, in
+    # the rounds where they differ; every fit takes as many EM iterations
+    # as the numpy EM fit_gmm2 replaced.
+    assert fits and all(np.ptp(v) > 0 and (v >= 0).all() and (v == np.rint(v)).all() for v in fits)
+    assert values["acquisition.fit_gmm2_calls"] == len(fits)
+    assert values["acquisition.gmm_iterations"] == sum(gmm_oracle.fit_gmm2(v).iterations for v in fits)
     # Every scored frame is one trace row; the entropy run alone evaluates.
     assert values["surrogate.frames_scored"] == (
         csv_rows(tmp_path / "run" / "trace.csv") + csv_rows(tmp_path / "live" / "trace.csv")
