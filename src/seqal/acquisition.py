@@ -10,9 +10,10 @@ selection is a single argmax; ties always break toward the smallest id,
 making selection invariant to enumeration order.
 
 ``rank`` ranks a round's sorted candidates by one value array: a stable
-argsort for the top rule, index draws for random and GauSS. ``select``
-applies it to a list of ids and a dict of their scores; the runner calls
-``select`` only for the seed draw and coreset's greedy cover.
+argsort for the top rule, index draws for random and GauSS. ``coreset``
+grows a greedy k-center cover over rows of one feature matrix. The runner
+ranks every round, the seed draw included, through these two; ``select``
+applies them to a list of ids and a dict of their scores.
 
 Randomness (the random baseline and the GauSS component draw) comes from a
 PCG64 generator seeded with the caller's rng_seed, so a fixed seed fixes the
@@ -173,8 +174,8 @@ def fit_gmm2(values) -> GmmFit:
     each weighted by its count (grouped-data EM, McLachlan & Jones 1988):
     in Python floats up to GMM_FLOAT_ROWS distinct values, on (k, 2) numpy
     arrays above, and both give the same floats. Constant input cannot be
-    split and comes back flagged degenerate; a non-finite value raises
-    DomainError.
+    split and comes back flagged degenerate; a non-finite value, or values
+    whose variance overflows, raise DomainError.
     """
     x = np.asarray(list(values), dtype=float)
     if x.size < 2:
@@ -182,8 +183,11 @@ def fit_gmm2(values) -> GmmFit:
     if not np.isfinite(x).all():
         raise DomainError("cannot fit a mixture to non-finite values")
 
-    spread = float(np.ptp(x))
-    pooled = max(float(np.var(x)), VARIANCE_FLOOR)
+    with np.errstate(over="ignore"):
+        spread, pooled = float(np.ptp(x)), float(np.var(x))
+    if not math.isfinite(pooled):
+        raise DomainError(f"values spread too far to fit: variance {pooled}")
+    pooled = max(pooled, VARIANCE_FLOOR)
     if spread == 0.0:
         mean = float(x[0])
         return GmmFit((0.5, 0.5), (mean, mean), (pooled, pooled), 0, degenerate=True)
@@ -325,17 +329,57 @@ def _gauss_switch_select(values: np.ndarray, b: int, rng_seed: int) -> np.ndarra
     return members[_draw(members.size, b, rng_seed)]
 
 
+def _check_batch(n: int, b: int) -> None:
+    if b < 1:
+        raise DomainError(f"batch must be >= 1, got {b}")
+    if n < b:
+        raise PoolExhaustedError(f"need {b} candidates, only {n} remain")
+
+
+def _check_finite(x: np.ndarray, what: str) -> None:
+    if not np.isfinite(x).all():
+        raise DomainError(f"cannot rank a non-finite {what}: {x[~np.isfinite(x)][0]}")
+
+
 def rank(kind: str, values, n: int, b: int, rng_seed: int | list[int]) -> np.ndarray:
     """Indices of b of n sorted candidates in order of preference: a uniform
     draw for random (values unread), the GauSS draw for gauss_switch, else
-    the b highest values with ties to the smaller index."""
-    if n < b:
-        raise PoolExhaustedError(f"need {b} candidates, only {n} remain")
+    the b highest of the values array with ties to the smaller index."""
+    _check_batch(n, b)
     if kind == KIND_RANDOM:
         return _draw(n, b, rng_seed)
+    _check_finite(values, "value")
     if kind == KIND_GAUSS_SWITCH:
         return _gauss_switch_select(values, b, rng_seed)
     return _top(values, b)
+
+
+def _distances(points: np.ndarray, to: np.ndarray) -> np.ndarray:
+    """Each row's Euclidean distance to one point: the batched matmul takes
+    np.linalg.norm's dot of each 1-D row, where einsum's order moves bits."""
+    d = points - to
+    return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+
+
+def coreset(features, open_rows, center_rows, b: int) -> np.ndarray:
+    """Greedy k-center (Gonzalez 1985; Sener & Savarese 2018): b of the open
+    rows of the (rows, width) features, each the farthest from its nearest
+    center, then a center itself. One array holds those distances, a taken
+    row at -inf; ties go to the smaller row, the first pick without centers."""
+    rows = np.unique(np.asarray(open_rows, dtype=np.intp))
+    _check_batch(rows.size, b)
+    feats = np.asarray(features, dtype=float)
+    _check_finite(feats, "feature")
+    points = feats[rows]
+    nearest = np.full(rows.size, np.inf)
+    for center in feats[np.asarray(center_rows, dtype=np.intp)]:
+        nearest = np.minimum(nearest, _distances(points, center))
+    picks = []
+    for _ in range(b):
+        picks.append(int(np.argmax(nearest)))
+        nearest = np.minimum(nearest, _distances(points, points[picks[-1]]))
+        nearest[picks[-1]] = -np.inf
+    return rows[picks]
 
 
 def catalog_scores(
@@ -368,38 +412,6 @@ def catalog_scores(
     return -motion if use_min else motion
 
 
-def _coreset_greedy(
-    unlabeled: list[str],
-    centers: list[str],
-    features: dict[str, np.ndarray],
-    b: int,
-) -> list[str]:
-    """Greedy k-center: repeatedly take the point farthest from any center."""
-    missing = [s for s in unlabeled + centers if s not in features]
-    if missing:
-        raise MissingScoresError(f"coreset features missing for {missing[:4]}")
-    center_feats = [np.asarray(features[s], dtype=float) for s in centers]
-    best_dist = {}
-    for sid in unlabeled:
-        feat = np.asarray(features[sid], dtype=float)
-        if center_feats:
-            best_dist[sid] = min(float(np.linalg.norm(feat - c)) for c in center_feats)
-        else:
-            best_dist[sid] = math.inf
-    chosen: list[str] = []
-    remaining = list(unlabeled)
-    for _ in range(b):
-        pick = min(remaining, key=lambda sid: (-best_dist[sid], sid))
-        chosen.append(pick)
-        remaining.remove(pick)
-        pick_feat = np.asarray(features[pick], dtype=float)
-        for sid in remaining:
-            d = float(np.linalg.norm(np.asarray(features[sid], dtype=float) - pick_feat))
-            if d < best_dist[sid]:
-                best_dist[sid] = d
-    return chosen
-
-
 def select(
     kind: str,
     ids: list,
@@ -410,24 +422,21 @@ def select(
 ) -> list:
     """Pick b of the candidate ids, in order of selection preference.
 
-    The candidates are sorted first, so their order does not matter. random
-    draws uniformly and reads no scores; coreset reads feature vectors
-    (``scores``) and grows a k-center set from ``centers``, the ids already
-    labeled; gauss_switch takes the GauSS draw; every other kind takes the b
-    highest scores with ties to the smallest id. rng_seed is the
-    SeedSequence entropy of the draws.
+    The candidates are sorted first, so their order does not matter, then
+    ranked by ``rank``, or by ``coreset`` over the feature vectors in
+    ``scores`` with ``centers``, the ids already labeled, as first centers.
+    rng_seed is the SeedSequence entropy of the random and GauSS draws.
     """
     ids = sorted(ids)
-    if len(ids) < b:
-        raise PoolExhaustedError(f"need {b} candidates, only {len(ids)} remain")
     if kind == KIND_RANDOM:
-        return [ids[i] for i in _draw(len(ids), b, rng_seed)]
+        return [ids[i] for i in rank(kind, None, len(ids), b, rng_seed)]
     if scores is None:
         raise MissingScoresError(f"{kind} requires scores")
-    if kind == KIND_CORESET:
-        return _coreset_greedy(ids, list(centers), scores, b)
-    missing = [i for i in ids if i not in scores]
+    rows = ids + list(centers) if kind == KIND_CORESET else ids
+    missing = [i for i in rows if i not in scores]
     if missing:
-        raise MissingScoresError(f"no scores for candidates {missing[:4]}")
-    values = np.array([scores[i] for i in ids], dtype=float)
+        raise MissingScoresError(f"no scores for {missing[:4]}")
+    values = np.array([scores[i] for i in rows], dtype=float)
+    if kind == KIND_CORESET:
+        return [ids[i] for i in coreset(values, range(len(ids)), range(len(ids), len(rows)), b)]
     return [ids[i] for i in rank(kind, values, len(ids), b, rng_seed)]

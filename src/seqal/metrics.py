@@ -281,7 +281,7 @@ def car(curve: PerfCostCurve, budget: float) -> float:
     The curve is held constant to the left of its first point; to the right
     it simply ends, so budgets past the last point integrate only to there.
     """
-    if budget < 0:
+    if not budget >= 0:  # NaN too
         raise DomainError(f"cost budget must be >= 0, got {budget}")
     if not curve.points:
         raise EmptyCurveError("curve has no points")

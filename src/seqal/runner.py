@@ -26,8 +26,9 @@ are the trace's table of the round before.
 The acquisition unit depends on the mode; both modes share one round loop.
 A run's only record of what is labeled is its per-seed map from sequence id
 to labeled frame ids, in the order sequences were first touched. The seed
-draw labels whole sequences; every later round but coreset's ranks its
-sorted candidates by one value array through acquisition.rank.
+draw labels whole sequences. Every round ranks its sorted candidates as
+index arrays: coreset's by acquisition.coreset over one feature matrix,
+every other by one value array through acquisition.rank.
 
 - sequential: the unit is a sequence id at full annotation cost.
 - singular: the unit is a (sequence id, frame id) pair among the round's
@@ -202,23 +203,20 @@ def _select_rng_seed(seed: int, round_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _coreset_features(
-    pool: PoolState, features: dict[str, np.ndarray]
-) -> dict[str, np.ndarray]:
-    """Per-sequence (mean center shift, mean box count, length), standardized
-    over the train split. The two statistics are columns of the surrogate's
-    feature table, read off the annotations, so score-driven runs stay off
-    the flow machinery.
+def _coreset_features(pool: PoolState, features: dict[str, np.ndarray]) -> np.ndarray:
+    """Each train sequence's (mean center shift, mean box count, length),
+    standardized over the train split, one row per sequence in train order.
+    The two statistics are columns of the surrogate's feature table, read
+    off the annotations, so score-driven runs stay off the flow machinery.
     """
-    ids = pool.train_ids
     mat = np.array(
-        [[features[s][1], features[s][0], pool.sequences[s].n_frames] for s in ids],
+        [[features[s][1], features[s][0], pool.sequences[s].n_frames] for s in pool.train_ids],
         dtype=float,
     )
     mean = mat.mean(axis=0)
     sd = mat.std(axis=0)
     sd[sd == 0.0] = 1.0
-    return {sid: (row - mean) / sd for sid, row in zip(ids, mat)}
+    return (mat - mean) / sd
 
 
 def _frame_candidates(
@@ -449,14 +447,16 @@ def run_experiment(
                 ]
                 rng_seed = _select_rng_seed(seed, rnd)
                 if rnd == 0:  # the seed draw: whole sequences, uniformly
-                    picked = acquisition.select(
-                        KIND_RANDOM, open_ids, None, cfg.seed_sequences, [seed, 1]
+                    picks = acquisition.rank(
+                        KIND_RANDOM, None, len(open_ids), cfg.seed_sequences, [seed, 1]
                     )
-                elif kind == KIND_CORESET:
-                    picked = acquisition.select(
-                        kind, open_ids, coreset_feats, batch, rng_seed,
-                        centers=list(labeled_frames),
+                    picked = [open_ids[i] for i in picks]
+                elif kind == KIND_CORESET:  # sequential: a sequence is open or a center
+                    labeled = np.array([s in labeled_frames for s in train_ids])
+                    picks = acquisition.coreset(
+                        coreset_feats, np.flatnonzero(~labeled), np.flatnonzero(labeled), batch
                     )
+                    picked = [train_ids[i] for i in picks]
                 else:  # sequence ids, or (sid, fid) pairs among the unlabeled frames
                     table = detector_scores(rnd, open_ids) if kind in SCORE_KINDS else None
                     # A sequence open now was open in the round before, whose

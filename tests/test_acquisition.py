@@ -26,8 +26,8 @@ from seqal.acquisition import (
     KIND_MIN_MOTION,
     KIND_MOST_FRAME,
     PARITY_MAX_FIRST,
-    _coreset_greedy,
     catalog_scores,
+    coreset,
     fit_gmm2,
     frame_criterion,
     select,
@@ -692,6 +692,11 @@ def test_fit_gmm2_rejects_non_finite(bad):
         fit_gmm2([0.0, 1.0, bad, 2.0])
 
 
+def test_fit_gmm2_rejects_a_spread_whose_variance_overflows():
+    with pytest.raises(DomainError, match="variance inf"):
+        fit_gmm2([0.0, 1e200])
+
+
 def test_responsibilities_rows_sum_to_one():
     fit = fit_gmm2([0.0, 0.1, 0.0, 5.0, 5.1, 5.2])
     resp = fit.responsibilities([0.05, 2.5, 5.05])
@@ -750,6 +755,24 @@ def test_select_pool_exhausted():
         select("entropy", ["a"], {"a": 0.5}, 2, 0)
     with pytest.raises(PoolExhaustedError):
         select("random", [("a", 0)], None, 2, 0)
+
+
+@pytest.mark.parametrize("kind", ["random", "entropy", "gauss_switch"])
+@pytest.mark.parametrize("b", [0, -1])
+def test_rank_and_select_refuse_a_batch_below_one(kind, b):
+    with pytest.raises(DomainError, match=f"got {b}$"):
+        acquisition.rank(kind, np.array([0.3, 0.2, 0.1]), 3, b, 0)
+    with pytest.raises(DomainError, match=f"got {b}$"):
+        select(kind, ["a", "b", "c"], {"a": 0.3, "b": 0.2, "c": 0.1}, b, 0)
+
+
+@pytest.mark.parametrize("kind", ["entropy", "gauss_switch"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_rank_and_select_refuse_a_non_finite_value(kind, bad):
+    with pytest.raises(DomainError, match=f"non-finite value: {bad}$"):
+        acquisition.rank(kind, np.array([0.3, bad, 0.1]), 3, 1, 0)
+    with pytest.raises(DomainError, match=f"non-finite value: {bad}$"):
+        select(kind, ["a", "b", "c"], {"a": 0.3, "b": bad, "c": 0.1}, 1, 0)
 
 
 # --- select: random ------------------------------------------------------
@@ -825,18 +848,59 @@ def test_coreset_hand_case():
 
 
 def test_coreset_matches_kcenter_oracle():
+    """acquisition.coreset against the independent oracle on drawn inputs:
+    widths 1-8, duplicate rows (so distances tie), rows in any order, no
+    centers, b up to the open count, a single open row."""
     rng = np.random.default_rng(9)
-    for trial in range(20):
-        ids = [f"s{i:02d}" for i in range(10)]
-        features = {sid: rng.normal(size=3) for sid in ids}
-        centers = ids[:2]
-        got = _coreset_greedy(ids[2:], centers, features, b=4)
-        assert got == kcenter_oracle(ids[2:], centers, features, 4)
+    seen = set()
+    for trial in range(600):
+        n, width = int(rng.integers(1, 13)), int(rng.integers(1, 9))
+        feats = rng.normal(size=(n, width))
+        if trial % 3 == 0:
+            feats = feats[rng.integers(0, max(1, n // 2), size=n)]
+        order = rng.permutation(n)
+        n_centers = int(rng.integers(0, n))
+        centers, open_rows = order[:n_centers], order[n_centers:]
+        b = int(rng.integers(1, open_rows.size + 1))
+        ids = [f"r{i:02d}" for i in range(n)]
+        want = kcenter_oracle(
+            [ids[i] for i in open_rows], [ids[i] for i in centers], dict(zip(ids, feats)), b
+        )
+        assert [ids[i] for i in coreset(feats, open_rows, centers, b)] == want
+        seen.update(
+            case
+            for case, hit in (
+                ("no centers", n_centers == 0),
+                ("b = open count", b == open_rows.size),
+                ("one open row", open_rows.size == 1),
+                ("duplicates", len(np.unique(feats, axis=0)) < n),
+            )
+            if hit
+        )
+    assert seen == {"no centers", "b = open count", "one open row", "duplicates"}
 
 
 def test_coreset_empty_centers_starts_lexicographic():
     features = {"a": np.array([0.0]), "b": np.array([0.0]), "c": np.array([1.0])}
-    assert _coreset_greedy(["a", "b", "c"], [], features, 1) == ["a"]
+    assert select("coreset", ["c", "b", "a"], features, 1, 0) == ["a"]
+
+
+def test_coreset_refuses_what_it_cannot_rank():
+    feats = np.array([[0.0], [1.0], [2.0]])
+    for b in (0, -1):
+        with pytest.raises(DomainError, match=f"got {b}$"):
+            coreset(feats, [1, 2], [0], b)
+    with pytest.raises(PoolExhaustedError):
+        coreset(feats, [1, 2], [0], 3)
+    for bad in (float("nan"), float("inf")):
+        for row in (0, 2):  # a center row, an open row
+            broken = feats.copy()
+            broken[row, 0] = bad
+            with pytest.raises(DomainError, match=f"non-finite feature: {bad}$"):
+                coreset(broken, [1, 2], [0], 1)
+    with pytest.raises(DomainError, match="non-finite feature: nan$"):
+        select("coreset", ["b"], {"a": np.array([float("nan")]), "b": np.array([1.0])}, 1, 0,
+               centers=["a"])
 
 
 def test_coreset_missing_feature():

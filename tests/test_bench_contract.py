@@ -79,9 +79,10 @@ def test_worker_counters_match_the_run(bench, tmp_path, monkeypatch):
         assert all(vars(mod)[name] is value for name, value in attrs.items()), mod.__name__
     values = tracer.values
 
-    # select runs the seed draws only: every later round of both runs ranks
-    # through acquisition.rank, which the worker does not wrap.
-    assert values["acquisition.select_calls"] == len(entropy.seeds) + len(gauss.seeds) == 4
+    # The runner ranks every round, the seed draws included, through
+    # acquisition.rank and acquisition.coreset, which the worker does not
+    # wrap; select is only the public wrapper over them, so it reads 0.
+    assert values["acquisition.select_calls"] == 0
     # The gauss run fits its switch scores, small non-negative integers, in
     # the rounds where they differ; every fit takes as many EM iterations
     # as the numpy EM fit_gmm2 replaced.

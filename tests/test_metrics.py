@@ -647,6 +647,8 @@ def test_car_zero_budget_and_errors():
     assert car(curve, 0.0) == 0.0
     with pytest.raises(DomainError):
         car(curve, -1.0)
+    with pytest.raises(DomainError, match="got nan$"):
+        car(PerfCostCurve([(1.0, 0.2), (3.0, 0.6)]), float("nan"))
     with pytest.raises(EmptyCurveError):
         car(PerfCostCurve(), 1.0)
 
