@@ -84,21 +84,23 @@ def _cmd_metrics(args: argparse.Namespace) -> None:
     par_budgets = _budgets(args.par_budgets, "--par-budgets", 1.0)
     run_dir = Path(args.run)
     curves = runner.read_curves(run_dir)
-    out_dir = Path(args.out) if args.out else run_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    # Each metrics.par warning (a budget past the best mAP) is one stderr line.
+    sweeps = (
+        ("car_sweep.csv", ["seed", "budget_hours", "car"], car_budgets, metrics.car),
+        ("par_sweep.csv", ["seed", "budget_map", "par"], par_budgets, metrics.par),
+    )
+    # Each metrics.par warning (a budget past the best mAP) is one stderr
+    # line. Every area is computed before any file is written.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for name, header, budgets, area in (
-            ("car_sweep.csv", ["seed", "budget_hours", "car"], car_budgets, metrics.car),
-            ("par_sweep.csv", ["seed", "budget_map", "par"], par_budgets, metrics.par),
-        ):
-            rows = (
-                [seed, cell(budget), cell(area(curve, budget))]
-                for seed, curve in curves.items()
-                for budget in budgets
-            )
-            write_table(out_dir / name, header, rows)
+        tables = [
+            [[seed, cell(budget), cell(area(curve, budget))]
+             for seed, curve in curves.items() for budget in budgets]
+            for _, _, budgets, area in sweeps
+        ]
+    out_dir = Path(args.out) if args.out else run_dir
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for (name, header, _, _), rows in zip(sweeps, tables):
+        write_table(out_dir / name, header, rows)
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
 
@@ -143,15 +145,10 @@ def _cmd_analyze(args: argparse.Namespace) -> None:
         "cost_vs_season": column(lambda q: int(q.meta.season)),
         "cost_vs_time_of_day": column(lambda q: int(q.meta.time_of_day)),
     }
-    report = metrics.CorrelationReport(
-        entries={
-            name: metrics.correlations(costs, values)
-            for name, values in pairs.items()
-        }
-    )
+    entries = {name: metrics.correlations(costs, values) for name, values in pairs.items()}
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    metrics.write_correlation_csv(report, out)
+    metrics.write_correlation_csv(entries, out)
 
 
 def _cmd_stats(args: argparse.Namespace) -> None:

@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, PoolExhaustedError
 from .pool import Sequence
 
@@ -56,7 +58,8 @@ def theoretical_cost_bounds(
     """Cheapest-first and dearest-first cumulative cost envelopes.
 
     Any acquisition order's cumulative cost after k picks lies between
-    lower[k-1] and upper[k-1].
+    lower[k-1] and upper[k-1]. A sum that overflows float64, or a cost that
+    is not finite, raises DomainError.
     """
     if n_rounds < 1:
         raise DomainError(f"n_rounds must be >= 1, got {n_rounds}")
@@ -64,15 +67,14 @@ def theoretical_cost_bounds(
         raise PoolExhaustedError(
             f"cannot bound {n_rounds} rounds with {len(costs)} sequences"
         )
-    ascending = sorted(costs)
-    lower, upper = [], []
-    lo = hi = 0.0
-    for k in range(n_rounds):
-        lo += ascending[k]
-        hi += ascending[-1 - k]
-        lower.append(lo)
-        upper.append(hi)
-    return lower, upper
+    ascending = np.sort(np.asarray(costs, dtype=float))
+    # cumsum adds left to right; a leading 0.0 sums -0.0 costs to +0.0.
+    with np.errstate(over="ignore", invalid="ignore"):
+        lower = np.cumsum([0.0, *ascending[:n_rounds]])[1:]
+        upper = np.cumsum([0.0, *ascending[::-1][:n_rounds]])[1:]
+    if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+        raise DomainError(f"cost envelopes over {n_rounds} rounds are not finite in float64")
+    return lower.tolist(), upper.tolist()
 
 
 def overhead_inferential(model: OverheadModel, unlabeled_frames: int) -> float:

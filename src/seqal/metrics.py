@@ -8,7 +8,8 @@ Spearman, Kendall tau-b) used by the cost study.
 
 Correlation routines are written out here instead of delegating to a stats
 package so the tie handling and the exact arithmetic shape are pinned down
-by the tests in this repository.
+by the tests in this repository. Importing scipy.stats would also add about
+44 MB to the peak RSS of every process that imports seqal, analysis or not.
 """
 
 from __future__ import annotations
@@ -275,11 +276,32 @@ class PerfCostCurve:
         return max(v for _, v in self.points)
 
 
+def _area(pieces: Iterable[tuple[float, float, float, float]], upper: float) -> float:
+    """Trapezoid area under linear pieces (x_lo, x_hi, y_lo, y_hi), in order
+    of x, up to x = upper; pieces of no width are skipped. An area that
+    overflows float64 raises DomainError instead of coming back inf or nan."""
+    total = 0.0
+    for x0, x1, y0, y1 in pieces:
+        if x1 <= x0:
+            continue
+        hi = min(x1, upper)
+        if hi <= x0:
+            break
+        y_hi = y0 + (y1 - y0) * (hi - x0) / (x1 - x0)
+        total += 0.5 * (y0 + y_hi) * (hi - x0)
+        if hi >= upper:
+            break
+    if not math.isfinite(total):
+        raise DomainError(f"area up to {upper} overflows float64")
+    return total
+
+
 def car(curve: PerfCostCurve, budget: float) -> float:
     """Area under the curve up to a cost budget (hours · mAP).
 
     The curve is held constant to the left of its first point; to the right
     it simply ends, so budgets past the last point integrate only to there.
+    An area that overflows float64 raises DomainError.
     """
     if not budget >= 0:  # NaN too
         raise DomainError(f"cost budget must be >= 0, got {budget}")
@@ -288,23 +310,9 @@ def car(curve: PerfCostCurve, budget: float) -> float:
     if budget == 0:
         return 0.0
 
-    pts = list(curve.points)
-    if pts[0][0] > 0:
-        pts.insert(0, (0.0, pts[0][1]))
-    upper = min(budget, pts[-1][0])
-    total = 0.0
-    for (c0, m0), (c1, m1) in zip(pts, pts[1:]):
-        lo = c0
-        hi = min(c1, upper)
-        if hi <= lo:
-            continue
-        span = c1 - c0
-        v_lo = m0 + (m1 - m0) * (lo - c0) / span
-        v_hi = m0 + (m1 - m0) * (hi - c0) / span
-        total += 0.5 * (v_lo + v_hi) * (hi - lo)
-        if hi >= upper:
-            break
-    return total
+    pts = [(0.0, curve.points[0][1]), *curve.points]
+    pieces = ((c0, c1, m0, m1) for (c0, m0), (c1, m1) in zip(pts, pts[1:]))
+    return _area(pieces, min(budget, pts[-1][0]))
 
 
 def _envelope_pieces(
@@ -354,18 +362,7 @@ def par(curve: PerfCostCurve, perf_budget: float) -> float:
         )
         upper = best
 
-    total = 0.0
-    for p0, p1, k0, k1 in _envelope_pieces(curve.points):
-        if p1 <= p0:
-            continue
-        hi = min(p1, upper)
-        if hi <= p0:
-            break
-        k_hi = k0 + (k1 - k0) * (hi - p0) / (p1 - p0)
-        total += 0.5 * (k0 + k_hi) * (hi - p0)
-        if hi >= upper:
-            break
-    return total
+    return _area(_envelope_pieces(curve.points), upper)
 
 
 @dataclass
@@ -377,37 +374,29 @@ class CorrelationEntry:
     kendall_tau_b: float | None
 
 
-@dataclass
-class CorrelationReport:
-    entries: dict[str, CorrelationEntry] = field(default_factory=dict)
-
-
 def _pearson_raw(x: np.ndarray, y: np.ndarray) -> float | None:
-    n = len(x)
-    mx = float(x.sum()) / n
-    my = float(y.sum()) / n
-    dx = x - mx
-    dy = y - my
-    sxx = float(np.dot(dx, dx))
-    syy = float(np.dot(dy, dy))
-    if sxx == 0.0 or syy == 0.0:
+    """Pearson's r; None when a sample is constant."""
+    if x.min() == x.max() or y.min() == y.max():
         return None
-    sxy = float(np.dot(dx, dy))
-    return sxy / math.sqrt(sxx * syy)
+    dx = x - float(x.sum()) / len(x)
+    dy = y - float(y.sum()) / len(y)
+    sxx, syy, sxy = (float(np.dot(a, b)) for a, b in ((dx, dx), (dy, dy), (dx, dy)))
+    for name, ss in (("x", sxx), ("y", syy)):
+        if not 0.0 < ss < math.inf:
+            raise DomainError(f"sample {name}'s sum of squares is {ss}: outside float64's range")
+    if not math.isfinite(sxy):
+        raise DomainError(f"the samples' cross sum is {sxy}: outside float64's range")
+    # The product under- or overflows only when its factors lie far apart.
+    scale = sxx * syy
+    return sxy / (math.sqrt(scale) if 0.0 < scale < math.inf else math.sqrt(sxx) * math.sqrt(syy))
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks, ties sharing the mean of their positions."""
     order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
+    _, first, counts = np.unique(values[order], return_index=True, return_counts=True)
     ranks = np.empty(len(values))
-    i = 0
-    n = len(values)
-    while i < n:
-        j = i
-        while j < n and sorted_vals[j] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j]] = (i + 1 + j) / 2.0
-        i = j
+    ranks[order] = np.repeat(first + (counts + 1) / 2, counts)
     return ranks
 
 
@@ -439,7 +428,8 @@ def correlations(x: Sequence[float], y: Sequence[float]) -> CorrelationEntry:
 
     Spearman is the Pearson coefficient of average ranks; tau-b applies the
     usual tie correction. A coefficient whose denominator degenerates
-    (constant input) comes back as None.
+    (constant input) comes back as None. A sample whose squared spread
+    leaves float64's range (past about 1e154 or under 1e-162) raises DomainError.
     """
     if len(x) != len(y):
         raise ShapeError(f"length mismatch: {len(x)} vs {len(y)}")
@@ -449,17 +439,20 @@ def correlations(x: Sequence[float], y: Sequence[float]) -> CorrelationEntry:
     ay = np.asarray(y, dtype=float)
     if not (np.all(np.isfinite(ax)) and np.all(np.isfinite(ay))):
         raise DomainError("samples must be finite")
-    return CorrelationEntry(
-        pearson=_pearson_raw(ax, ay),
-        spearman=_pearson_raw(_average_ranks(ax), _average_ranks(ay)),
-        kendall_tau_b=_kendall_tau_b(ax, ay),
-    )
+    # A sum that overflows is caught as out of range; a difference that
+    # overflows to +-inf keeps its sign.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return CorrelationEntry(
+            pearson=_pearson_raw(ax, ay),
+            spearman=_pearson_raw(_average_ranks(ax), _average_ranks(ay)),
+            kendall_tau_b=_kendall_tau_b(ax, ay),
+        )
 
 
-def write_correlation_csv(report: CorrelationReport, path: Path | str) -> None:
-    """pair,pearson,spearman,kendall_tau_b with blanks for undefined."""
+def write_correlation_csv(entries: dict[str, CorrelationEntry], path: Path | str) -> None:
+    """pair,pearson,spearman,kendall_tau_b in pair order, blanks for undefined."""
     rows = (
         [name, cell(e.pearson), cell(e.spearman), cell(e.kendall_tau_b)]
-        for name, e in sorted(report.entries.items())
+        for name, e in sorted(entries.items())
     )
     write_table(path, ["pair", "pearson", "spearman", "kendall_tau_b"], rows)

@@ -119,11 +119,7 @@ def split_sizes(n: int) -> tuple[int, int, int]:
     """70/20/10 split by sequence count; test gets the remainder."""
     n_train = round(0.7 * n)
     n_val = round(0.2 * n)
-    n_test = n - n_train - n_val
-    if n_test < 0:
-        n_val += n_test
-        n_test = 0
-    return n_train, n_val, n_test
+    return n_train, n_val, n - n_train - n_val
 
 
 def _split_plan(n: int) -> list[tuple[Split, int]]:

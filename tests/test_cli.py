@@ -17,10 +17,10 @@ import seqal.cli
 import seqal.runner
 from seqal import metrics
 from seqal.cli import main
-from seqal.pool import Split, load_pool, write_pool
+from seqal.pool import PoolState, Split, load_pool, write_pool
 from seqal.tables import cell
 
-from conftest import count_calls, make_pool
+from conftest import count_calls, make_pool, make_sequence
 
 GEN_INI = """\
 [pool]
@@ -692,6 +692,25 @@ def test_metrics_malformed_records_is_validation_error(
     assert not out.exists()
 
 
+def test_metrics_area_that_overflows_is_validation_error(finished_run, tmp_path, capsys):
+    # Seed 0's curve becomes (c, 0.1), (1e308, 0.5), (1.7e308, 0.9): its PAR
+    # at 0.8 adds two costs past 1e308.
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "records.csv").write_text((finished_run / "records.csv").read_text())
+    for line, cost, value in ((2, None, "0.1"), (3, "1e308", "0.5"), (4, "1.7e308", "0.9")):
+        corrupt_field(run / "records.csv", line, "map50", value)
+        if cost:
+            corrupt_field(run / "records.csv", line, "cum_cost_hours", cost)
+    out = tmp_path / "sweeps"
+    capsys.readouterr()
+    argv = ["metrics", "--run", str(run), "--car-budgets", "1", "--par-budgets", "0.8"]
+    assert main([*argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "overflows" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flag",
     [
@@ -751,6 +770,30 @@ def test_bounds_rounds_beyond_pool(tmp_path, capsys):
     assert rc == 2
     assert "cannot bound 9 rounds with 4 sequences" in capsys.readouterr().err
     assert not (tmp_path / "b.csv").exists()
+
+
+def huge_cost_pool(path: Path, costs) -> Path:
+    """A train-only pool with rasters: sequence i has 3 + i frames and
+    costs costs[i] hours."""
+    seqs = [
+        make_sequence(f"seq{i:03d}", n_frames=3 + i, cost=cost, raster_size=(8, 8))
+        for i, cost in enumerate(costs)
+    ]
+    write_pool(PoolState.from_sequences(seqs), path)
+    return path
+
+
+@pytest.mark.parametrize("command", ["bounds", "analyze"])
+def test_cost_study_that_overflows_is_validation_error(tmp_path, capsys, command):
+    # bounds adds two 1e308 costs; analyze's costs square past float64's range.
+    costs = [1e308] * 6 if command == "bounds" else [1e308 + 1e307 * i for i in range(6)]
+    pool = huge_cost_pool(tmp_path / "pool", costs)
+    out = tmp_path / "out" / "study.csv"
+    argv = [command, "--pool", str(pool), "--out", str(out)]
+    assert main(argv + (["--rounds", "2"] if command == "bounds" else [])) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", ["seq000_\u00b2.txt", "seq000_0.txt"])

@@ -120,6 +120,20 @@ def test_theoretical_cost_bounds_validation():
         theoretical_cost_bounds([1.0], 2)
 
 
+def test_theoretical_cost_bounds_overflow_and_non_finite_raise():
+    with pytest.raises(DomainError, match="not finite"):
+        theoretical_cost_bounds([1e308, 1e308], 2)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            theoretical_cost_bounds([1.0, bad, 2.0], 1)
+
+
+def test_theoretical_cost_bounds_sum_from_positive_zero():
+    lower, upper = theoretical_cost_bounds([-0.0, -0.0, 1.0], 3)
+    assert [math.copysign(1.0, v) for v in lower + upper] == [1.0] * 6
+    assert all(type(v) is float for v in lower + upper)
+
+
 # --- compute overhead ----------------------------------------------------
 
 

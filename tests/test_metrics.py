@@ -3,6 +3,7 @@
 import csv
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from seqal.errors import DomainError, EmptyCurveError, EmptyTestError, ShapeErro
 from seqal.metrics import (
     MAP5095_THRESHOLDS,
     CorrelationEntry,
-    CorrelationReport,
     PerfCostCurve,
     average_precision,
     car,
@@ -710,6 +710,19 @@ def test_par_validation():
         par(PerfCostCurve(), 0.5)
 
 
+def test_areas_that_overflow_raise():
+    # The cost at the 0.5 crossing is 1.35e308; the trapezoid adds 1e308 to it.
+    with pytest.raises(DomainError, match="overflows float64"):
+        par(PerfCostCurve([(1e308, 0.1), (1.7e308, 0.9)]), 0.5)
+    # A rise of one subnormal over 1e10 hours: the crossing slope overflows.
+    with pytest.raises(DomainError, match="overflows float64"):
+        par(PerfCostCurve([(0.0, 0.0), (1e10, 5e-324)]), 5e-324)
+    # Below the overflowing piece, and for CAR, the areas stay finite.
+    assert par(PerfCostCurve([(1e308, 0.1), (1.7e308, 0.9)]), 0.1) == 0.0
+    top = sys.float_info.max
+    assert car(PerfCostCurve([(0.0, 1.0), (top, 1.0)]), math.inf) == top
+
+
 def test_par_monotone_in_budget():
     curve = PerfCostCurve([(1.0, 0.3), (2.0, 0.2), (4.0, 0.9), (5.0, 0.7)])
     budgets = [0.1 * k for k in range(10)]
@@ -785,15 +798,41 @@ def test_correlations_validation():
         correlations([1.0, float("nan")], [1.0, 2.0])
 
 
+@pytest.mark.parametrize(
+    "x, y, name",
+    [
+        ([1e200, -1e200, 0.0], [1e200, -1e200, 1.0], "x"),  # squares overflow
+        ([1e-200, 2e-200, 3e-200], [1.0, 2.0, 3.0], "x"),  # squares underflow to 0
+        ([1.0, 2.0, 3.0], [1e308, 1.7e308, -1e308], "y"),  # the mean overflows
+    ],
+)
+def test_correlations_spread_outside_float64_raises(x, y, name):
+    with pytest.raises(DomainError, match=f"sample {name}'s sum of squares"):
+        correlations(x, y)
+
+
+def test_correlations_far_apart_spreads_keep_their_coefficient():
+    # Each sum of squares fits, but their product under- or overflows.
+    tiny = [1e-100, 2e-100, 3e-100]
+    assert correlations(tiny, tiny).pearson == 1.0
+    huge = correlations([1e150, -1e150, 0.0], [1e60, 2e60, 4e60]).pearson
+    assert huge == pytest.approx(correlations([1.0, -1.0, 0.0], [1.0, 2.0, 4.0]).pearson)
+
+
+def test_correlations_constant_sample_with_inexact_mean_gives_none():
+    # 0.1 + 0.1 + 0.1 is not 0.3, so the mean is not 0.1 and the deviations
+    # are not 0; the sample is constant all the same.
+    e = correlations([0.1, 0.1, 0.1], [1.0, 2.0, 4.0])
+    assert (e.pearson, e.spearman, e.kendall_tau_b) == (None, None, None)
+
+
 def test_write_correlation_csv(tmp_path):
-    report = CorrelationReport(
-        entries={
-            "cost_vs_length": CorrelationEntry(0.5, 0.25, None),
-            "cost_vs_boxes": CorrelationEntry(None, None, None),
-        }
-    )
+    entries = {
+        "cost_vs_length": CorrelationEntry(0.5, 0.25, None),
+        "cost_vs_boxes": CorrelationEntry(None, None, None),
+    }
     path = tmp_path / "corr.csv"
-    write_correlation_csv(report, path)
+    write_correlation_csv(entries, path)
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["pair"] for r in rows] == ["cost_vs_boxes", "cost_vs_length"]

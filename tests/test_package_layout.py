@@ -1,6 +1,10 @@
-"""Package-wide guard: no helper in src/ that only the tests call."""
+"""Package-wide guards: no helper in src/ that only the tests call, one
+text encoding, and no heavy import that every run would pay for."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import seqal
@@ -80,3 +84,14 @@ def test_every_text_read_and_write_names_its_encoding():
         "open(p, 'rb')\nopen(p, encoding='utf-8')\np.read_bytes()\n"
     )
     assert text_io_without_encoding(guard) == [1, 2, 3, 4, 5]
+
+
+def test_import_leaves_scipy_stats_out():
+    """scipy.stats would add about 44 MB to the peak RSS of every process
+    that imports seqal, so the package computes its correlations itself."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), *sys.path])}
+    probe = "import seqal, sys; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
