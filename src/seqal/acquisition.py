@@ -315,7 +315,7 @@ def _gauss_switch_select(values: np.ndarray, b: int, rng_seed: int) -> np.ndarra
     undersized components fall back to plain score ordering (the FALSE rule).
     Returns indices into values.
     """
-    if values.size < 2 or float(np.ptp(values)) == 0.0:
+    if values.size < 2 or values.min() == values.max():
         return _top(values, b)
     fit = fit_gmm2(values)
     if fit.degenerate:

@@ -3,7 +3,7 @@
 Subcommands: gen (synthesize a pool directory), run (execute an
 experiment), metrics (CAR/PAR sweeps over a finished run), bounds
 (theoretical cost envelopes for a pool), analyze (cost correlation table),
-stats (flow-statistic cache). All outputs are plot-ready CSVs with floats
+stats (per-frame flow statistics). All outputs are plot-ready CSVs with floats
 at six decimals; identical inputs produce identical bytes.
 
 Exit codes: 0 success, 1 runtime failure, 2 bad config/usage, 3 data that
@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("stats", help="write a flow-statistic cache for a pool")
+    p = sub.add_parser("stats", help="write per-frame flow statistics for a pool")
     p.add_argument("--pool", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--threshold", type=int, default=flowproxy.DEFAULT_THRESHOLD)

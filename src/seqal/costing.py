@@ -57,9 +57,11 @@ def theoretical_cost_bounds(
 ) -> tuple[list[float], list[float]]:
     """Cheapest-first and dearest-first cumulative cost envelopes.
 
-    Any acquisition order's cumulative cost after k picks lies between
-    lower[k-1] and upper[k-1]. A sum that overflows float64, or a cost that
-    is not finite, raises DomainError.
+    In exact arithmetic, any acquisition order's cumulative cost after k
+    picks lies between lower[k-1] and upper[k-1]. The float sums need not:
+    at k = n both envelopes add the same costs, in opposite orders, and can
+    cross by an ulp. A sum that overflows float64, or a cost that is not
+    finite, raises DomainError.
     """
     if n_rounds < 1:
         raise DomainError(f"n_rounds must be >= 1, got {n_rounds}")

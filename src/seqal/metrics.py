@@ -38,19 +38,23 @@ def _iou_grid(p: np.ndarray, t: np.ndarray) -> np.ndarray:
     The arithmetic is iou's, term by term, so every value is bit-equal to
     the scalar one: corners at cx -/+ w/2, union a.w*a.h + b.w*b.h - inter,
     and 0 where the overlap's width, height or the union is not positive.
+    A union that overflows float64 (or is nan) raises DomainError.
     """
-    px0 = p[..., 0] - p[..., 2] / 2
-    py0 = p[..., 1] - p[..., 3] / 2
-    px1 = p[..., 0] + p[..., 2] / 2
-    py1 = p[..., 1] + p[..., 3] / 2
-    tx0 = t[..., 0] - t[..., 2] / 2
-    ty0 = t[..., 1] - t[..., 3] / 2
-    tx1 = t[..., 0] + t[..., 2] / 2
-    ty1 = t[..., 1] + t[..., 3] / 2
-    iw = np.minimum(px1, tx1) - np.maximum(px0, tx0)
-    ih = np.minimum(py1, ty1) - np.maximum(py0, ty0)
-    inter = iw * ih
-    union = p[..., 2] * p[..., 3] + t[..., 2] * t[..., 3] - inter
+    with np.errstate(over="ignore", invalid="ignore"):
+        px0 = p[..., 0] - p[..., 2] / 2
+        py0 = p[..., 1] - p[..., 3] / 2
+        px1 = p[..., 0] + p[..., 2] / 2
+        py1 = p[..., 1] + p[..., 3] / 2
+        tx0 = t[..., 0] - t[..., 2] / 2
+        ty0 = t[..., 1] - t[..., 3] / 2
+        tx1 = t[..., 0] + t[..., 2] / 2
+        ty1 = t[..., 1] + t[..., 3] / 2
+        iw = np.minimum(px1, tx1) - np.maximum(px0, tx0)
+        ih = np.minimum(py1, ty1) - np.maximum(py0, ty0)
+        inter = iw * ih
+        union = p[..., 2] * p[..., 3] + t[..., 2] * t[..., 3] - inter
+    if not np.isfinite(union).all():
+        raise DomainError(f"box union {union[~np.isfinite(union)][0]} overflows float64")
     overlaps = (iw > 0) & (ih > 0) & (union > 0)
     return np.divide(inter, union, out=np.zeros_like(inter), where=overlaps)
 

@@ -373,11 +373,14 @@ def _parse_manifest(manifest_path: Path) -> dict[str, SequenceMeta]:
         raise ManifestError(f"manifest not found at {manifest_path}")
     rows: dict[str, SequenceMeta] = {}
     reader = csv.DictReader(io.StringIO(_read_text(manifest_path, newline=""), newline=""))
-    header = reader.fieldnames or []
+    try:
+        header, records = reader.fieldnames or [], list(reader)
+    except csv.Error as exc:  # before Python 3.11, a NUL byte among others
+        raise ManifestError(f"{manifest_path}: {exc}") from None
     missing = [c for c in _MANIFEST_COLUMNS if c not in header]
     if missing:
         raise ManifestError(f"manifest missing columns: {', '.join(missing)}")
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(records, start=2):
         sid = (row["sequence_id"] or "").strip()
         if not sid:
             raise ManifestError(f"manifest row {lineno}: empty sequence_id")

@@ -24,15 +24,17 @@ seed-short trace fails before any work. The switch kinds' previous counts
 are the trace's table of the round before.
 
 The acquisition unit depends on the mode; both modes share one round loop.
-A run's only record of what is labeled is its per-seed map from sequence id
-to labeled frame ids, in the order sequences were first touched. The seed
+Train sequence r (train order) holds the run's frames starts[r] to
+starts[r] + lengths[r]. A seed's record of what is labeled is one boolean
+array over those frames, plus the rows of whole sequences labeled, in
+acquisition order; a sequence with an unlabeled frame is open. The seed
 draw labels whole sequences. Every round ranks its sorted candidates as
 index arrays: coreset's by acquisition.coreset over one feature matrix,
 every other by one value array through acquisition.rank.
 
-- sequential: the unit is a sequence id at full annotation cost.
-- singular: the unit is a (sequence id, frame id) pair among the round's
-  unlabeled frames, held as index arrays, and priced by costing.frame_cost:
+- sequential: the unit is a train row at its full annotation cost.
+- singular: the unit is an open sequence's unlabeled frame, held as (train
+  row, frame id) arrays, and priced by costing.frame_cost:
   only every interpolation_rate-th frame (a keyframe) carries a charge of
   cost_hours / ceil(N / rate), interpolated frames are free. Frame scoring
   only makes sense for the model-score strategies, so RunConfig rejects
@@ -220,17 +222,18 @@ def _coreset_features(pool: PoolState, features: dict[str, np.ndarray]) -> np.nd
 
 
 def _frame_candidates(
-    kind: str, open_ids: list[str], n_frames: dict[str, int],
-    labeled_frames: dict[str, set[int]], table: dict | None, previous: dict | None,
-    singular: bool,
+    kind: str, open_ids: list[str], lengths, labeled: np.ndarray,
+    table: dict | None, previous: dict | None, singular: bool,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """A round's candidates in sorted order, as (index into open_ids, frame
     id) arrays, and their criterion from the round's detector table (None
-    without one). A frame round's are the unlabeled frames of open_ids; a
-    sequence round's are open_ids, frame ids None, each valued by its frames'
-    mean, added left to right (cumsum, not np.sum's pairwise order)."""
-    lengths = [n_frames[s] for s in open_ids]
-    starts = np.cumsum([0, *lengths])[:-1]
+    without one). lengths holds open_ids' frame counts and labeled flags
+    their frames, one sequence after another. A frame round's candidates are
+    the unlabeled frames; a sequence round's are open_ids, frame ids None,
+    each valued by its frames' mean, added left to right (cumsum, not
+    np.sum's pairwise order)."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
     values = None
     if table is not None and open_ids:
         # The criterion is elementwise: one pass over every sequence's frames.
@@ -242,12 +245,11 @@ def _frame_candidates(
     if not singular:  # whole sequences, so every frame here is unlabeled
         if values is not None:
             values = np.array([float(np.cumsum(values[a : a + n])[-1]) / n
-                               for a, n in zip(starts.tolist(), lengths)])
+                               for a, n in zip(starts.tolist(), lengths.tolist())])
         return np.arange(len(open_ids)), None, values
     sid_index = np.repeat(np.arange(len(open_ids)), lengths)
     fids = np.arange(sid_index.size) - starts[sid_index]
-    keep = np.ones(sid_index.size, dtype=bool)
-    keep[[a + f for a, s in zip(starts, open_ids) for f in labeled_frames.get(s, ())]] = False
+    keep = ~labeled
     return sid_index[keep], fids[keep], None if values is None else values[keep]
 
 
@@ -322,7 +324,8 @@ def run_experiment(
         test_targets = np.array([features[sid] for sid in pool.test_ids])
         test_truths = metrics.truth_rows([f.boxes for seq in test_seqs for f in seq.frames])
     rate = cfg.interpolation_rate
-    n_frames = {sid: pool.sequences[sid].n_frames for sid in train_ids}
+    lengths = np.array([pool.sequences[sid].n_frames for sid in train_ids], dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
     pays_detector = kind in SCORE_KINDS or kind == KIND_CORESET
 
     records: list[RoundRecord] = []
@@ -330,21 +333,23 @@ def run_experiment(
         for seed in cfg.seeds:
             trace = traces[seed]
             noise_seed = seed if cfg.noise_seed is None else cfg.noise_seed
-            # The run's record of acquisition: labeled frames per sequence,
-            # in the order the sequences were first touched.
-            labeled_frames: dict[str, set[int]] = {}
+            # The run's record of acquisition: which train frames are
+            # labeled, and the rows of the whole sequences labeled, in order.
+            labeled = np.zeros(int(lengths.sum()), dtype=bool)
+            order: list[int] = []
 
             def surrogate_state(rnd: int) -> SurrogateState:
                 """The detector trained on whole sequences in acquisition
-                order, or on each touched sequence weighted by its labeled
-                fraction."""
-                labeled, weights = list(labeled_frames), None
+                order, or on each touched sequence, in train order, weighted
+                by its labeled fraction."""
+                rows, weights = order, None
                 if singular:
-                    labeled = sorted(labeled_frames)
-                    weights = [len(labeled_frames[s]) / n_frames[s] for s in labeled]
+                    counts = np.add.reduceat(labeled, starts, dtype=np.int64)
+                    rows = np.flatnonzero(counts)
+                    weights = (counts[rows] / lengths[rows]).tolist()
                 return SurrogateState(
                     round_index=rnd,
-                    labeled_features=[features[s] for s in labeled],
+                    labeled_features=[features[train_ids[r]] for r in rows],
                     kappa=cfg.kappa,
                     noise_seed=noise_seed,
                     sigma=sigma,
@@ -371,7 +376,7 @@ def run_experiment(
                 for sid in open_ids:
                     if sid not in table:
                         raise TraceError(f"{where} sequence {sid}: no scores")
-                    n_traced, n_pool = len(table[sid][0]), n_frames[sid]
+                    n_traced, n_pool = len(table[sid][0]), pool.sequences[sid].n_frames
                     if n_traced != n_pool:
                         raise TraceError(
                             f"{where} sequence {sid}: {n_traced} frames scored, "
@@ -395,21 +400,22 @@ def run_experiment(
                     raise TraceError(f"trace seed {seed} round {rnd}: no test metrics")
                 return trace.test_metrics[rnd]
 
-            def acquire(units: list) -> tuple[list[str], float]:
-                """Label whole sequences (ids) at their full cost or single
-                frames ((id, frame) pairs) at their frame_cost; returns their
-                names and annotation hours."""
+            def acquire(rows: np.ndarray, fids: np.ndarray | None) -> tuple[list[str], float]:
+                """Label whole sequences (fids None) at their full cost, or
+                frame fids[i] of each rows[i] at its frame_cost; returns
+                their names and annotation hours."""
                 names, cost = [], 0.0
-                for unit in units:
-                    if isinstance(unit, str):
-                        labeled_frames[unit] = set(range(n_frames[unit]))
-                        cost += pool.sequences[unit].meta.cost_hours
-                        names.append(unit)
-                        continue
-                    sid, fid = unit
-                    labeled_frames.setdefault(sid, set()).add(fid)
-                    cost += costing.frame_cost(pool.sequences[sid], fid, rate)
-                    names.append(f"{sid}:{fid}")
+                if fids is None:
+                    order.extend(rows.tolist())
+                    for r in rows.tolist():
+                        labeled[starts[r] : starts[r] + lengths[r]] = True
+                        cost += pool.sequences[train_ids[r]].meta.cost_hours
+                        names.append(train_ids[r])
+                    return names, cost
+                labeled[starts[rows] + fids] = True
+                for r, fid in zip(rows.tolist(), fids.tolist()):
+                    cost += costing.frame_cost(pool.sequences[train_ids[r]], fid, rate)
+                    names.append(f"{train_ids[r]}:{fid}")
                 return names, cost
 
             def emit(round_index: int, selected: list[str], cost: float) -> None:
@@ -417,11 +423,7 @@ def run_experiment(
                 record is kept first, so a failing evaluation still leaves
                 the charge for the ledger."""
                 if pays_detector:
-                    unlabeled = sum(
-                        n_frames[s] - len(labeled_frames.get(s, ()))
-                        for s in train_ids
-                    )
-                    over = costing.overhead_inferential(cfg.overhead, unlabeled)
+                    over = costing.overhead_inferential(cfg.overhead, np.count_nonzero(~labeled))
                 else:
                     over = front_charge if round_index == 0 else 0.0
                 if cost < 0 or over < 0:
@@ -442,37 +444,34 @@ def run_experiment(
                 record.map50, record.map5095 = test_metrics(round_index)
 
             for rnd in range(cfg.rounds + 1):
-                open_ids = [
-                    s for s in train_ids if len(labeled_frames.get(s, ())) < n_frames[s]
-                ]
+                counts = np.add.reduceat(labeled, starts, dtype=np.int64)
+                open_rows = np.flatnonzero(counts < lengths)
+                open_ids = [train_ids[r] for r in open_rows.tolist()]
                 rng_seed = _select_rng_seed(seed, rnd)
+                fids = None  # whole sequences
                 if rnd == 0:  # the seed draw: whole sequences, uniformly
                     picks = acquisition.rank(
-                        KIND_RANDOM, None, len(open_ids), cfg.seed_sequences, [seed, 1]
+                        KIND_RANDOM, None, open_rows.size, cfg.seed_sequences, [seed, 1]
                     )
-                    picked = [open_ids[i] for i in picks]
+                    rows = open_rows[picks]
                 elif kind == KIND_CORESET:  # sequential: a sequence is open or a center
-                    labeled = np.array([s in labeled_frames for s in train_ids])
-                    picks = acquisition.coreset(
-                        coreset_feats, np.flatnonzero(~labeled), np.flatnonzero(labeled), batch
-                    )
-                    picked = [train_ids[i] for i in picks]
-                else:  # sequence ids, or (sid, fid) pairs among the unlabeled frames
+                    rows = acquisition.coreset(coreset_feats, open_rows, np.flatnonzero(counts),
+                                               batch)
+                else:  # open sequences, or the unlabeled frames among them
                     table = detector_scores(rnd, open_ids) if kind in SCORE_KINDS else None
                     # A sequence open now was open in the round before, whose
                     # table holds its previous counts; round 1 has none, even
                     # when a replayed trace holds round-0 rows.
                     previous = trace.rounds.get(rnd - 1) if rnd > 1 else {}
                     sid_index, fids, values = _frame_candidates(
-                        kind, open_ids, n_frames, labeled_frames, table, previous, singular
+                        kind, open_ids, lengths[open_rows],
+                        labeled[np.repeat(counts < lengths, lengths)], table, previous, singular,
                     )
                     if kind in CONFORMAL_KINDS:
                         values = acquisition.catalog_scores(cfg.strategy, pool, open_ids, flow, rnd)
                     picks = acquisition.rank(kind, values, sid_index.size, batch, rng_seed)
-                    picked = [open_ids[i] for i in sid_index[picks]]
-                    if singular:
-                        picked = list(zip(picked, fids[picks].tolist()))
-                emit(rnd, *acquire(picked))
+                    rows, fids = open_rows[sid_index[picks]], fids if fids is None else fids[picks]
+                emit(rnd, *acquire(rows, fids))
     except BaseException:
         if out_dir is not None:
             Path(out_dir).mkdir(parents=True, exist_ok=True)

@@ -42,11 +42,12 @@ BACKGROUND_LEVEL = 30
 OBJECT_LEVEL = 200
 NOISE_AMPLITUDE = 5
 
-# Object rectangles get sides in this range (clipped down for tiny rasters).
+# Object rectangles get sides in this range. The smallest admitted raster
+# leaves the largest object 2 px of travel per axis.
 OBJECT_SIDE_MIN = 6
 OBJECT_SIDE_MAX = 14
 
-MIN_RASTER_SIDE = 16
+MIN_RASTER_SIDE = OBJECT_SIDE_MAX + 2
 COST_FLOOR_HOURS = 0.1
 
 PARTIAL_OVERLAP = 0.5
@@ -106,13 +107,7 @@ def _validate(cfg: GenConfig) -> tuple[int, int]:
     for name in ("alpha_boxes", "beta_motion", "gamma_occlusion", "delta_length", "noise_sd"):
         if not 0 <= getattr(cc, name) < math.inf:
             raise GenError(f"cost coefficient {name} must be finite and non-negative")
-    # Objects must fit with room to move: at least 2 px of travel per axis.
-    side_max = min(OBJECT_SIDE_MAX, width - 2, height - 2)
-    if side_max < OBJECT_SIDE_MIN:
-        raise GenError(
-            f"raster {width}x{height} cannot host a {OBJECT_SIDE_MIN}px object"
-        )
-    return OBJECT_SIDE_MIN, side_max
+    return OBJECT_SIDE_MIN, OBJECT_SIDE_MAX
 
 
 def split_sizes(n: int) -> tuple[int, int, int]:

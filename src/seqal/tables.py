@@ -91,3 +91,5 @@ def parsed_rows(path: Path | str, fields, unique: int = 0):
                 yield values
         except UnicodeDecodeError:
             raise TraceError(f"{path}: not UTF-8 text") from None
+        except csv.Error as exc:  # before Python 3.11, a NUL byte among others
+            raise TraceError(f"{path} line {reader.line_num}: {exc}") from None

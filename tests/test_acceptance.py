@@ -539,8 +539,11 @@ def test_criterion_09_selection_matches_enumeration():
                     total += frame_value(kind, p, count, before)
                 means[sid] = total / lengths[sid]
             open_table = {sid: table[sid] for sid in unlabeled}
+            mask = np.array([f in labeled.get(s, ()) for s in unlabeled
+                             for f in range(lengths[s])], dtype=bool)
             sid_index, _, values = _frame_candidates(
-                kind, unlabeled, lengths, labeled, open_table, previous, False
+                kind, unlabeled, [lengths[s] for s in unlabeled], mask, open_table, previous,
+                False,
             )
             for b in (1, 2, 3):
                 want = sorted(unlabeled, key=lambda s: (-means[s], s))[:b]

@@ -120,12 +120,21 @@ def model_scores(kind, table, previous):
     return scores
 
 
+def candidates(kind, open_ids, n_frames, labeled, table, previous, singular):
+    """_frame_candidates on the runner's arrays for a {sid: n} frame count
+    map and a {sid: set of labeled frame ids} record."""
+    lengths = [n_frames[s] for s in open_ids]
+    mask = np.array([f in labeled.get(s, ()) for s in open_ids for f in range(n_frames[s])],
+                    dtype=bool)
+    return _frame_candidates(kind, open_ids, lengths, mask, table, previous, singular)
+
+
 def sequence_means(kind, table, previous):
     """The runner's sequence-round values for every sequence of table, as
     {sid: value}."""
     ids = list(table)
     n_frames = {sid: len(table[sid][0]) for sid in ids}
-    sid_index, fids, values = _frame_candidates(kind, ids, n_frames, {}, table, previous, False)
+    sid_index, fids, values = candidates(kind, ids, n_frames, {}, table, previous, False)
     assert sid_index.tolist() == list(range(len(ids))) and fids is None
     return dict(zip(ids, values.tolist()))
 
@@ -148,7 +157,7 @@ def round_scores(kind, table, previous, singular):
         return sequence_means(kind, table, previous)
     ids = list(table)
     n_frames = {sid: len(table[sid][0]) for sid in ids}
-    sid_index, fids, values = _frame_candidates(kind, ids, n_frames, {}, table, previous, True)
+    sid_index, fids, values = candidates(kind, ids, n_frames, {}, table, previous, True)
     return {(ids[i], f): v for i, f, v in zip(sid_index.tolist(), fids.tolist(), values.tolist())}
 
 
@@ -543,7 +552,7 @@ def test_frame_candidates_rank_like_select_over_unit_lists(kind):
             table = {sid: rounds[2][sid] for sid in open_ids}
             seq_table = {sid: rounds[2][sid] for sid in seq_open}
             previous = rounds[1] if trial % 3 else {}
-        sid_index, fids, values = _frame_candidates(
+        sid_index, fids, values = candidates(
             kind, open_ids, n_frames, labeled, table, previous, True
         )
         assert sid_index.dtype == fids.dtype == np.int64
@@ -557,7 +566,7 @@ def test_frame_candidates_rank_like_select_over_unit_lists(kind):
             assert values is None
         drew += rank_like_select(kind, units, scores, sid_index, fids, values, open_ids, rng)
 
-        sid_index, fids, values = _frame_candidates(
+        sid_index, fids, values = candidates(
             kind, seq_open, n_frames, whole, seq_table, previous, False
         )
         assert sid_index.tolist() == list(range(len(seq_open))) and fids is None
@@ -944,6 +953,14 @@ def test_gauss_switch_small_component_falls_back():
 
 def test_gauss_switch_single_candidate():
     assert select("gauss_switch", ["a"], {"a": 1.0}, 1, 0) == ["a"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_gauss_switch_refuses_an_overflowing_spread_without_a_warning():
+    with pytest.raises(DomainError, match="variance inf"):
+        select("gauss_switch", [1, 2, 3], {1: 1e308, 2: -1e308, 3: 2.0}, 1, 0)
+    # the constancy test compares signed zeros equal, as ptp == 0 did
+    assert select("gauss_switch", ["a", "b"], {"a": -0.0, "b": 0.0}, 1, 0) == ["a"]
 
 
 def gmm_instances():

@@ -124,6 +124,12 @@ def test_gen_unknown_key_is_config_error(tmp_path):
     assert main(["gen", "--config", cfg, "--out", str(tmp_path / "p")]) == 2
 
 
+def test_gen_unknown_section_is_config_error(tmp_path, capsys):
+    cfg = write_ini(tmp_path, GEN_INI + "[frobnicate]\n")
+    assert main(["gen", "--config", cfg, "--out", str(tmp_path / "p")]) == 2
+    assert capsys.readouterr().err == "error: unknown section [frobnicate]\n"
+
+
 def test_gen_rejects_non_synth_source(tmp_path):
     cfg = write_ini(tmp_path, "[pool]\nsource = /somewhere/else\n")
     assert main(["gen", "--config", cfg, "--out", str(tmp_path / "p")]) == 2
@@ -826,6 +832,24 @@ def test_input_that_is_not_utf8_names_its_file(tmp_path, capsys, target, code):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(tmp_path / target) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [("empty", "manifest row 2: empty sequence_id"),
+     ("duplicate", "manifest row 4: duplicate id 'seq000'")],
+)
+def test_manifest_with_a_bad_sequence_id_is_validation_error(tmp_path, capsys, fault, message):
+    write_pool(make_pool(n_train=2, n_val=0, n_test=0), tmp_path)
+    manifest = tmp_path / "manifest.csv"
+    header, first, *rest = manifest.read_bytes().splitlines(keepends=True)
+    rows = [first.replace(b"seq000", b"", 1), *rest] if fault == "empty" else [first, *rest, first]
+    manifest.write_bytes(b"".join([header, *rows]))
+    out = tmp_path / "b.csv"
+    argv = ["bounds", "--pool", str(tmp_path), "--rounds", "1", "--out", str(out)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

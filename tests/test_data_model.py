@@ -169,6 +169,10 @@ def test_validate_rejects_bad_boxes():
         BoundingBox(-2, 0.5, 0.5, 0.1, 0.1).validate()
     with pytest.raises(ValueError):
         BoundingBox(0, 1.2, 0.5, 0.1, 0.1).validate()
+    with pytest.raises(ValueError, match="box extent leaves the unit square"):
+        BoundingBox(0, 0.95, 0.5, 0.2, 0.1).validate()
+    with pytest.raises(ValueError, match="bad occlusion flag 1"):
+        BoundingBox(0, 0.5, 0.5, 0.1, 0.1, occluded=1).validate()
 
 
 # --- sequence statistics -------------------------------------------------
@@ -215,6 +219,11 @@ def test_from_sequences_rejects_frame_gap():
         ContinuityError, match=re.escape("'gap' has frame ids [0, 2]..., expected 0..1")
     ):
         PoolState.from_sequences([seq])
+
+
+def test_from_sequences_rejects_an_empty_sequence():
+    with pytest.raises(ContinuityError, match="sequence 'none' has no frames"):
+        PoolState.from_sequences([make_sequence("a"), Sequence(make_meta("none"), [])])
 
 
 def test_total_train_frames(six_pool):

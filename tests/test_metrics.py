@@ -375,6 +375,21 @@ def test_iou_bit_equal_to_scalar_definition():
         assert type(iou(a, b)) is float
 
 
+@pytest.mark.filterwarnings("error")
+def test_iou_and_mean_ap_refuse_a_union_that_overflows():
+    huge = BoundingBox(0, 0.5, 0.5, 1e200, 1e200)
+    with pytest.raises(DomainError, match="box union nan overflows float64"):
+        iou(huge, huge)
+    with pytest.raises(DomainError, match="overflows float64"):
+        mean_ap([[(huge, 0.9)]], [[huge]])
+    with pytest.raises(DomainError, match="overflows float64"):
+        mean_ap([[(box(0.5, 0.5, 0.2, 0.2), 0.9)]], [[box(0.5, 0.5, 0.2, 0.2), huge]])
+    # Extents far outside the unit square whose areas still fit are measured.
+    big = BoundingBox(0, 0.5, 0.5, 1e150, 1e150)
+    assert iou(big, big) == 1.0
+    assert mean_ap([[(big, 0.9)]], [[big]]) == (1.0, 1.0)
+
+
 # --- average precision ---------------------------------------------------
 
 

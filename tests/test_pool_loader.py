@@ -218,6 +218,12 @@ MUTATIONS = {
     "PGM of another shape": lambda r: (r / "frames/test/seq003_000002.pgm").write_bytes(
         b"P5\t3\r2\n255 " + bytes(range(6)) + b"trailing"
     ),
+    "empty sequence id": lambda r: (r / "manifest.csv").write_text(
+        (r / "manifest.csv").read_text().replace("\nseq001,", "\n  ,", 1)
+    ),
+    "duplicate sequence id": lambda r: (r / "manifest.csv").write_text(
+        (r / "manifest.csv").read_text().replace("\nseq001,", "\nseq000,", 1)
+    ),
 }
 
 

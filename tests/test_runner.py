@@ -63,6 +63,14 @@ def test_run_config_validation():
         tiny_cfg(mode="batchwise")
     with pytest.raises(DomainError):
         tiny_cfg(trace_path="only-one-of-two.csv")
+    for bad, message in (
+        (dict(interpolation_rate=0), "interpolation_rate must be >= 1, got 0"),
+        (dict(frames_per_round=0), "frames_per_round must be >= 1, got 0"),
+        (dict(min_box_pixels=-1), "bad box filter settings"),
+        (dict(reference_resolution=0), "bad box filter settings"),
+    ):
+        with pytest.raises(DomainError, match=message):
+            tiny_cfg(**bad)
     assert not tiny_cfg().replay
     assert tiny_cfg(trace_path="a", trace_metrics_path="b").replay
 
@@ -385,6 +393,15 @@ def test_replay_missing_round_raises(tmp_path):
     )
     with pytest.raises(TraceError, match=r"seed 0 round 2: no detector scores"):
         run_experiment(scores_short, pool=runner_pool())
+    # round 1 of seed 0 without one open sequence's rows
+    header, *rows = (live / "trace.csv").read_text().splitlines(keepends=True)
+    gone = next(r.split(",")[2] for r in rows if r.startswith("0,1,"))
+    (cut / "holed.csv").write_text(
+        header + "".join(r for r in rows if not r.startswith(f"0,1,{gone},"))
+    )
+    holed = replace(scores_short, trace_path=str(cut / "holed.csv"))
+    with pytest.raises(TraceError, match=rf"seed 0 round 1 sequence {gone}: no scores$"):
+        run_experiment(holed, pool=runner_pool())
     # test metrics missing round 2, replayed with evaluation on
     metrics_short = replace(
         cfg,

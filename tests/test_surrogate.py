@@ -996,6 +996,8 @@ def score_file_variants(tmp_path, rng):
         ("round-0 rows appended", False,
          text + "".join(",".join([r[0], "0", *r[2:]]) + "\r\n" for r in rows if r[1] == "1")),
         ("duplicate frame row", False, "".join(lines[:4] + lines[3:])),
+        ("non-numeric frame id", False,
+         "".join(lines[:3] + [",".join(rows[2][:3] + ["x"] + rows[2][4:]) + "\r\n"] + lines[4:])),
     ]
     order = [4, 0, 5, 2, 1, 3]
     reordered = "".join(",".join(r[i] for i in order) + "\r\n" for r in [header, *rows])
@@ -1032,8 +1034,10 @@ def test_read_traces_by_columns_matches_the_row_reader(tmp_path):
             want = read_outcome(read_traces_rows, sp, mp)
             assert read_outcome(read_traces, sp, mp) == want, name
             seen.add((name, isinstance(want, str)))
-    # the duplicate row fails in both readers; every other case reads
-    assert ("duplicate frame row", True) in seen
+            if name == "non-numeric frame id":
+                assert want == f"TraceError: {sp} line 4: bad frame_id 'x'"
+    # the duplicate row and the bad cell fail in both readers; every other case reads
+    assert ("duplicate frame row", True) in seen and ("non-numeric frame id", True) in seen
     assert ("as written", False) in seen and ("int spellings", False) in seen
 
 

@@ -300,6 +300,7 @@ def test_cost_exact_for_empty_noise_free_scenes():
         dict(cost_coeffs=CostCoeffs(alpha_boxes=math.nan)),
         dict(cost_coeffs=CostCoeffs(beta_motion=math.inf)),
         dict(cost_coeffs=CostCoeffs(noise_sd=math.nan)),
+        dict(raster_size=(64, 15)),
     ],
 )
 def test_generate_pool_rejects_bad_config(kw):
