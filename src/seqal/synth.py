@@ -12,9 +12,11 @@ draws from its own PCG64 generator seeded with ``rng_seed XOR index``; the
 draw order inside a sequence is fixed (length, object count, classes, sizes,
 speeds, headings, spawn positions with their pairing coin flips, the noise
 field, season, time of day, and finally the cost noise). No draw depends on
-the frames: a sequence's rectangles are one integer array of top-left corners,
-shaped (frames, objects, 2), plus each object's sides, and its occlusion
-flags, boxes, rasters (rendered per read) and occluded-box count come from it.
+the frames, so a pool makes all its draws first, then walks all its objects
+through their frames in one lockstep pass to the longest sequence's end. A
+sequence's slice of that walk, integer top-left corners shaped (frames,
+objects, 2), and its objects' sides give its occlusion flags, boxes, rasters
+(rendered per read) and occluded-box count.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import accumulate
 
 import numpy as np
 
@@ -77,8 +80,8 @@ class GenConfig:
     cost_coeffs: CostCoeffs = field(default_factory=CostCoeffs)
 
 
-def _validate(cfg: GenConfig) -> tuple[int, int]:
-    """Check config invariants; returns the usable object side range."""
+def _validate(cfg: GenConfig) -> None:
+    """Check config invariants."""
     if cfg.rng_seed < 0:
         raise GenError(f"rng_seed must be >= 0, got {cfg.rng_seed}")
     if cfg.n_sequences < 1:
@@ -107,7 +110,6 @@ def _validate(cfg: GenConfig) -> tuple[int, int]:
     for name in ("alpha_boxes", "beta_motion", "gamma_occlusion", "delta_length", "noise_sd"):
         if not 0 <= getattr(cc, name) < math.inf:
             raise GenError(f"cost coefficient {name} must be finite and non-negative")
-    return OBJECT_SIDE_MIN, OBJECT_SIDE_MAX
 
 
 def split_sizes(n: int) -> tuple[int, int, int]:
@@ -166,22 +168,15 @@ def _occlusion_flags(corners: np.ndarray, sides: np.ndarray) -> np.ndarray:
     return (fraction > PARTIAL_OVERLAP).astype(np.int64) + (fraction > FULL_OVERLAP)
 
 
-def _generate_sequence(
-    cfg: GenConfig,
-    index: int,
-    split: Split,
-    scene_id: int,
-    side_range: tuple[int, int],
-) -> Sequence:
+def _draw(cfg: GenConfig, index: int) -> tuple:
+    """Sequence `index`'s draws from its own generator, in the fixed order."""
     width, height = cfg.raster_size
     rng = np.random.Generator(np.random.PCG64(cfg.rng_seed ^ index))
 
     n_frames = int(rng.integers(cfg.frame_len_range[0], cfg.frame_len_range[1] + 1))
-    n_objects = int(
-        rng.integers(cfg.objects_per_seq_range[0], cfg.objects_per_seq_range[1] + 1)
-    )
+    n_objects = int(rng.integers(cfg.objects_per_seq_range[0], cfg.objects_per_seq_range[1] + 1))
     classes = rng.integers(0, 4, size=n_objects)
-    sides = rng.integers(side_range[0], side_range[1] + 1, size=(n_objects, 2))
+    sides = rng.integers(OBJECT_SIDE_MIN, OBJECT_SIDE_MAX + 1, size=(n_objects, 2))
     speeds = rng.uniform(cfg.speed_range[0], cfg.speed_range[1], size=n_objects)
     headings = rng.uniform(0.0, 2.0 * math.pi, size=n_objects)
     vel = np.stack([speeds * np.cos(headings), speeds * np.sin(headings)], axis=1)
@@ -199,14 +194,21 @@ def _generate_sequence(
     noise = rng.integers(-NOISE_AMPLITUDE, NOISE_AMPLITUDE + 1, size=(height, width))
     season = Season(int(rng.integers(0, 3)))
     tod = TimeOfDay(int(rng.integers(0, 3)))
-
-    corners = _corners(pos, vel, limits, n_frames)
-    flags = _occlusion_flags(corners, sides)
-
+    cost_noise = float(rng.normal(0.0, cfg.cost_coeffs.noise_sd))
     # Fixed per-sequence noise field under both background and objects, so a
     # static scene produces byte-identical consecutive rasters.
     base = (BACKGROUND_LEVEL + noise).astype(np.uint8)
     bright = (OBJECT_LEVEL + noise).astype(np.uint8)
+    return n_frames, pos, vel, limits, classes, sides, speeds, base, bright, season, tod, cost_noise
+
+
+def _sequence(
+    cfg: GenConfig, index: int, split: Split, scene_id: int, draws: tuple, corners: np.ndarray
+) -> Sequence:
+    """Sequence `index` from its draws and its corners, (frames, objects, 2)."""
+    n_frames, _, _, _, classes, sides, speeds, base, bright, season, tod, cost_noise = draws
+    width, height = cfg.raster_size
+    flags = _occlusion_flags(corners, sides)
 
     def render(t: int) -> np.ndarray:
         raster = base.copy()
@@ -227,11 +229,11 @@ def _generate_sequence(
 
     cc = cfg.cost_coeffs
     cost = (
-        cc.alpha_boxes * (n_objects * n_frames)
+        cc.alpha_boxes * (len(classes) * n_frames)
         + cc.beta_motion * (float(np.sum(speeds)) * n_frames)
         + cc.gamma_occlusion * int(np.count_nonzero(flags))
         + cc.delta_length * n_frames
-        + float(rng.normal(0.0, cc.noise_sd))
+        + cost_noise
     )
     meta = SequenceMeta(
         sequence_id=f"seq{index:03d}",
@@ -247,10 +249,15 @@ def _generate_sequence(
 def generate_pool(cfg: GenConfig) -> PoolState:
     """Generate a full synthetic pool from the config. Raises GenError on
     degenerate settings (objects that cannot fit the raster, empty ranges)."""
-    side_range = _validate(cfg)
+    _validate(cfg)
+    draws = [_draw(cfg, i) for i in range(cfg.n_sequences)]
+    n_frames, pos, vel, limits = list(zip(*draws))[:4]
+    # A step is elementwise and a fold leaves in-bounds objects as they are, so
+    # one walk of all objects gives each sequence's own walk as a slice.
+    track = _corners(*map(np.concatenate, (pos, vel, limits)), max(n_frames))
+    starts = accumulate(map(len, pos), initial=0)
+    corners = [track[:n, first : first + len(p)] for n, p, first in zip(n_frames, pos, starts)]
     plan = _split_plan(cfg.n_sequences)
-    sequences = [
-        _generate_sequence(cfg, i, split, scene, side_range)
-        for i, (split, scene) in enumerate(plan)
-    ]
-    return PoolState.from_sequences(sequences)
+    return PoolState.from_sequences(
+        [_sequence(cfg, i, *plan[i], draws[i], corners[i]) for i in range(cfg.n_sequences)]
+    )

@@ -1,5 +1,6 @@
 """Generator checks: determinism, split/scene layout, geometry, cost model."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -12,14 +13,13 @@ from seqal.synth import (
     COST_FLOOR_HOURS,
     NOISE_AMPLITUDE,
     OBJECT_LEVEL,
+    OBJECT_SIDE_MAX,
     OBJECT_SIDE_MIN,
     CostCoeffs,
     GenConfig,
     _corners,
     _occlusion_flags,
-    _generate_sequence,
     _split_plan,
-    _validate,
     generate_pool,
     split_sizes,
 )
@@ -165,7 +165,9 @@ def oracle_configs(n=36, seed=17):
     length families makes the draw cover: 16x16 rasters whose steps bounce
     several times, zero speeds (signed-zero velocities), occlusion rates 0
     and 1, empty and one-frame sequences, non-square rasters and the cost
-    floor."""
+    floor. Three fixed configs follow: a pool whose objects keep bouncing
+    after its shortest sequence ends, a pool without objects, and speeds at
+    the admitted maximum, the raster's smaller side."""
     rnd = np.random.default_rng(seed)
     configs = []
     for k in range(n):
@@ -187,13 +189,30 @@ def oracle_configs(n=36, seed=17):
                 cost_coeffs=CostCoeffs() if k % 2 else CostCoeffs(0.0, 0.0, 0.0, 0.0, noise_sd=1.0),
             )
         )
+    configs += [
+        GenConfig(rng_seed=3, n_sequences=5, frame_len_range=(2, 14), raster_size=(16, 16), speed_range=(8.0, 16.0)),
+        GenConfig(rng_seed=4, n_sequences=4, frame_len_range=(1, 9), objects_per_seq_range=(0, 0)),
+        GenConfig(rng_seed=5, n_sequences=3, frame_len_range=(3, 9), raster_size=(40, 17), speed_range=(17.0, 17.0)),
+    ]
     return configs
 
 
+def folds_after(seq, t0):
+    """Whether some object's x or y step reverses sign between two steps
+    that both end at frame t0 or later: a fold in a step the walk takes past
+    frame t0 - 1. Without a fold a step keeps its sign, rounding included."""
+    centers = np.array([[(b.cx, b.cy) for b in f.boxes] for f in seq.frames[t0 - 1 :]])
+    steps = np.diff(centers, axis=0)
+    return bool((steps[:-1] * steps[1:] < 0).any())
+
+
 def test_generator_matches_scalar_oracle():
-    seen = dict.fromkeys(["bounces", "zero_speed", "rate_0", "rate_1", "no_objects", "one_frame", "non_square", "floor"], False)
+    seen = dict.fromkeys(
+        ["bounces", "zero_speed", "rate_0", "rate_1", "no_objects", "one_frame", "non_square", "floor",
+         "fold_after_shortest", "no_objects_in_pool", "speed_max"],
+        False,
+    )
     for cfg in oracle_configs():
-        side_range = _validate(cfg)
         width, height = cfg.raster_size
         # every step is longer than the largest fold limit, 16 - OBJECT_SIDE_MIN
         seen["bounces"] |= cfg.raster_size == (16, 16) and cfg.speed_range[0] > 16 - OBJECT_SIDE_MIN
@@ -201,9 +220,17 @@ def test_generator_matches_scalar_oracle():
         seen["rate_0"] |= cfg.occlusion_rate == 0.0
         seen["rate_1"] |= cfg.occlusion_rate == 1.0
         seen["non_square"] |= width != height
+        seen["speed_max"] |= cfg.speed_range[0] == min(width, height)
+        pool = generate_pool(cfg)
+        assert len(pool.sequences) == cfg.n_sequences
+        shortest = min(seq.n_frames for seq in pool.sequences.values())
+        seen["no_objects_in_pool"] |= not any(seq.frames[0].boxes for seq in pool.sequences.values())
         for index, (split, scene) in enumerate(_split_plan(cfg.n_sequences)):
-            new = _generate_sequence(cfg, index, split, scene, side_range)
-            old = synth_oracle._generate_sequence(cfg, index, split, scene, side_range)
+            new = pool.sequences[f"seq{index:03d}"]
+            old = synth_oracle._generate_sequence(
+                cfg, index, split, scene, (OBJECT_SIDE_MIN, OBJECT_SIDE_MAX)
+            )
+            seen["fold_after_shortest"] |= new.n_frames > shortest + 1 and folds_after(new, shortest)
             assert repr(new.meta) == repr(old.meta)
             assert [f.frame_id for f in new.frames] == [f.frame_id for f in old.frames]
             for fn, fo in zip(new.frames, old.frames):
@@ -250,6 +277,26 @@ def test_frame_lengths_and_raster_shape():
     for seq in pool.sequences.values():
         assert 5 <= seq.n_frames <= 9
         assert seq.frames[0].raster.shape == (20, 48)  # (height, width)
+
+
+@pytest.mark.parametrize(
+    "frame_len_range,digest",
+    [
+        ((59, 86), "2afac62c83e6cd66752db10486472d1cba2dd3ae5954736e4a6c96b004c3854e"),
+        ((30, 43), "42764cdf5fff66f96e7180126b9ffe2a2f475809c56dac407f0811d07c44c52f"),
+    ],
+    ids=["frames_59_86", "frames_30_43"],
+)
+def test_generated_pool_bytes_pinned(frame_len_range, digest):
+    """The two generated pools of the benchmark's in-memory workloads, byte
+    for byte: SHA-256 over every meta and box repr and every raster."""
+    h = hashlib.sha256()
+    for seq in generate_pool(GenConfig(rng_seed=0, frame_len_range=frame_len_range)).sequences.values():
+        h.update(repr(seq.meta).encode())
+        for frame in seq.frames:
+            h.update(repr(frame.boxes).encode())
+            h.update(frame.raster.tobytes())
+    assert h.hexdigest() == digest
 
 
 # --- costs ---------------------------------------------------------------
