@@ -3,11 +3,12 @@
 Twelve strategy kinds share one ranking rule. Model-score kinds read the
 detector's per-frame outputs through ``frame_criterion``, which the runner
 applies to a round's table as one array and, in sequence rounds, reduces
-to each sequence's mean frame score; coreset reads a feature table;
-conformal kinds rank by pool statistics through ``catalog_scores``; random
-reads none. Every criterion is expressed so that higher is better and
-selection is a single argmax; ties always break toward the smallest id,
-making selection invariant to enumeration order.
+to each sequence's mean frame score; coreset reads a feature matrix;
+conformal kinds rank the candidates' lengths or flow totals through
+``catalog_scores``; random reads none. Only arrays come in, never a pool.
+Every criterion is expressed so that higher is better and selection is a
+single argmax; ties always break toward the smallest id, making selection
+invariant to enumeration order.
 
 ``rank`` ranks a round's sorted candidates by one value array: a stable
 argsort for the top rule, index draws for random and GauSS. ``coreset``
@@ -29,8 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, MissingScoresError, PoolExhaustedError, ShapeError
-from .flowproxy import FlowStats
-from .pool import PoolState
 
 KIND_RANDOM = "random"
 KIND_ENTROPY = "entropy"
@@ -54,7 +53,7 @@ SWITCH_KINDS = frozenset({KIND_FALSE_SWITCH, KIND_GAUSS_SWITCH})
 CONFORMAL_KINDS = frozenset(
     {KIND_LEAST_FRAME, KIND_MOST_FRAME, KIND_MIN_MOTION, KIND_MIN_MAX_MOTION, KIND_MIN_BOXES}
 )
-# Conformal kinds whose catalog_scores read flow statistics.
+# Conformal kinds whose catalog_scores read flow totals.
 FLOW_KINDS = frozenset({KIND_MIN_MOTION, KIND_MIN_MAX_MOTION, KIND_MIN_BOXES})
 ALL_KINDS = (
     KIND_RANDOM,
@@ -382,26 +381,20 @@ def coreset(features, open_rows, center_rows, b: int) -> np.ndarray:
     return rows[picks]
 
 
-def catalog_scores(
-    strategy: StrategySpec,
-    pool: PoolState,
-    ids: list[str],
-    flow: dict[str, FlowStats],
-    round_index: int,
-) -> np.ndarray:
-    """Each id's criterion under a pool-statistic kind, in ids order, signed
-    so that the highest score is the pick. flow maps each id to its flow
-    statistics; only FLOW_KINDS read it."""
+def catalog_scores(strategy: StrategySpec, n_frames, flow, round_index: int) -> np.ndarray:
+    """Each candidate's criterion under a pool-statistic kind, in the order
+    given, signed so that the highest score is the pick. n_frames holds the
+    candidates' lengths and flow their (motion total, box-estimate total)
+    rows; only FLOW_KINDS read flow."""
     kind = strategy.kind
-    if kind == KIND_LEAST_FRAME:
-        return -np.array([pool.sequences[s].n_frames for s in ids], dtype=float)
-    if kind == KIND_MOST_FRAME:
-        return np.array([pool.sequences[s].n_frames for s in ids], dtype=float)
-    if kind == KIND_MIN_BOXES:
-        return -np.array([sum(flow[s].box_estimates) for s in ids], dtype=float)
-    if kind not in (KIND_MIN_MOTION, KIND_MIN_MAX_MOTION):
+    if kind in (KIND_LEAST_FRAME, KIND_MOST_FRAME):
+        length = np.array(n_frames, dtype=float)
+        return -length if kind == KIND_LEAST_FRAME else length
+    if kind not in FLOW_KINDS:
         raise DomainError(f"not a conformal kind: {kind!r}")
-    motion = np.array([sum(flow[s].motion_scores) for s in ids], dtype=float)
+    motion, boxes = np.array(flow, dtype=float).reshape(-1, 2).T
+    if kind == KIND_MIN_BOXES:
+        return -boxes
     if kind == KIND_MIN_MOTION:
         return -motion
     # Case rule: even rounds take the minimum side, odd rounds the maximum,

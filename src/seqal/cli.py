@@ -163,7 +163,7 @@ def _cmd_stats(args: argparse.Namespace) -> None:
         stats = flowproxy.compute_flow_stats(
             pool.sequences[sid], args.threshold, args.min_area
         )
-        flowproxy.write_flow_cache(stats, sid, out)
+        flowproxy.write_flow_stats(stats, sid, out)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -101,7 +101,7 @@ def compute_flow_stats(
     return FlowStats(motions, boxes)
 
 
-def write_flow_cache(stats: FlowStats, sequence_id: str, out_dir: Path | str) -> Path:
+def write_flow_stats(stats: FlowStats, sequence_id: str, out_dir: Path | str) -> Path:
     """Write one sequence's stats as ``<sequence_id>.flow.csv``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -25,12 +25,15 @@ are the trace's table of the round before.
 
 The acquisition unit depends on the mode; both modes share one round loop.
 Train sequence r (train order) holds the run's frames starts[r] to
-starts[r] + lengths[r]. A seed's record of what is labeled is one boolean
-array over those frames, plus the rows of whole sequences labeled, in
-acquisition order; a sequence with an unlabeled frame is open. The seed
-draw labels whole sequences. Every round ranks its sorted candidates as
-index arrays: coreset's by acquisition.coreset over one feature matrix,
-every other by one value array through acquisition.rank.
+starts[r] + lengths[r]; the run also holds its cost, feature row and flow
+totals by row, so the round loop reads a Sequence from the pool only to
+hand it to frame scoring or costing.frame_cost. A seed's record of what is
+labeled is one boolean array over those frames, plus the rows of whole
+sequences labeled, in acquisition order; a sequence with an unlabeled
+frame is open. The seed draw labels whole sequences. Every round ranks its
+sorted candidates as index arrays: coreset's by acquisition.coreset over
+one feature matrix, every other by one value array through
+acquisition.rank.
 
 - sequential: the unit is a train row at its full annotation cost.
 - singular: the unit is an open sequence's unlabeled frame, held as (train
@@ -205,22 +208,6 @@ def _select_rng_seed(seed: int, round_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _coreset_features(pool: PoolState, features: dict[str, np.ndarray]) -> np.ndarray:
-    """Each train sequence's (mean center shift, mean box count, length),
-    standardized over the train split, one row per sequence in train order.
-    The two statistics are columns of the surrogate's feature table, read
-    off the annotations, so score-driven runs stay off the flow machinery.
-    """
-    mat = np.array(
-        [[features[s][1], features[s][0], pool.sequences[s].n_frames] for s in pool.train_ids],
-        dtype=float,
-    )
-    mean = mat.mean(axis=0)
-    sd = mat.std(axis=0)
-    sd[sd == 0.0] = 1.0
-    return (mat - mean) / sd
-
-
 def _frame_candidates(
     kind: str, open_ids: list[str], lengths, labeled: np.ndarray,
     table: dict | None, previous: dict | None, singular: bool,
@@ -297,35 +284,43 @@ def run_experiment(
             f"budget needs {need} sequences, train split has {len(train_ids)}"
         )
 
-    flow, front_charge = {}, 0.0
+    lengths = np.array([pool.sequences[sid].n_frames for sid in train_ids], dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    costs = [pool.sequences[sid].meta.cost_hours for sid in train_ids]
+    # Each row's (motion total, box-estimate total), which only FLOW_KINDS
+    # compute and read.
+    flow, front_charge = np.zeros((len(train_ids), 2)), 0.0
     if kind in FLOW_KINDS:
         # Flow stats read rasters only, which the box filter keeps, so one
         # computation per train sequence serves every seed of the run.
-        flow = {
-            sid: flowproxy.compute_flow_stats(
+        for r, sid in enumerate(train_ids):
+            stats = flowproxy.compute_flow_stats(
                 pool.sequences[sid], cfg.flow_threshold, cfg.flow_min_area
             )
-            for sid in train_ids
-        }
-        front_charge = costing.overhead_conformal(
-            cfg.overhead, pool.total_train_frames()
-        )
+            flow[r] = sum(stats.motion_scores), sum(stats.box_estimates)
+        front_charge = costing.overhead_conformal(cfg.overhead, int(lengths.sum()))
     pool = filter_small_boxes(pool, cfg.min_box_pixels, cfg.reference_resolution)
-    # Only live scoring, live evaluation and coreset read the feature table.
-    features, sigma, coreset_feats = None, None, None
+    # Only live scoring, live evaluation and coreset read the feature table;
+    # feats holds its train rows.
+    sigma, coreset_feats = None, None
     if kind == KIND_CORESET or (
         not cfg.replay and (kind in SCORE_KINDS or cfg.evaluate)
     ):
         features, sigma = surrogate.pool_feature_table(pool)
+        feats = np.stack([features[sid] for sid in train_ids])
     if kind == KIND_CORESET:
-        coreset_feats = _coreset_features(pool, features)
+        # Each train row's (mean center shift, mean box count, length),
+        # standardized over the train split: two feature columns read off
+        # the annotations, so coreset stays off the flow machinery.
+        mat = np.column_stack([feats[:, 1], feats[:, 0], lengths])
+        sd = mat.std(axis=0)
+        sd[sd == 0.0] = 1.0
+        coreset_feats = (mat - mat.mean(axis=0)) / sd
     if cfg.evaluate and not cfg.replay:
         test_seqs = [pool.sequences[sid] for sid in pool.test_ids]
         test_targets = np.array([features[sid] for sid in pool.test_ids])
         test_truths = metrics.truth_rows([f.boxes for seq in test_seqs for f in seq.frames])
     rate = cfg.interpolation_rate
-    lengths = np.array([pool.sequences[sid].n_frames for sid in train_ids], dtype=np.int64)
-    starts = np.cumsum(lengths) - lengths
     pays_detector = kind in SCORE_KINDS or kind == KIND_CORESET
 
     records: list[RoundRecord] = []
@@ -349,21 +344,20 @@ def run_experiment(
                     weights = (counts[rows] / lengths[rows]).tolist()
                 return SurrogateState(
                     round_index=rnd,
-                    labeled_features=[features[train_ids[r]] for r in rows],
+                    labeled_features=list(feats[rows]),
                     kappa=cfg.kappa,
                     noise_seed=noise_seed,
                     sigma=sigma,
                     labeled_weights=weights,
                 )
 
-            def detector_scores(rnd: int, open_ids: list[str]) -> dict:
+            def detector_scores(rnd: int, open_rows: np.ndarray, open_ids: list[str]) -> dict:
                 """(objectness, counts) per open sequence, read from the
                 seed's trace; a live run first fills the round in."""
                 if not cfg.replay:
                     seqs = [pool.sequences[sid] for sid in open_ids]
-                    targets = [features[sid] for sid in open_ids]
                     state = surrogate_state(rnd)
-                    qs = surrogate.quality(state, np.stack(targets)).tolist() if targets else []
+                    qs = surrogate.quality(state, feats[open_rows]).tolist() if seqs else []
                     noise = surrogate.frame_noise(noise_seed, rnd, seqs)
                     trace.rounds[rnd] = {
                         sid: surrogate.frame_scores(q, seq, seq_noise)
@@ -373,10 +367,10 @@ def run_experiment(
                 table = trace.rounds.get(rnd)
                 if table is None:
                     raise TraceError(f"{where}: no detector scores")
-                for sid in open_ids:
+                for sid, n_pool in zip(open_ids, lengths[open_rows].tolist()):
                     if sid not in table:
                         raise TraceError(f"{where} sequence {sid}: no scores")
-                    n_traced, n_pool = len(table[sid][0]), pool.sequences[sid].n_frames
+                    n_traced = len(table[sid][0])
                     if n_traced != n_pool:
                         raise TraceError(
                             f"{where} sequence {sid}: {n_traced} frames scored, "
@@ -409,7 +403,7 @@ def run_experiment(
                     order.extend(rows.tolist())
                     for r in rows.tolist():
                         labeled[starts[r] : starts[r] + lengths[r]] = True
-                        cost += pool.sequences[train_ids[r]].meta.cost_hours
+                        cost += costs[r]
                         names.append(train_ids[r])
                     return names, cost
                 labeled[starts[rows] + fids] = True
@@ -458,7 +452,8 @@ def run_experiment(
                     rows = acquisition.coreset(coreset_feats, open_rows, np.flatnonzero(counts),
                                                batch)
                 else:  # open sequences, or the unlabeled frames among them
-                    table = detector_scores(rnd, open_ids) if kind in SCORE_KINDS else None
+                    table = (detector_scores(rnd, open_rows, open_ids)
+                             if kind in SCORE_KINDS else None)
                     # A sequence open now was open in the round before, whose
                     # table holds its previous counts; round 1 has none, even
                     # when a replayed trace holds round-0 rows.
@@ -468,7 +463,9 @@ def run_experiment(
                         labeled[np.repeat(counts < lengths, lengths)], table, previous, singular,
                     )
                     if kind in CONFORMAL_KINDS:
-                        values = acquisition.catalog_scores(cfg.strategy, pool, open_ids, flow, rnd)
+                        values = acquisition.catalog_scores(
+                            cfg.strategy, lengths[open_rows], flow[open_rows], rnd
+                        )
                     picks = acquisition.rank(kind, values, sid_index.size, batch, rng_seed)
                     rows, fids = open_rows[sid_index[picks]], fids if fids is None else fids[picks]
                 emit(rnd, *acquire(rows, fids))

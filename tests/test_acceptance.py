@@ -29,7 +29,6 @@ from seqal.costing import (
     overhead_conformal,
     theoretical_cost_bounds,
 )
-from seqal.flowproxy import FlowStats
 from seqal.metrics import PerfCostCurve, average_precision, car, correlations, par
 from seqal.pool import BoundingBox, PoolState, load_pool, write_pool
 from seqal.runner import RunConfig, _frame_candidates, run_experiment
@@ -483,10 +482,6 @@ def test_criterion_09_selection_matches_enumeration():
     }
     boxes = {sid: [rnd.randint(0, 5) for _ in range(lengths[sid])] for sid in ids}
 
-    pool = PoolState.from_sequences(
-        [make_sequence(sid, n_frames=lengths[sid]) for sid in ids]
-    )
-    flow = {sid: FlowStats(motion[sid], boxes[sid]) for sid in ids}
     # The runner offers only what is not labeled yet; p2 is labeled.
     unlabeled = [sid for sid in ids if sid != "p2"]
     problems = []
@@ -554,7 +549,10 @@ def test_criterion_09_selection_matches_enumeration():
     def catalog_pick(spec, round_index=1):
         """catalog_scores' array through acquisition.rank, as the runner
         ranks it; select over the same scores as a dict must agree."""
-        values = catalog_scores(spec, pool, unlabeled, flow, round_index)
+        values = catalog_scores(
+            spec, [lengths[s] for s in unlabeled],
+            [(sum(motion[s]), sum(boxes[s])) for s in unlabeled], round_index,
+        )
         picks = acquisition.rank(spec.kind, values, len(unlabeled), spec.batch_size, 0)
         got = [unlabeled[i] for i in picks]
         scores = dict(zip(unlabeled, values.tolist()))

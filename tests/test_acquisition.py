@@ -229,11 +229,20 @@ def catalog_scores_dict(strategy, pool, ids, flow, round_index):
     return out
 
 
+def catalog_rows(pool, ids, flow):
+    """catalog_scores' inputs for ids, as the runner holds them: each id's
+    length and, with flow, its (motion total, box-estimate total)."""
+    lengths = [pool.sequences[s].n_frames for s in ids]
+    if not flow:
+        return lengths, None
+    return lengths, [(sum(flow[s].motion_scores), sum(flow[s].box_estimates)) for s in ids]
+
+
 def rank(spec, pool, flow=None, round_index=1):
     """A pool-statistic pick over the whole train split, as the runner makes
     it: catalog_scores' array through acquisition.rank."""
     ids = pool.train_ids
-    values = catalog_scores(spec, pool, ids, flow or {}, round_index)
+    values = catalog_scores(spec, *catalog_rows(pool, ids, flow), round_index)
     picks = acquisition.rank(spec.kind, values, len(ids), spec.batch_size, 0)
     return [ids[i] for i in picks]
 
@@ -626,7 +635,7 @@ def test_catalog_scores_array_matches_per_id_dict():
             for phase in ("max_first", "min_first"):
                 spec = StrategySpec(kind, parity_phase=phase)
                 for round_index in (1, 2, 3, 4):
-                    got = catalog_scores(spec, pool, ids, flow, round_index)
+                    got = catalog_scores(spec, *catalog_rows(pool, ids, flow), round_index)
                     want = catalog_scores_dict(spec, pool, ids, flow, round_index)
                     assert got.dtype == np.float64 and got.shape == (len(ids),)
                     assert got.tolist() == [want[s] for s in ids], (kind, phase, round_index)
@@ -842,9 +851,8 @@ def test_conformal_tie_breaks_lexicographically():
 
 
 def test_catalog_scores_rejects_model_kinds():
-    pool = pool_of({"a": 2})
     with pytest.raises(DomainError):
-        catalog_scores(StrategySpec("entropy"), pool, ["a"], {}, 1)
+        catalog_scores(StrategySpec("entropy"), [2], None, 1)
 
 
 # --- select: coreset -----------------------------------------------------

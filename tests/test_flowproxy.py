@@ -5,15 +5,15 @@ import pytest
 
 import seqal.flowproxy as fp
 from seqal.errors import DomainError, MissingRasterError, ShapeError
-from seqal.flowproxy import compute_flow_stats, write_flow_cache
+from seqal.flowproxy import compute_flow_stats, write_flow_stats
 from seqal.pool import Frame, Sequence
 from seqal.synth import GenConfig, generate_pool
 
 from conftest import make_meta, make_sequence
 
 
-def read_flow_cache(path):
-    """Oracle: the (motions, box estimates) columns of a flow cache file."""
+def read_flow_stats(path):
+    """Oracle: the (motions, box estimates) columns of a flow statistics file."""
     motions, estimates = [], []
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
@@ -303,8 +303,8 @@ def test_compute_flow_stats_missing_raster():
 def test_cache_round_trip(tmp_path):
     seq = make_sequence("roundtrip", n_frames=5, raster_size=(16, 16))
     stats = compute_flow_stats(seq)
-    path = write_flow_cache(stats, seq.sequence_id, tmp_path)
+    path = write_flow_stats(stats, seq.sequence_id, tmp_path)
     assert path.name == "roundtrip.flow.csv"
-    motions, estimates = read_flow_cache(path)
+    motions, estimates = read_flow_stats(path)
     assert motions == stats.motion_scores
     assert estimates == stats.box_estimates

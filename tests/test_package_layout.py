@@ -95,3 +95,26 @@ def test_import_leaves_scipy_stats_out():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def package_imports(tree) -> set[str]:
+    """The seqal modules that tree's import nodes name, relative or absolute."""
+    dotted = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            dotted += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["seqal" if node.level else "", node.module]))
+            dotted += [f"{module}.{a.name}" for a in node.names] if module == "seqal" else [module]
+    return {d.split(".")[1] for d in dotted if d.startswith("seqal.")}
+
+
+def test_acquisition_ranks_arrays_alone():
+    """acquisition.py ranks arrays the runner builds: from the package it
+    imports only errors, neither pool nor flowproxy."""
+    assert package_imports(ast.parse((SRC / "acquisition.py").read_text())) == {"errors"}
+    guard = ast.parse(
+        "from .errors import A\nfrom .pool import PoolState\nfrom . import flowproxy\n"
+        "import seqal.synth\nfrom seqal.metrics import x\nimport numpy\nfrom scipy import y\n"
+    )
+    assert package_imports(guard) == {"errors", "pool", "flowproxy", "synth", "metrics"}

@@ -5,7 +5,7 @@ of 20-30 frame sequences and compares the SHA-256 of every CSV it writes
 with ``pin_digests.json``. Each ``CLI_CONFIGS`` entry runs ``seqal run`` on
 the same pool written to disk, so manifest costs at six decimals, label
 files, PGMs and INI parsing are pinned too. The raw flow statistics are
-pinned the same way: the ``<id>.flow.csv`` that ``write_flow_cache`` writes
+pinned the same way: the ``<id>.flow.csv`` that ``write_flow_stats`` writes
 for every sequence of that pool at each ``FLOW_PARAMS`` pair. A change that
 means to alter output rewrites the digests in the same commit and says why
 in CHANGES.md:
@@ -24,14 +24,14 @@ import pytest
 
 from seqal import cli
 from seqal.acquisition import StrategySpec
-from seqal.flowproxy import compute_flow_stats, write_flow_cache
+from seqal.flowproxy import compute_flow_stats, write_flow_stats
 from seqal.pool import write_pool
 from seqal.runner import RunConfig, run_experiment
 from seqal.synth import GenConfig, generate_pool
 
 DIGESTS = Path(__file__).with_name("pin_digests.json")
 POOL = GenConfig(rng_seed=3, n_sequences=20, frame_len_range=(20, 30), raster_size=(32, 32))
-# (threshold, min_area) pairs whose flow caches are pinned
+# (threshold, min_area) pairs whose flow statistics are pinned
 FLOW_PARAMS = ((10, 25), (40, 5))
 
 # name -> (RunConfig keywords, live run whose trace is replayed or None)
@@ -130,13 +130,13 @@ def flow_name(threshold: int, min_area: int) -> str:
     return f"flow_{threshold}_{min_area}"
 
 
-def flow_caches(threshold: int, min_area: int, root: Path) -> dict[str, str]:
-    """Write every pin-pool sequence's flow cache under root; returns the
+def flow_stat_files(threshold: int, min_area: int, root: Path) -> dict[str, str]:
+    """Write every pin-pool sequence's flow statistics under root; returns the
     SHA-256 of each file."""
     pool = generate_pool(POOL)
     out = root / flow_name(threshold, min_area)
     for sid in sorted(pool.sequences):
-        write_flow_cache(compute_flow_stats(pool.sequences[sid], threshold, min_area), sid, out)
+        write_flow_stats(compute_flow_stats(pool.sequences[sid], threshold, min_area), sid, out)
     return digests(out, "*.flow.csv")
 
 
@@ -155,7 +155,7 @@ def test_cli_output_bytes_pinned(name, tmp_path):
 @pytest.mark.parametrize("threshold,min_area", FLOW_PARAMS)
 def test_flow_cache_bytes_pinned(threshold, min_area, tmp_path):
     expected = json.loads(DIGESTS.read_text())[flow_name(threshold, min_area)]
-    assert flow_caches(threshold, min_area, tmp_path) == expected
+    assert flow_stat_files(threshold, min_area, tmp_path) == expected
 
 
 if __name__ == "__main__":
@@ -167,6 +167,6 @@ if __name__ == "__main__":
         pinned = {name: run_config(name, Path(tmp)) for name in sorted(CONFIGS)}
         pinned.update((name, cli_run(name, Path(tmp))) for name in sorted(CLI_CONFIGS))
         for threshold, min_area in FLOW_PARAMS:
-            pinned[flow_name(threshold, min_area)] = flow_caches(threshold, min_area, Path(tmp))
+            pinned[flow_name(threshold, min_area)] = flow_stat_files(threshold, min_area, Path(tmp))
     DIGESTS.write_text(json.dumps(pinned, indent=2, sort_keys=True) + "\n")
     print(f"wrote {DIGESTS}")

@@ -1,6 +1,7 @@
 """End-to-end experiment runner tests on tiny deterministic pools."""
 
 import csv
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,7 @@ from seqal.runner import (
 from seqal.synth import GenConfig, generate_pool
 
 from conftest import count_calls, make_pool, make_sequence
+from test_acquisition import kcenter_oracle
 
 
 def tiny_cfg(kind="entropy", **kw):
@@ -266,6 +268,55 @@ def test_feature_table_built_only_when_read(monkeypatch, tmp_path):
     )
     run_experiment(replay, pool=runner_pool())
     assert len(calls) == 3
+
+
+def coreset_oracle_matrix(pool):
+    """Each train sequence's (mean center shift, mean box count, length),
+    summed frame by frame from its boxes, standardized over the train split
+    with a zero spread taken as 1; also the spreads before that."""
+    rows = []
+    for sid in pool.train_ids:
+        frames = pool.sequences[sid].frames
+        shift = 0.0
+        for a, b in zip(frames, frames[1:]):
+            for p, q in zip(a.boxes, b.boxes):  # box slot k to box slot k
+                shift += math.hypot(q.cx - p.cx, q.cy - p.cy)
+        n = len(frames)
+        rows.append([shift / n, sum(len(f.boxes) for f in frames) / n, n])
+    mat = np.array(rows)
+    spread = mat.std(axis=0)
+    return (mat - mat.mean(axis=0)) / np.where(spread == 0.0, 1.0, spread), spread
+
+
+@pytest.mark.parametrize("frame_len_range", [(5, 14), (12, 12)])
+def test_coreset_matches_kcenter_oracle(frame_len_range):
+    """Sequential coreset at batch 1 and 2 picks, round by round, what
+    kcenter_oracle picks over the hand-built matrix of the filtered pool;
+    with every train sequence 12 frames long the length column has no
+    spread."""
+    pool = generate_pool(
+        GenConfig(rng_seed=5, n_sequences=20, frame_len_range=frame_len_range)
+    )
+    mat, spread = coreset_oracle_matrix(filter_small_boxes(pool))
+    assert (spread[2] == 0.0) == (frame_len_range == (12, 12))
+    assert (spread[:2] > 0.0).all()
+    features = dict(zip(pool.train_ids, mat))
+    for batch in (1, 2):
+        cfg = tiny_cfg(
+            strategy=StrategySpec("coreset", batch_size=batch),
+            seed_sequences=2,
+            rounds=4,
+            seeds=(0, 1, 2),
+        )
+        records = run_experiment(cfg, pool=pool)
+        for seed in cfg.seeds:
+            labeled = []
+            for rec in per_seed(records, seed):
+                if rec.round_index:
+                    unlabeled = [s for s in pool.train_ids if s not in labeled]
+                    want = kcenter_oracle(unlabeled, labeled, features, batch)
+                    assert list(rec.selected) == want, (batch, seed, rec.round_index)
+                labeled += rec.selected
 
 
 # --- evaluation ----------------------------------------------------------
