@@ -1,11 +1,12 @@
 import csv
+import time
 
 import numpy as np
 import pytest
 
 import seqal.flowproxy as fp
 from seqal.errors import DomainError, MissingRasterError, ShapeError
-from seqal.flowproxy import compute_flow_stats, write_flow_stats
+from seqal.flowproxy import FlowStats, compute_flow_stats, write_flow_stats
 from seqal.pool import Frame, Sequence
 from seqal.synth import GenConfig, generate_pool
 
@@ -22,11 +23,11 @@ def read_flow_stats(path):
     return motions, estimates
 
 
-def flood_count(mask, min_area):
-    """Oracle: count components by explicit 8-connected flood fill."""
+def flood_areas(mask):
+    """Oracle: the areas of mask's 8-connected components, by explicit flood fill."""
     mask = np.asarray(mask, dtype=bool)
     seen = np.zeros_like(mask)
-    count = 0
+    areas = []
     h, w = mask.shape
     for sy in range(h):
         for sx in range(w):
@@ -44,9 +45,13 @@ def flood_count(mask, min_area):
                         if 0 <= ny < h and 0 <= nx < w and mask[ny, nx] and not seen[ny, nx]:
                             seen[ny, nx] = True
                             stack.append((ny, nx))
-            if area >= min_area:
-                count += 1
-    return count
+            areas.append(area)
+    return areas
+
+
+def flood_count(mask, min_area):
+    """Oracle: count the components of at least min_area pixels."""
+    return sum(area >= min_area for area in flood_areas(mask))
 
 
 def pair_oracle(prev, curr, threshold, min_area):
@@ -194,27 +199,98 @@ def test_threshold_zero_counts_each_pair_once():
     assert compute_flow_stats(raster_sequence(*frames), 0, 12).box_estimates == [0, 1, 1, 1]
 
 
+def drawn_masks(rng, kind, n_masks):
+    """n_masks random masks of one random shape, each drawn as kind says:
+    - "diagonal": cells with y + x even, so set cells touch only at corners;
+    - "pixels": cells with y and x even, so every component is one pixel;
+    - "edge_rows": the first and last rows only, beside the separator rows;
+    - "empty" and "full": no cell and every cell;
+    - "blobs": any cell, dense enough to grow components of many sizes."""
+    shape = tuple(int(v) for v in rng.integers(1, 13, size=2))
+    y, x = np.indices(shape)
+    cells, density = {
+        "diagonal": ((y + x) % 2 == 0, rng.random()),
+        "pixels": ((y % 2 == 0) & (x % 2 == 0), rng.random()),
+        "edge_rows": ((y == 0) | (y == shape[0] - 1), rng.random()),
+        "empty": (np.ones(shape, bool), 0.0),
+        "full": (np.ones(shape, bool), 1.0),
+        "blobs": (np.ones(shape, bool), rng.uniform(0.3, 0.7)),
+    }[kind]
+    return [cells & (rng.random(shape) < density) for _ in range(n_masks)]
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "pixels", "edge_rows", "empty", "full", "blobs"])
+def test_components_match_flood_fill_on_drawn_masks(kind):
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    for _ in range(25):
+        masks = drawn_masks(rng, kind, int(rng.integers(1, 6)))
+        frames = frames_from_masks(*masks)
+        areas = [flood_areas(m) for m in masks]
+        if kind == "pixels":
+            assert all(set(a) <= {1} for a in areas)
+        if kind == "full":
+            assert all(a == [m.size] for a, m in zip(areas, masks))
+        # 1, each component's exact area and one above it
+        for min_area in sorted({1, *(v + d for a in areas for v in a for d in (0, 1))}):
+            stats = compute_flow_stats(raster_sequence(*frames), 10, min_area)
+            assert stats.box_estimates == [0] + [sum(v >= min_area for v in a) for a in areas]
+            assert stats.motion_scores == [0] + [100 * int(m.sum()) for m in masks]
+
+
+def spiral(n):
+    """An n x n mask: one path, one pixel wide, that winds inward clockwise
+    from the top left corner with a one-pixel gap between its turns."""
+    mask = np.zeros((n, n), bool)
+    y, x, dy, dx = 0, 0, 0, 1
+    mask[0, 0] = True
+    turned = False
+    while True:
+        ny, nx = y + dy, x + dx
+        beyond = 0 <= ny + dy < n and 0 <= nx + dx < n and mask[ny + dy, nx + dx]
+        if 0 <= ny < n and 0 <= nx < n and not mask[ny, nx] and not beyond:
+            y, x, turned = ny, nx, False
+            mask[y, x] = True
+        elif turned:
+            return mask
+        else:
+            dy, dx, turned = dx, -dy, True
+
+
+def serpentine(n):
+    """An n x n mask: every even row, joined end to end by one pixel in the
+    odd row between, alternately at the right and left edge."""
+    mask = np.zeros((n, n), bool)
+    mask[::2] = True
+    mask[1::4, -1] = True
+    mask[3::4, 0] = True
+    return mask
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [spiral, lambda n: spiral(n).T, serpentine, lambda n: serpentine(n).T],
+    ids=["spiral", "spiral_transposed", "serpentine_rows", "serpentine_columns"],
+)
+def test_one_long_thin_component_labels_in_bounded_time(draw):
+    """Each mask is one component of every set pixel, whose runs chain over
+    thousands of steps; joining them one step a round would take seconds."""
+    mask = draw(512)
+    area = int(mask.sum())
+    assert area > 512 * 512 // 2 - 512
+    seq = raster_sequence(*frames_from_masks(mask))
+    start = time.perf_counter()
+    stats = compute_flow_stats(seq, 10, area)
+    assert time.perf_counter() - start < 0.25
+    assert stats == FlowStats([0, 100 * area], [0, 1])
+    assert compute_flow_stats(seq, 10, area + 1).box_estimates == [0, 0]
+
+
 @pytest.mark.parametrize("n_frames", [1, 2, 5])
 def test_sequence_without_motion(n_frames):
     frames = [np.full((5, 6), 77, np.uint8)] * n_frames
     assert_matches_pair_oracle(frames)
     stats = compute_flow_stats(raster_sequence(*frames))
     assert stats.motion_scores == stats.box_estimates == [0] * n_frames
-
-
-def test_one_label_call_per_computed_sequence(monkeypatch):
-    calls = []
-    label = fp.ndimage.label
-
-    def counting_label(*args, **kwargs):
-        calls.append(1)
-        return label(*args, **kwargs)
-
-    monkeypatch.setattr(fp.ndimage, "label", counting_label)
-    seq = make_sequence("s", n_frames=9, raster_size=(16, 16))
-    compute_flow_stats(seq)
-    compute_flow_stats(seq)
-    assert len(calls) == 2
 
 
 def test_generated_rasters_are_read_only():
@@ -269,8 +345,8 @@ def test_compute_flow_stats_frame_zero_is_zero():
     assert all(m > 0 for m in stats.motion_scores[1:])
 
 
-def test_compute_flow_stats_cache_keyed_by_parameters():
-    # distinct parameters give a fresh sequence's stats
+def test_compute_flow_stats_follows_its_parameters():
+    # each parameter pair gives what a fresh sequence gives under it
     seq = make_sequence("s", n_frames=6, raster_size=(16, 16))
     loose = compute_flow_stats(seq, 10, 25)
     assert sum(loose.box_estimates) > 0
@@ -300,7 +376,7 @@ def test_compute_flow_stats_missing_raster():
         compute_flow_stats(seq)
 
 
-def test_cache_round_trip(tmp_path):
+def test_write_flow_stats_round_trip(tmp_path):
     seq = make_sequence("roundtrip", n_frames=5, raster_size=(16, 16))
     stats = compute_flow_stats(seq)
     path = write_flow_stats(stats, seq.sequence_id, tmp_path)

@@ -87,14 +87,39 @@ def test_every_text_read_and_write_names_its_encoding():
 
 
 def test_import_leaves_scipy_stats_out():
-    """scipy.stats would add about 44 MB to the peak RSS of every process
-    that imports seqal, so the package computes its correlations itself."""
+    """seqal depends on numpy alone: scipy.ndimage would add about 28 MB and
+    scipy.stats about 44 MB to the peak RSS of every process that imports
+    seqal, so the package labels components and computes correlations itself.
+    No scipy module may load, and no module in src/seqal may import scipy,
+    not even lazily inside a function, which the first probe cannot see."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), *sys.path])}
-    probe = "import seqal, sys; print('scipy.stats' in sys.modules)"
+    probe = "import seqal, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
+    importers = {
+        path.name: roots
+        for path in sorted(SRC.glob("*.py"))
+        if "scipy" in (roots := imported_roots(ast.parse(path.read_text())))
+    }
+    assert importers == {}
+    guard = ast.parse(
+        "import numpy as np\nfrom . import flowproxy\n"
+        "def f():\n    import scipy.ndimage\n    from scipy import stats\n"
+    )
+    assert imported_roots(guard) == {"numpy", "scipy"}
+
+
+def imported_roots(tree) -> set[str]:
+    """The top-level packages that tree's absolute imports name, at any depth."""
+    roots = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            roots.add(node.module.split(".")[0])
+    return roots
 
 
 def package_imports(tree) -> set[str]:
